@@ -52,6 +52,6 @@ for entry in report.per_index:
 # same bound is the textbook Cauchy statement
 q, _ = np.linalg.qr(h)
 classical = q.conj().T @ p @ q
-eta_classical = eigvals_hermitian(classical).real_sorted()
+eta_classical = classify_real(eigvals_hermitian(classical))
 print("orthonormal-frame compression interlaces too:",
       check_interlacing(lam, eta_classical).passed)

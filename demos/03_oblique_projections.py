@@ -16,6 +16,7 @@ from pseudosim import (
     ExperimentConfig,
     SplitMix64,
     check_interlacing,
+    classify_real,
     counterexample_search,
     eigvals_hermitian,
     hermitian_with_spectrum,
@@ -55,5 +56,5 @@ else:
 
 # undo the shear and the same selection behaves
 block_id = oblique_transform(p, np.eye(3), (0, 1)).transformed
-eta = eigvals_hermitian(block_id).real_sorted()
+eta = classify_real(eigvals_hermitian(block_id))
 print("identity-frame block interlaces:", check_interlacing(lam, eta).passed)

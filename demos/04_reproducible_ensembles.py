@@ -18,6 +18,7 @@ from pseudosim import (
     hermitian_with_spectrum,
     render,
     run_suite,
+    run_trial,
 )
 
 # two independent streams from the same master seed never collide
@@ -42,15 +43,15 @@ records = run_suite(config)
 print()
 print(render(records, "table"))
 
-# replay trial 3 by hand: its seed is derive_seed(suite_seed, 3), and the
+# replay trial 3 on its own: its seed is derive_seed(suite_seed, 3), and the
 # suite seed is split from the master by the suite's fixed position
 row = records[3]
 suite_seed = derive_seed(master, SUITES.index("interlace-full-rank"))
 assert row.seed == derive_seed(suite_seed, 3)
-replay = SplitMix64(row.seed)
-n = replay.randint(2, 16)
-assert n == row.n, "replayed dimension draw must match the recorded row"
-print(f"replayed trial 3 from bare seed {row.seed}: n = {n} as recorded")
+replay = run_trial(config.ensemble, "interlace-full-rank", 3)
+assert replay.record("interlace-full-rank", 3, row.seed) == row, "replay must match the row"
+print(f"replayed trial 3 from bare seed {row.seed}: (n, k, l) = "
+      f"({replay.n}, {replay.k}, {replay.l}) as recorded, cond(H) = {replay.cond_h:.1f}")
 
 # spectrum laws keep eigenvalues away from zero: signed-uniform avoids
 # the open interval (-0.1, 0.1) entirely

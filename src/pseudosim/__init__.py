@@ -38,9 +38,12 @@ from .experiments import (
     SUITES,
     ExperimentConfig,
     Tolerances,
+    TrialOutcome,
     TrialRecord,
     counterexample_search,
     run_suite,
+    run_trial,
+    trial_seed,
 )
 from .interlace import (
     InterlacingReport,
@@ -90,6 +93,7 @@ __all__ = [
     "SvdFactors",
     "Tolerances",
     "TransformResult",
+    "TrialOutcome",
     "TrialRecord",
     "adjoint",
     "build_rank_deficient",
@@ -124,9 +128,11 @@ __all__ = [
     "random_unitary",
     "render",
     "run_suite",
+    "run_trial",
     "selection_matrix",
     "sort_eigenvalues",
     "spectral_scale",
     "svd",
+    "trial_seed",
     "unitary_compression",
 ]

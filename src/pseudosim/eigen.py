@@ -13,17 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError, RealnessViolation
+from .errors import ContractViolation, DimensionError, NumericalError
 from .linalg import as_matrix, default_hermiticity_tol, is_hermitian
-
-#: default relative tolerance for classifying a spectrum as real
-REALNESS_TOL = 1e-10
 
 
 def spectral_scale(values) -> float:
     """max(1, largest magnitude): the scale realness/zero tolerances multiply."""
     values = np.asarray(values)
     return max(1.0, float(np.abs(values).max())) if values.size else 1.0
+
+
+def relative_imag(values) -> float:
+    """max |imag| / spectral_scale: how far a spectrum is from real, per its scale."""
+    values = np.asarray(values)
+    return float(np.abs(values.imag).max()) / spectral_scale(values) if values.size else 0.0
 
 
 def sort_eigenvalues(values) -> np.ndarray:
@@ -37,28 +40,16 @@ def sort_eigenvalues(values) -> np.ndarray:
 class Spectrum:
     """Multiset of eigenvalues sorted by (real, imag) ascending.
 
-    ``real_sorted`` is only available when every imaginary part is below
-    ``realness_tol`` times the spectral scale; otherwise it raises.
+    Whether it is real is decided by :func:`pseudosim.interlace.classify_real`.
     """
 
     values: np.ndarray
-    realness_tol: float = REALNESS_TOL
 
     def __post_init__(self):
         self.values = sort_eigenvalues(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def real_sorted(self) -> np.ndarray:
-        tol = self.realness_tol * spectral_scale(self.values)
-        bad = np.abs(self.values.imag) > tol
-        if bad.any():
-            raise RealnessViolation(
-                f"spectrum is not real within tolerance {tol:.3e}: "
-                f"{self.values[bad]}", offenders=self.values[bad],
-            )
-        return np.sort(self.values.real)
 
 
 def eigvals_hermitian(m, tol: float | None = None) -> Spectrum:
@@ -80,7 +71,7 @@ def eigvals_hermitian(m, tol: float | None = None) -> Spectrum:
     return Spectrum(values=w.astype(np.complex128))
 
 
-def eigvals_general(m, realness_tol: float = REALNESS_TOL) -> Spectrum:
+def eigvals_general(m) -> Spectrum:
     """Complex spectrum of a general square matrix, sorted by (real, imag)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -89,7 +80,7 @@ def eigvals_general(m, realness_tol: float = REALNESS_TOL) -> Spectrum:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"general eigensolver did not converge: {exc}") from exc
-    return Spectrum(values=w, realness_tol=realness_tol)
+    return Spectrum(values=w)
 
 
 def eig_residual(m, value, vector) -> float:

@@ -18,7 +18,6 @@ from .transforms import build_rank_deficient
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
 DEFAULT_N_RANGE = (2, 16)
-DEFAULT_K_RANGE = (1, 24)
 DEFAULT_CONDITION_CAP = 1e3
 DEFAULT_SPECTRUM_GAP = 0.1
 DEFAULT_SPECTRUM_BOUND = 2.0

@@ -6,6 +6,11 @@ agreement of independent computation routes, the Moore-Penrose axioms,
 eigensolver output against characteristic-polynomial oracles, or (the one
 negative result) that oblique compressions do violate interlacing.
 
+A suite is one entry of ``_SUITE_TABLE``: a dimension rule and a check.
+:func:`run_trial` runs one trial and returns its :class:`TrialOutcome`;
+:func:`run_suite` is a loop over it, and the acceptance tests assert on the
+same outcomes.
+
 Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
 gets ``derive_seed(suite_seed, trial_index)``.  A trial is therefore fully
@@ -15,6 +20,7 @@ carries, independent of which other suites ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -27,35 +33,15 @@ from .ensembles import (
     random_invertible_nonunitary,
     random_rank_l,
     random_unitary,
-    selection_matrix,
 )
-from .eigen import REALNESS_TOL, Spectrum, eigvals_general, eigvals_hermitian, match_distance, spectral_scale
+from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
 from .errors import ContractViolation, NumericalError, RealnessViolation
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import adjoint, numerical_rank, penrose_residuals, pseudo_inverse
+from .linalg import adjoint, penrose_residuals, pseudo_inverse, svd
 from .oracles import charpoly_eigenvalues
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
-#: canonical suite order; positions index the per-suite seed derivation
-SUITES = (
-    "interlace-full-rank",
-    "interlace-rank-deficient",
-    "interlace-inflated",
-    "subsumption",
-    "oblique-counterexample",
-    "mp-axioms",
-    "solver-oracle",
-)
-
-#: suites whose failures flip the process exit status (the oblique search
-#: reports not-found as a warning instead)
-THEOREM_SUITES = frozenset(s for s in SUITES if s != "oblique-counterexample")
-
-REALNESS_REL_TOL = 1e-8           # max |imag| per spectral scale, interlace suites
-UNITARY_PINV_TOL = 1e-10          # pinv(Q) vs Q^H, subsumption
-SUBSUME_ROUTE_TOL = 1e-9          # compression route agreement, subsumption
-MP_TOL = 1e-8                     # Penrose residuals
 ORACLE_TOL = 1e-6                 # solver vs charpoly roots, trace/det
 OBLIQUE_DEFAULT_N = 3
 OBLIQUE_DEFAULT_SEED = 7
@@ -64,35 +50,24 @@ OBLIQUE_DEFAULT_BUDGET = 1000
 WITNESS_TIGHTEN = 10.0            # re-verification factor for oblique witnesses
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
-    """Optional overrides of module defaults; None keeps the default.
+    """The runner's tolerance table.
 
     All values are relative factors multiplied by the spectral or entry
-    scale of the quantity under test, except ``rank`` which replaces the
-    rank-detection threshold factor directly.
+    scale of the quantity under test, except ``rank``, which replaces the
+    rank-detection threshold factor directly; None keeps the per-matrix
+    default, max(rows, cols) * eps.
     """
 
-    interlace: float | None = None
+    interlace: float = INTERLACE_REL_TOL
     rank: float | None = None
-    zero: float | None = None
-    realness: float | None = None
-    mp: float | None = None
-    unitary_pinv: float | None = None
-    route: float | None = None
-    oracle: float | None = None
-
-    def resolved(self):
-        return {
-            "interlace": INTERLACE_REL_TOL if self.interlace is None else self.interlace,
-            "rank": self.rank,  # None means per-matrix default
-            "zero": ZERO_REL_TOL if self.zero is None else self.zero,
-            "realness": REALNESS_REL_TOL if self.realness is None else self.realness,
-            "mp": MP_TOL if self.mp is None else self.mp,
-            "unitary_pinv": UNITARY_PINV_TOL if self.unitary_pinv is None else self.unitary_pinv,
-            "route": SUBSUME_ROUTE_TOL if self.route is None else self.route,
-            "oracle": ORACLE_TOL if self.oracle is None else self.oracle,
-        }
+    zero: float = ZERO_REL_TOL
+    realness: float = 1e-8            # max |imag| per spectral scale, interlace suites
+    mp: float = 1e-8                  # Penrose residuals
+    unitary_pinv: float = 1e-10       # pinv(Q) vs Q^H, subsumption
+    route: float = 1e-9               # compression route agreement, subsumption
+    oracle: float = ORACLE_TOL
 
 
 @dataclass
@@ -105,6 +80,8 @@ class ExperimentConfig:
     format: str = "table"
 
     def __post_init__(self):
+        from .reports import FORMATS  # reports imports this module
+
         self.suites = tuple(self.suites)
         if not self.suites:
             raise ContractViolation("at least one suite must be selected")
@@ -113,7 +90,7 @@ class ExperimentConfig:
             raise ContractViolation(f"unknown suite tag(s) {unknown}; valid: {list(SUITES)}")
         if self.trials < 1:
             raise ContractViolation(f"trials must be >= 1, got {self.trials}")
-        if self.format not in ("table", "csv", "json-lines"):
+        if self.format not in FORMATS:
             raise ContractViolation(f"unknown format {self.format!r}")
 
 
@@ -140,6 +117,36 @@ class TrialRecord:
 
 RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
+
+@dataclass
+class TrialOutcome:
+    """Everything one trial found.
+
+    The fields up to ``notes`` are the verdict columns of the trial's
+    :class:`TrialRecord`.  The rest are interlacing diagnostics; suites that
+    do not measure them, and trials that raised, leave the defaults.
+    """
+
+    n: int
+    k: int
+    l: int
+    passed: bool
+    min_lower_margin: float = 0.0
+    min_upper_margin: float = 0.0
+    worst_residual: float = 0.0
+    notes: str = ""
+    rel_imag: float = float("nan")    # max |imag| / spectral scale of the transform's spectrum
+    route_dev: float = 0.0            # deviation between the two inflation routes
+    zeros: int = 0                    # structural zeros split off the spectrum
+    hermitian: bool = False           # transform Hermitian within tolerance
+    cond_h: float = float("nan")      # sigma_max / sigma_min of the map
+
+    def record(self, suite: str, trial_index: int, seed: int) -> TrialRecord:
+        """The trial's record, given the three columns an outcome does not hold."""
+        return TrialRecord(suite, trial_index, seed,
+                           **{name: getattr(self, name) for name in RECORD_FIELDS[3:]})
+
+
 #: exceptions a trial may raise without halting the suite
 _TRIAL_ERRORS = (ContractViolation, NumericalError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -149,131 +156,139 @@ def _finite(x) -> float:
     return x if np.isfinite(x) else 0.0
 
 
-def _draw_dims(rng: SplitMix64, spec: EnsembleSpec, suite: str) -> tuple[int, int, int]:
-    """Per-trial dimensions honoring any pinned ensemble fields and the
-    suite's structural constraints (full rank, deficient rank, or inflation)."""
-    n_lo, n_hi = DEFAULT_N_RANGE
-    if suite == "interlace-full-rank":
-        n = spec.n if spec.n is not None else rng.randint(n_lo, n_hi)
-        l = spec.l if spec.l is not None else rng.randint(1, n)
-        return n, l, l
-    if suite == "interlace-rank-deficient":
-        n = spec.n if spec.n is not None else rng.randint(max(2, n_lo), 12)
-        k = spec.k if spec.k is not None else rng.randint(2, n)
-        l = spec.l if spec.l is not None else rng.randint(1, min(n, k) - 1)
-        return n, k, l
-    if suite == "interlace-inflated":
-        n = spec.n if spec.n is not None else rng.randint(max(2, n_lo), 12)
-        k = spec.k if spec.k is not None else rng.randint(n + 1, 24)
-        l = spec.l if spec.l is not None else rng.randint(1, min(n, k) - 1)
-        return n, k, l
-    if suite == "subsumption":
-        n = spec.n if spec.n is not None else rng.randint(n_lo, n_hi)
-        l = spec.l if spec.l is not None else rng.randint(1, n)
-        return n, l, l
-    raise ContractViolation(f"no dimension rule for suite {suite!r}")
+def _pick(pinned: int | None, rng: SplitMix64, lo: int, hi: int) -> int:
+    """A pinned ensemble dimension, or a fresh draw from [lo, hi]."""
+    return pinned if pinned is not None else rng.randint(lo, hi)
 
 
-def _interlace_trial(rng: SplitMix64, spec: EnsembleSpec, suite: str, tols) -> dict:
-    n, k, l = _draw_dims(rng, spec, suite)
+def _compression_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
+    """K = L <= N, for full-rank and subsumption trials."""
+    n = _pick(spec.n, rng, *DEFAULT_N_RANGE)
+    l = _pick(spec.l, rng, 1, n)
+    return n, l, l
+
+
+def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, inflated: bool):
+    """L < min(N, K), with K <= N, or K > N when ``inflated``."""
+    n = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), 12)
+    k = _pick(spec.k, rng, *((n + 1, 24) if inflated else (2, n)))
+    l = _pick(spec.l, rng, 1, min(n, k) - 1)
+    return n, k, l
+
+
+def _interlace_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims, tols: Tolerances,
+                     inflate: bool) -> TrialOutcome:
+    n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
     p = hermitian_with_spectrum(rng, lam)
-
-    if suite == "interlace-full-rank":
-        h = random_full_column_rank(rng, n, l, spec.condition_cap)
-        result = pseudo_similarity(p, h, tols["rank"])
+    h = random_full_column_rank(rng, n, l, spec.condition_cap)
+    if inflate:
+        result = inflate_transform(p, h, random_unitary(rng, k, l), tols.rank)
     else:
-        core = random_full_column_rank(rng, n, l, spec.condition_cap)
-        v = random_unitary(rng, k, l)
-        result = inflate_transform(p, core, v, tols["rank"])
+        result = pseudo_similarity(p, h, tols.rank)
 
     spectrum = eigvals_general(result.transformed)
-    realness_dev = float(np.abs(spectrum.values.imag).max()) / spectral_scale(spectrum.values)
-    real_values = classify_real(spectrum, tols["realness"])
-    eta, zero_count = extract_nonzero(real_values, result.input_rank, tols["zero"])
-    report = check_interlacing(lam, eta, tols["interlace"] * spectral_scale(lam))
+    rel_imag = relative_imag(spectrum.values)
+    real_values = classify_real(spectrum, tols.realness)
+    eta, zero_count = extract_nonzero(real_values, result.input_rank, tols.zero)
+    report = check_interlacing(lam, eta, tols.interlace * spectral_scale(lam))
 
     lo, hi = report.min_margins()
-    worst = max(realness_dev, result.route_deviation or 0.0)
+    route_dev = result.route_deviation or 0.0
     notes = []
     if result.input_rank != l:
         notes.append(f"rank {result.input_rank} != target {l} ({zero_count} zeros)")
     if not report.passed:
         notes.append(f"interlacing violated (tol {report.tol_used:.3e})")
-    passed = report.passed and not notes
-    return dict(n=n, k=k, l=l, passed=passed,
-                min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
-                worst_residual=worst, notes="; ".join(notes),
-                hermitian=result.hermitian)
+    sigma = result.sigma
+    return TrialOutcome(n, k, l, passed=report.passed and not notes,
+                        min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
+                        worst_residual=max(rel_imag, route_dev), notes="; ".join(notes),
+                        rel_imag=rel_imag, route_dev=route_dev, zeros=zero_count,
+                        hermitian=result.hermitian,
+                        cond_h=float(sigma[0] / sigma[-1]) if sigma.size else float("inf"))
 
 
-def _subsumption_trial(rng: SplitMix64, spec: EnsembleSpec, tols) -> dict:
-    n, k, l = _draw_dims(rng, spec, "subsumption")
+def _subsumption_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
+                       tols: Tolerances) -> TrialOutcome:
+    n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
     p = hermitian_with_spectrum(rng, lam)
     q = random_unitary(rng, n, l)
 
-    pinv_dev = float(np.abs(pseudo_inverse(q, tols["rank"]) - adjoint(q)).max())
+    pinv_dev = float(np.abs(pseudo_inverse(q, tols.rank) - adjoint(q)).max())
     classical = unitary_compression(p, q)
-    general = pseudo_similarity(p, q, tols["rank"])
+    general = pseudo_similarity(p, q, tols.rank)
     route_dev = float(np.abs(classical.transformed - general.transformed).max())
 
     notes = []
-    if pinv_dev > tols["unitary_pinv"]:
+    if pinv_dev > tols.unitary_pinv:
         notes.append(f"pinv(q) deviates from adjoint by {pinv_dev:.3e}")
-    if route_dev > tols["route"]:
+    if route_dev > tols.route:
         notes.append(f"compression routes deviate by {route_dev:.3e}")
-    return dict(n=n, k=k, l=l, passed=not notes,
-                min_lower_margin=0.0, min_upper_margin=0.0,
-                worst_residual=max(pinv_dev, route_dev), notes="; ".join(notes))
+    return TrialOutcome(n, k, l, passed=not notes, worst_residual=max(pinv_dev, route_dev),
+                        notes="; ".join(notes))
 
 
 _MP_SHAPES = ("tall-full", "wide-full", "square-full", "tall-deficient",
               "wide-deficient", "square-deficient")
 
 
-def _mp_trial(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, tols) -> dict:
-    """Penrose conditions on one matrix; shapes cycle deterministically so
-    every run covers full-rank, rank-deficient, tall, wide, and square."""
+def _mp_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
+    """(rows, cols, target rank); shapes cycle deterministically so every run
+    covers full-rank, rank-deficient, tall, wide, and square."""
     shape_kind = _MP_SHAPES[trial_index % len(_MP_SHAPES)]
-    n_lo, n_hi = DEFAULT_N_RANGE
-    rows = spec.n if spec.n is not None else rng.randint(max(2, n_lo), n_hi)
+    rows = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), DEFAULT_N_RANGE[1])
     if shape_kind.startswith("tall"):
         cols = rng.randint(1, rows)
     elif shape_kind.startswith("wide"):
         cols = rng.randint(rows, 24)
     else:
         cols = rows
-
     if shape_kind.endswith("full"):
+        return rows, cols, min(rows, cols)
+    return rows, cols, rng.randint(1, max(1, min(rows, cols) - 1))
+
+
+def _mp_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
+              tols: Tolerances) -> TrialOutcome:
+    """Penrose conditions on one matrix of the drawn shape and rank."""
+    rows, cols, rank_target = dims
+    if _MP_SHAPES[trial_index % len(_MP_SHAPES)].endswith("full"):
         if cols <= rows:
             m = random_full_column_rank(rng, rows, cols, spec.condition_cap)
         else:
             m = adjoint(random_full_column_rank(rng, cols, rows, spec.condition_cap))
-        rank_target = min(rows, cols)
     else:
-        rank_target = rng.randint(1, max(1, min(rows, cols) - 1))
         m = random_rank_l(rng, rows, cols, rank_target, spec.condition_cap)
 
-    pinv = pseudo_inverse(m, tols["rank"])
-    residuals = penrose_residuals(m, pinv)
+    factors = svd(m, tols.rank)
+    residuals = penrose_residuals(m, factors.pseudo_inverse())
     worst = max(residuals)
     notes = []
-    if numerical_rank(m, tols["rank"]) != rank_target:
-        notes.append(f"rank {numerical_rank(m, tols['rank'])} != target {rank_target}")
-    if worst > tols["mp"]:
+    if factors.rank != rank_target:
+        notes.append(f"rank {factors.rank} != target {rank_target}")
+    if worst > tols.mp:
         labels = ("m p m = m", "p m p = p", "(m p)^H = m p", "(p m)^H = p m")
-        bad = [lab for lab, r in zip(labels, residuals) if r > tols["mp"]]
-        notes.append(f"Penrose residual {worst:.3e} > {tols['mp']:.1e} ({'; '.join(bad)})")
-    return dict(n=rows, k=cols, l=rank_target, passed=not notes,
-                min_lower_margin=0.0, min_upper_margin=0.0,
-                worst_residual=worst, notes="; ".join(notes))
+        bad = [lab for lab, r in zip(labels, residuals) if r > tols.mp]
+        notes.append(f"Penrose residual {worst:.3e} > {tols.mp:.1e} ({'; '.join(bad)})")
+    return TrialOutcome(rows, cols, rank_target, passed=not notes, worst_residual=worst,
+                        notes="; ".join(notes))
 
 
-def _oracle_trial(rng: SplitMix64, spec: EnsembleSpec, tols) -> dict:
+def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
+    """Side n of the charpoly-checked matrices.  The side k of the
+    trace/determinant matrix is drawn later, so it stays 0 until the check
+    reports it."""
+    n = rng.randint(2, 4)
+    return n, 0, n
+
+
+def _oracle_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
+                  tols: Tolerances) -> TrialOutcome:
     """LAPACK-backed solvers against the characteristic-polynomial oracle
     (n <= 4) plus trace/determinant identities (n <= 6)."""
-    n = rng.randint(2, 4)
+    n = dims[0]
     g = rng.complex_normals((n, n))
     hm = (g + adjoint(g)) / 2.0
 
@@ -284,7 +299,7 @@ def _oracle_trial(rng: SplitMix64, spec: EnsembleSpec, tols) -> dict:
         oracle = charpoly_eigenvalues(matrix)
         dev = match_distance(computed, oracle) / spectral_scale(oracle)
         worst = max(worst, dev)
-        if dev > tols["oracle"]:
+        if dev > tols.oracle:
             notes.append(f"{solver.__name__} deviates from charpoly roots by {dev:.3e}")
 
     n_td = rng.randint(2, 6)
@@ -294,14 +309,60 @@ def _oracle_trial(rng: SplitMix64, spec: EnsembleSpec, tols) -> dict:
     det = np.linalg.det(g6)
     det_dev = abs(np.prod(w) - det) / max(1.0, abs(det))
     worst = max(worst, trace_dev, det_dev)
-    if trace_dev > tols["oracle"]:
+    if trace_dev > tols.oracle:
         notes.append(f"trace identity off by {trace_dev:.3e}")
-    if det_dev > tols["oracle"]:
+    if det_dev > tols.oracle:
         notes.append(f"determinant identity off by {det_dev:.3e}")
 
-    return dict(n=n, k=n_td, l=n, passed=not notes,
-                min_lower_margin=0.0, min_upper_margin=0.0,
-                worst_residual=worst, notes="; ".join(notes))
+    return TrialOutcome(n, n_td, n, passed=not notes, worst_residual=worst, notes="; ".join(notes))
+
+
+#: suite -> (dimension rule, check), in canonical order: a suite's position
+#: indexes its seed derivation.  The oblique search has no per-trial entry,
+#: because it yields one record per search rather than one per trial.
+_SUITE_TABLE = {
+    "interlace-full-rank": (_compression_dims, partial(_interlace_check, inflate=False)),
+    "interlace-rank-deficient": (partial(_deficient_dims, inflated=False),
+                                 partial(_interlace_check, inflate=True)),
+    "interlace-inflated": (partial(_deficient_dims, inflated=True),
+                           partial(_interlace_check, inflate=True)),
+    "subsumption": (_compression_dims, _subsumption_check),
+    "oblique-counterexample": None,
+    "mp-axioms": (_mp_dims, _mp_check),
+    "solver-oracle": (_oracle_dims, _oracle_check),
+}
+
+#: canonical suite order; positions index the per-suite seed derivation
+SUITES = tuple(_SUITE_TABLE)
+
+#: suites whose failures flip the process exit status (the oblique search
+#: reports not-found as a warning instead)
+THEOREM_SUITES = frozenset(s for s, entry in _SUITE_TABLE.items() if entry is not None)
+
+
+def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
+    """Seed of one trial: split from the master by the suite's canonical
+    position, then by the trial index."""
+    return derive_seed(derive_seed(master_seed, SUITES.index(suite)), trial_index)
+
+
+def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
+              tolerances: Tolerances = Tolerances()) -> TrialOutcome:
+    """Trial ``trial_index`` of a theorem suite, regenerated from its seed.
+
+    A trial that raises a contract or numerical error yields a failed
+    outcome that carries the dimensions it drew and the error as its notes.
+    """
+    entry = _SUITE_TABLE.get(suite)
+    if entry is None:
+        raise ContractViolation(f"{suite!r} has no per-trial check; valid: {sorted(THEOREM_SUITES)}")
+    draw_dims, check = entry
+    rng = SplitMix64(trial_seed(spec.seed, suite, trial_index))
+    dims = draw_dims(rng, spec, trial_index)
+    try:
+        return check(rng, spec, trial_index, dims, tolerances)
+    except _TRIAL_ERRORS as exc:
+        return TrialOutcome(*dims, passed=False, notes=f"{type(exc).__name__}: {exc}")
 
 
 def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, control: str | None):
@@ -330,13 +391,12 @@ def _oblique_violation(lam, p, x, sel, interlace_rel: float, realness_rel: float
     the interlacing claim fails here, by complex eigenvalues or by a
     margin breach.  Zero means the draw is consistent with interlacing.
     """
-    t = oblique_transform(p, x, sel).transformed
-    spectrum = eigvals_general(t)
-    scale = spectral_scale(spectrum.values)
-    imag_dev = float(np.abs(spectrum.values.imag).max()) / scale
-    if imag_dev > realness_rel:
+    spectrum = eigvals_general(oblique_transform(p, x, sel).transformed)
+    try:
+        eta = classify_real(spectrum, realness_rel)
+    except RealnessViolation:
+        imag_dev = relative_imag(spectrum.values)
         return imag_dev, -imag_dev, 0.0, f"complex spectrum (max rel imag {imag_dev:.3e})"
-    eta = np.sort(spectrum.values.real)
     tol = interlace_rel * spectral_scale(lam)
     report = check_interlacing(lam, eta, tol)
     lo, hi = report.min_margins()
@@ -359,26 +419,25 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
     if control not in (None, "unitary", "identity"):
         raise ContractViolation(f"unknown control arm {control!r}")
     spec = config.ensemble
-    tols = config.tolerances.resolved()
-    suite_seed = derive_seed(spec.seed, SUITES.index("oblique-counterexample"))
+    tols = config.tolerances
     for trial_index in range(config.trials):
-        trial_seed = derive_seed(suite_seed, trial_index)
-        rng = SplitMix64(trial_seed)
+        seed = trial_seed(spec.seed, "oblique-counterexample", trial_index)
+        rng = SplitMix64(seed)
         try:
             lam, p, x, sel = _oblique_draw(rng, spec, control)
             magnitude, lo, hi, note = _oblique_violation(
-                lam, p, x, sel, tols["interlace"], tols["realness"])
+                lam, p, x, sel, tols.interlace, tols.realness)
         except _TRIAL_ERRORS:
             continue
         if magnitude <= 0.0:
             continue
 
         # independent recomputation from the bare seed, 10x tightened
-        rng2 = SplitMix64(trial_seed)
+        rng2 = SplitMix64(seed)
         lam2, p2, x2, sel2 = _oblique_draw(rng2, spec, control)
         magnitude2, lo2, hi2, note2 = _oblique_violation(
             lam2, p2, x2, sel2,
-            WITNESS_TIGHTEN * tols["interlace"], WITNESS_TIGHTEN * tols["realness"])
+            WITNESS_TIGHTEN * tols.interlace, WITNESS_TIGHTEN * tols.realness)
         if magnitude2 <= 0.0:
             continue
         t2 = oblique_transform(p2, x2, sel2).transformed
@@ -389,7 +448,7 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
         return TrialRecord(
             suite="oblique-counterexample",
             trial_index=trial_index,
-            seed=trial_seed,
+            seed=seed,
             n=lam2.size, k=len(sel2), l=len(sel2),
             passed=True,
             min_lower_margin=_finite(lo2), min_upper_margin=_finite(hi2),
@@ -420,34 +479,15 @@ def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
     yields an identical record list on every run.
     """
     spec = config.ensemble
-    tols = config.tolerances.resolved()
     records: list[TrialRecord] = []
     for suite in config.suites:
-        if suite == "oblique-counterexample":
+        if _SUITE_TABLE[suite] is None:
             witness = counterexample_search(config)
             records.append(witness if witness is not None else _not_found_record(config, None))
             continue
-        suite_seed = derive_seed(spec.seed, SUITES.index(suite))
         for trial_index in range(config.trials):
-            trial_seed = derive_seed(suite_seed, trial_index)
-            rng = SplitMix64(trial_seed)
-            try:
-                if suite in ("interlace-full-rank", "interlace-rank-deficient", "interlace-inflated"):
-                    outcome = _interlace_trial(rng, spec, suite, tols)
-                elif suite == "subsumption":
-                    outcome = _subsumption_trial(rng, spec, tols)
-                elif suite == "mp-axioms":
-                    outcome = _mp_trial(rng, spec, trial_index, tols)
-                else:
-                    outcome = _oracle_trial(rng, spec, tols)
-            except _TRIAL_ERRORS as exc:
-                outcome = dict(n=spec.n or 0, k=spec.k or 0, l=spec.l or 0,
-                               passed=False, min_lower_margin=0.0, min_upper_margin=0.0,
-                               worst_residual=0.0,
-                               notes=f"{type(exc).__name__}: {exc}")
-            outcome.pop("hermitian", None)
-            records.append(TrialRecord(suite=suite, trial_index=trial_index,
-                                       seed=trial_seed, **outcome))
+            outcome = run_trial(spec, suite, trial_index, config.tolerances)
+            records.append(outcome.record(suite, trial_index, trial_seed(spec.seed, suite, trial_index)))
     return records
 
 

@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import REALNESS_TOL, Spectrum, spectral_scale
+from .eigen import Spectrum, relative_imag, spectral_scale
 from .errors import ClassificationError, ContractViolation, DimensionError, RealnessViolation
+
+#: default relative tolerance for classifying a spectrum as real
+REALNESS_TOL = 1e-10
 
 #: relative factor for the default interlacing tolerance (times max(1, |lam|))
 INTERLACE_REL_TOL = 1e-7
@@ -104,29 +107,25 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     )
 
 
-def classify_real(spectrum, realness_tol: float | None = None) -> np.ndarray:
+def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     """Real parts, sorted non-decreasing, of a spectrum that must be real.
 
-    Raises :class:`RealnessViolation` listing the offending eigenvalues when
-    any imaginary part exceeds ``realness_tol * max(1, max |value|)``.
-    Accepts a :class:`Spectrum` or any complex sequence.
+    The one place that decides realness.  Raises :class:`RealnessViolation`
+    listing the offending eigenvalues when any imaginary part exceeds
+    ``realness_tol * max(1, max |value|)``.  Accepts a :class:`Spectrum` or
+    any complex sequence.
     """
-    if isinstance(spectrum, Spectrum):
-        if realness_tol is None:
-            realness_tol = spectrum.realness_tol
-        values = spectrum.values
-    else:
-        values = np.asarray(spectrum, dtype=np.complex128).ravel()
-    if realness_tol is None:
-        realness_tol = REALNESS_TOL
+    values = spectrum.values if isinstance(spectrum, Spectrum) else \
+        np.asarray(spectrum, dtype=np.complex128).ravel()
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
     tol = realness_tol * spectral_scale(values)
     bad = np.abs(values.imag) > tol
     if bad.any():
         raise RealnessViolation(
-            f"{int(bad.sum())} eigenvalue(s) exceed realness tolerance {tol:.3e}: "
-            f"{values[bad]}", offenders=values[bad],
+            f"{int(bad.sum())} eigenvalue(s) exceed realness tolerance {tol:.3e} "
+            f"(max |imag| / scale {relative_imag(values):.3e}): {values[bad]}",
+            offenders=values[bad],
         )
     return np.sort(values.real)
 

@@ -133,6 +133,10 @@ class SvdFactors:
     v: np.ndarray
     rank: int
 
+    def pseudo_inverse(self) -> np.ndarray:
+        """``v @ diag(1 / sigma) @ u^H``; the zero matrix of transposed shape at rank 0."""
+        return (self.v / self.sigma) @ self.u.conj().T
+
 
 def svd(m, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD with rank detection (singular values above rank_tol * sigma_max)."""
@@ -162,11 +166,7 @@ def pseudo_inverse(m, rank_tol: float | None = None) -> np.ndarray:
     the zero matrix of transposed shape.  For full-column-rank input this
     agrees with the triangular route of :func:`pseudo_inverse_qr`.
     """
-    m = as_matrix(m)
-    f = svd(m, rank_tol)
-    if f.rank == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return (f.v / f.sigma) @ f.u.conj().T
+    return svd(m, rank_tol).pseudo_inverse()
 
 
 def pseudo_inverse_qr(m, rank_tol: float | None = None) -> np.ndarray:

@@ -13,8 +13,6 @@ import sys
 from .errors import ContractViolation
 from .experiments import RECORD_FIELDS, TrialRecord
 
-FORMATS = ("table", "csv", "json-lines")
-
 _FLOAT_FIELDS = ("min_lower_margin", "min_upper_margin", "worst_residual")
 
 
@@ -94,6 +92,11 @@ def emit_table(records, stream) -> None:
         stream.write(line + "\n")
 
 
+#: report format -> emitter; the one list of output formats
+EMITTERS = {"table": emit_table, "csv": emit_csv, "json-lines": emit_json_lines}
+FORMATS = tuple(EMITTERS)
+
+
 def emit_report(records, format: str, path=None) -> None:
     """Write records to ``path`` (or stdout when None) in the given format."""
     records = list(records)
@@ -101,8 +104,7 @@ def emit_report(records, format: str, path=None) -> None:
         raise ContractViolation("refusing to emit a report with no records")
     if format not in FORMATS:
         raise ContractViolation(f"unknown format {format!r}, expected one of {FORMATS}")
-    emitters = {"table": emit_table, "csv": emit_csv, "json-lines": emit_json_lines}
-    emit = emitters[format]
+    emit = EMITTERS[format]
     if path is None:
         emit(records, sys.stdout)
         return
@@ -115,5 +117,5 @@ def emit_report(records, format: str, path=None) -> None:
 
 def render(records, format: str) -> str:
     buffer = io.StringIO()
-    {"table": emit_table, "csv": emit_csv, "json-lines": emit_json_lines}[format](records, buffer)
+    EMITTERS[format](records, buffer)
     return buffer.getvalue()

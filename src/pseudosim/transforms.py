@@ -23,7 +23,7 @@ from .linalg import (
     default_hermiticity_tol,
     is_hermitian,
     numerical_rank,
-    pseudo_inverse,
+    svd,
 )
 
 #: relative factor for route cross-checks (times max(1, entry scale))
@@ -37,6 +37,7 @@ class TransformResult:
     hermitian: bool
     construction: str
     route_deviation: float | None = None  # filled by dual-route transforms
+    sigma: np.ndarray | None = None  # retained singular values of h, pseudo-inverse routes
 
 
 def _require_hermitian(p, name="p"):
@@ -59,13 +60,13 @@ def _require_orthonormal_columns(v, name="matrix"):
     return v
 
 
-def _result(t, rank, construction, route_deviation=None):
+def _result(t, rank, construction, sigma=None):
     return TransformResult(
         transformed=t,
         input_rank=int(rank),
         hermitian=is_hermitian(t, default_hermiticity_tol(t)),
         construction=construction,
-        route_deviation=route_deviation,
+        sigma=sigma,
     )
 
 
@@ -82,8 +83,8 @@ def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
         raise DimensionError(f"h has {h.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
     if h.shape[1] < 1:
         raise DimensionError("h must have at least one column")
-    t = pseudo_inverse(h, rank_tol) @ p @ h
-    return _result(t, numerical_rank(h, rank_tol), "pseudo_similarity")
+    f = svd(h, rank_tol)  # one factorization gives both the pseudo-inverse and the rank
+    return _result(f.pseudo_inverse() @ p @ h, f.rank, "pseudo_similarity", f.sigma)
 
 
 def unitary_compression(p, q) -> TransformResult:
@@ -148,6 +149,7 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
         hermitian=route_a.hermitian,
         construction="inflate_transform",
         route_deviation=dev,
+        sigma=route_a.sigma,
     )
 
 

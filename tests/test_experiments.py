@@ -17,6 +17,8 @@ from pseudosim.experiments import (
     counterexample_search,
     failed_theorem_records,
     run_suite,
+    run_trial,
+    trial_seed,
 )
 from pseudosim.rng import derive_seed
 
@@ -98,6 +100,32 @@ def test_tolerance_override_can_fail_honestly():
     assert failed, "expected rounding-level failures at tol 1e-18"
     assert all("interlacing violated" in r.notes for r in failed)
     assert len(records) == 20  # failure isolation: the suite ran to completion
+
+
+def test_failed_records_keep_drawn_dimensions():
+    # a realness tolerance below rounding makes trials raise RealnessViolation;
+    # their records must still carry the dimensions the trial drew
+    for suite in ("interlace-full-rank", "interlace-inflated"):
+        default = run_suite(_config(suites=(suite,), trials=20))
+        forced = run_suite(_config(suites=(suite,), trials=20,
+                                   tolerances=Tolerances(realness=1e-18)))
+        failed = [r for r in forced if not r.passed]
+        assert failed, suite
+        for record in failed:
+            assert record.notes.startswith("RealnessViolation")
+            expected = default[record.trial_index]
+            assert (record.n, record.k, record.l) == (expected.n, expected.k, expected.l)
+
+
+def test_run_trial_replays_records():
+    spec = EnsembleSpec(seed=42)
+    for suite in sorted(THEOREM_SUITES):
+        records = run_suite(_config(suites=(suite,), trials=6))
+        for index in (0, 2, 5):
+            outcome = run_trial(spec, suite, index)
+            assert outcome.record(suite, index, trial_seed(42, suite, index)) == records[index]
+    with pytest.raises(ContractViolation):
+        run_trial(spec, "oblique-counterexample", 0)
 
 
 def test_oblique_witness_default_budget():

@@ -3,15 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
-from pseudosim.ensembles import (
-    hermitian_with_spectrum,
-    random_full_column_rank,
-    random_unitary,
-    selection_matrix,
-)
+from pseudosim.ensembles import random_full_column_rank, random_unitary, selection_matrix
 from pseudosim.errors import ContractViolation, DimensionError, NumericalError
 from pseudosim.interlace import check_interlacing, classify_real
-from pseudosim.linalg import is_hermitian, numerical_rank, pseudo_inverse
+from pseudosim.linalg import numerical_rank, pseudo_inverse
 from pseudosim.oracles import charpoly_eigenvalues
 from pseudosim.rng import SplitMix64
 from pseudosim.transforms import (
@@ -44,7 +39,7 @@ def test_pseudo_similarity_1x1():
     p = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     res = pseudo_similarity(p, np.array([[1.0], [0.0]]))
     assert_allclose(res.transformed, [[2.0]], atol=1e-14)
-    lam = eigvals_hermitian(p).real_sorted()
+    lam = classify_real(eigvals_hermitian(p))
     assert_allclose(lam, [1.0, 3.0], atol=1e-14)
     assert check_interlacing(lam, [2.0]).passed
 
@@ -225,7 +220,7 @@ def test_oblique_identity_is_selection():
     p = np.diag([1.0, 2.0, 3.0]).astype(complex)
     res = oblique_transform(p, np.eye(3, dtype=complex), [0, 2])
     assert_allclose(res.transformed, np.diag([1.0, 3.0]), atol=1e-14)
-    lam = eigvals_hermitian(p).real_sorted()
+    lam = classify_real(eigvals_hermitian(p))
     eta = classify_real(eigvals_general(res.transformed))
     assert check_interlacing(lam, eta).passed
 
@@ -239,7 +234,7 @@ def test_oblique_unitary_interlaces():
         l = rng.randint(1, n - 1) if n > 2 else 1
         sel = sorted(rng.choose_distinct(l, n))
         res = oblique_transform(p, x, sel)
-        lam = eigvals_hermitian(p).real_sorted()
+        lam = classify_real(eigvals_hermitian(p))
         eta = classify_real(eigvals_general(res.transformed), 1e-8)
         assert check_interlacing(lam, eta).passed
 
