@@ -35,6 +35,10 @@ def _parse_suites(raw: str) -> list[str]:
     return [token.strip() for token in raw.replace(",", " ").split() if token.strip()]
 
 
+def _spectrum_values(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in _parse_suites(raw))
+
+
 def load_config_file(path: str) -> dict:
     """Flatten the INI file into keyword arguments for :func:`build_config`."""
     parser = configparser.ConfigParser()
@@ -46,32 +50,37 @@ def load_config_file(path: str) -> dict:
     except configparser.Error as exc:
         raise ContractViolation(f"malformed config file {path!r}: {exc}") from exc
 
+    def value(section, key: str, convert):
+        try:
+            return convert(section[key])
+        except ValueError as exc:
+            raise ContractViolation(
+                f"bad value for [{section.name}] {key} in config file {path!r}: {exc}") from exc
+
     out: dict = {}
     if parser.has_section("run"):
         run = parser["run"]
         if "suites" in run:
             out["suites"] = _parse_suites(run["suites"])
         if "trials" in run:
-            out["trials"] = run.getint("trials")
+            out["trials"] = value(run, "trials", int)
     if parser.has_section("ensemble"):
         ens = parser["ensemble"]
         ensemble: dict = {}
         for key in _ENSEMBLE_INTS:
             if key in ens:
-                ensemble[key] = ens.getint(key)
+                ensemble[key] = value(ens, key, int)
         for key in _ENSEMBLE_FLOATS:
             if key in ens:
-                ensemble[key] = ens.getfloat(key)
+                ensemble[key] = value(ens, key, float)
         if "spectrum_law" in ens:
             ensemble["spectrum_law"] = ens["spectrum_law"].strip()
         if "spectrum_values" in ens:
-            ensemble["spectrum_values"] = tuple(
-                float(tok) for tok in _parse_suites(ens["spectrum_values"])
-            )
+            ensemble["spectrum_values"] = value(ens, "spectrum_values", _spectrum_values)
         out["ensemble"] = ensemble
     if parser.has_section("tolerances"):
         tol = parser["tolerances"]
-        out["tolerances"] = {key: tol.getfloat(key) for key in tol}
+        out["tolerances"] = {key: value(tol, key, float) for key in tol}
     if parser.has_section("output"):
         output = parser["output"]
         if "path" in output:
@@ -162,7 +171,11 @@ def main(argv=None) -> int:
             print(f"error: cannot write to {config.out!r}: {exc}", file=sys.stderr)
             return 3
 
-    records = run_suite(config)
+    try:
+        records = run_suite(config)
+    except ContractViolation as exc:  # the config pins dimensions a suite cannot draw
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     try:
         emit_report(records, config.format, config.out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
-from .linalg import as_matrix, default_hermiticity_tol, is_hermitian
+from .linalg import as_matrix, is_hermitian
 
 
 def spectral_scale(values) -> float:
@@ -60,8 +60,6 @@ def eigvals_hermitian(m, tol: float | None = None) -> Spectrum:
     silently symmetrized.
     """
     m = as_matrix(m)
-    if tol is None:
-        tol = default_hermiticity_tol(m)
     if not is_hermitian(m, tol):
         raise ContractViolation("input is not Hermitian within tolerance")
     try:

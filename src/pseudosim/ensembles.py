@@ -72,6 +72,10 @@ class EnsembleSpec:
         if self.condition_cap < 1.0:
             raise ContractViolation("condition_cap must be >= 1")
         dims = (self.n, self.k, self.l)
+        if any(d is not None and d < 1 for d in dims):
+            raise ContractViolation(
+                f"pinned dimensions must be >= 1, got n={self.n} k={self.k} l={self.l}"
+            )
         if all(d is not None for d in dims):
             if not 1 <= self.l <= min(self.n, self.k):
                 raise ContractViolation(

@@ -169,9 +169,21 @@ def _compression_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
 
 
 def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, inflated: bool):
-    """L < min(N, K), with K <= N, or K > N when ``inflated``."""
+    """L < min(N, K), with K <= N, or K > N when ``inflated``.
+
+    A pinned dimension that leaves a draw range empty is a configuration
+    error, not a failed trial.
+    """
+    suite = "interlace-inflated" if inflated else "interlace-rank-deficient"
     n = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), 12)
-    k = _pick(spec.k, rng, *((n + 1, 24) if inflated else (2, n)))
+    k_lo, k_hi = (n + 1, 24) if inflated else (2, n)
+    if spec.k is None and k_lo > k_hi:
+        raise ContractViolation(f"{suite} draws k from [{k_lo}, {k_hi}], "
+                                f"so it needs {'n <= 23' if inflated else 'n >= 2'}; got n = {n}")
+    k = _pick(spec.k, rng, k_lo, k_hi)
+    if spec.l is None and min(n, k) < 2:
+        raise ContractViolation(f"{suite} draws 1 <= l < min(n, k), so it needs n >= 2 and k >= 2; "
+                                f"got n = {n}, k = {k}")
     l = _pick(spec.l, rng, 1, min(n, k) - 1)
     return n, k, l
 
@@ -239,6 +251,9 @@ def _mp_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
     covers full-rank, rank-deficient, tall, wide, and square."""
     shape_kind = _MP_SHAPES[trial_index % len(_MP_SHAPES)]
     rows = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), DEFAULT_N_RANGE[1])
+    if rows > 24:
+        raise ContractViolation(f"mp-axioms draws wide shapes with n <= cols <= 24, "
+                                f"so it needs n <= 24; got n = {rows}")
     if shape_kind.startswith("tall"):
         cols = rng.randint(1, rows)
     elif shape_kind.startswith("wide"):
@@ -375,10 +390,8 @@ def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, control: str | None):
         x = np.eye(n, dtype=np.complex128)
     elif control == "unitary":
         x = random_unitary(rng, n, n)
-    elif control is None:
-        x = random_invertible_nonunitary(rng, n, spec.condition_cap, spec.nonunitarity_floor)
     else:
-        raise ContractViolation(f"unknown control arm {control!r}")
+        x = random_invertible_nonunitary(rng, n, spec.condition_cap, spec.nonunitarity_floor)
     l = rng.randint(1, n - 1)
     sel = sorted(rng.choose_distinct(l, n))
     return lam, p, x, sel

@@ -1,5 +1,6 @@
 """Dense complex matrix core: adjoints, rank-revealing factorizations, and
-the Moore-Penrose pseudo-inverse.
+the Moore-Penrose pseudo-inverse, in numpy alone: the SVD is the production
+route, and a column-pivoted Gram-Schmidt QR written here cross-checks it.
 
 Matrices are plain two-dimensional complex128 ``numpy`` arrays.  Every public
 routine validates its input through :func:`as_matrix`, which rejects NaN/Inf
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation, DimensionError, NumericalError
 
@@ -84,12 +84,15 @@ class QrFactors:
 
 
 def qr_economy_pivoted(m, rank_tol: float | None = None) -> QrFactors:
-    """Rank-revealing economy QR with column pivoting.
+    """Rank-revealing economy QR with column pivoting (Businger-Golub).
 
-    The numerical rank is the number of diagonal entries of the pivoted R
-    whose magnitude exceeds ``rank_tol`` times the largest one; Q and R are
-    truncated to that rank.  Diagonal phases are normalized so the retained
-    diagonal of R is real and non-negative, making the factors reproducible.
+    Column-pivoted modified Gram-Schmidt: each step pivots in the remaining
+    column of largest residual norm, reorthogonalizes it once against the Q
+    columns so far, and projects the new Q column out of the columns still
+    to come.  It stops at a pivot norm at or below ``rank_tol`` times the
+    first pivot norm, or exactly 0; the steps taken are the numerical rank,
+    and Q and R are truncated to it.  R's diagonal holds each pivot's norm
+    after reorthogonalization, so it is real and non-negative by construction.
 
     An all-zero matrix yields rank 0 with empty factors.
     """
@@ -102,22 +105,27 @@ def qr_economy_pivoted(m, rank_tol: float | None = None) -> QrFactors:
     if rank_tol <= 0:
         raise ContractViolation("rank_tol must be positive")
 
-    q, r, perm = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    dmax = float(diag.max()) if diag.size else 0.0
-    rank = 0 if dmax == 0.0 else int(np.count_nonzero(diag > rank_tol * dmax))
-
-    q = q[:, :rank].copy()
-    r = r[:rank, :].copy()
-    # phase normalization: H P = (Q D)(D^H R) with D = diag of diagonal phases
-    for j in range(rank):
-        d = r[j, j]
-        if d != 0:
-            phase = d / abs(d)
-            q[:, j] *= phase
-            r[j, :] *= np.conj(phase)
-            r[j, j] = r[j, j].real  # kill rounding residue in the imaginary part
-    return QrFactors(q=q, r=r, perm=perm, rank=rank)
+    a = m.copy()  # residual columns, in pivot order
+    perm = np.arange(cols)
+    q = np.zeros((rows, min(rows, cols)), dtype=np.complex128)
+    r = np.zeros((min(rows, cols), cols), dtype=np.complex128)
+    first = float(np.linalg.norm(m, axis=0).max())
+    rank = 0
+    for j in range(min(rows, cols)):
+        norms = np.linalg.norm(a[:, j:], axis=0)
+        p = j + int(np.argmax(norms))
+        if norms[p - j] == 0.0 or norms[p - j] <= rank_tol * first:
+            break
+        a[:, [j, p]], r[:j, [j, p]], perm[[j, p]] = a[:, [p, j]], r[:j, [p, j]], perm[[p, j]]
+        c = q[:, :j].conj().T @ a[:, j]  # reorthogonalization pass
+        r[:j, j] += c
+        v = a[:, j] - q[:, :j] @ c
+        r[j, j] = np.linalg.norm(v)
+        q[:, j] = v / r[j, j].real
+        r[j, j + 1:] = q[:, j].conj() @ a[:, j + 1:]
+        a[:, j + 1:] -= np.outer(q[:, j], r[j, j + 1:])
+        rank = j + 1
+    return QrFactors(q=q[:, :rank].copy(), r=r[:rank, :].copy(), perm=perm, rank=rank)
 
 
 @dataclass
@@ -182,7 +190,7 @@ def pseudo_inverse_qr(m, rank_tol: float | None = None) -> np.ndarray:
         raise ContractViolation(
             f"triangular pseudo-inverse needs full column rank, detected {f.rank} < {m.shape[1]}"
         )
-    inv_permuted = scipy.linalg.solve_triangular(f.r[:, : f.rank], f.q.conj().T)
+    inv_permuted = np.linalg.solve(f.r, f.q.conj().T)  # r is square at full column rank
     out = np.empty_like(inv_permuted)
     out[f.perm, :] = inv_permuted  # undo column pivoting
     return out

@@ -71,12 +71,10 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
 
     radius = 1.0 + float(np.abs(c[1:]).max())  # Cauchy bound on |root|
     z = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
+    off = ~np.eye(n, dtype=bool)
     for _ in range(max_iter):
         p = np.polyval(c, z)
-        denom = np.ones(n, dtype=np.complex128)
-        for i in range(n):
-            diff = z[i] - np.delete(z, i)
-            denom[i] = np.prod(diff)
+        denom = (z[:, None] - z)[off].reshape(n, n - 1).prod(axis=1)  # prod_{j != i} (z_i - z_j)
         step = p / denom
         z = z - step
         if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(z).max())):

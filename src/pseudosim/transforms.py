@@ -20,7 +20,6 @@ from .linalg import (
     ORTH_TOL,
     adjoint,
     as_matrix,
-    default_hermiticity_tol,
     is_hermitian,
     numerical_rank,
     svd,
@@ -64,7 +63,7 @@ def _result(t, rank, construction, sigma=None):
     return TransformResult(
         transformed=t,
         input_rank=int(rank),
-        hermitian=is_hermitian(t, default_hermiticity_tol(t)),
+        hermitian=is_hermitian(t),
         construction=construction,
         sigma=sigma,
     )

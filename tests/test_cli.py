@@ -145,3 +145,42 @@ def test_byte_identical_csv(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("run", "trials = abc"),
+    ("ensemble", "condition_cap = big"),
+    ("tolerances", "interlace = tight"),
+])
+def test_exit_two_on_malformed_value(tmp_path, capsys, section, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "subsumption", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split()[0] in err and "bad.ini" in err
+
+
+@pytest.mark.parametrize("pinned, suite", [
+    ("n = 1", "interlace-rank-deficient"),
+    ("k = 1", "interlace-rank-deficient"),
+    ("n = 24", "interlace-inflated"),
+    ("n = 25", "mp-axioms"),
+    ("n = 0", "interlace-full-rank"),
+])
+def test_exit_two_on_undrawable_dimension(tmp_path, capsys, pinned, suite):
+    # a config error, not a failed theorem trial (exit 1)
+    path = tmp_path / "pinned.ini"
+    path.write_text(f"[ensemble]\n{pinned}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", suite, "--trials", "2", "--format", "csv"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_import_needs_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pseudosim.cli; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

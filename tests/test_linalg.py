@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pseudosim.ensembles import random_full_column_rank, random_rank_l
 from pseudosim.errors import ContractViolation, DimensionError
 from pseudosim.linalg import (
     adjoint,
@@ -154,6 +155,14 @@ def test_qr_route_agrees_with_svd_route():
         p1 = pseudo_inverse(m)
         p2 = pseudo_inverse_qr(m)
         assert np.abs(p1 - p2).max() <= 1e-8 * max(1.0, np.abs(p1).max())
+    # ill-conditioned full column rank, cond up to the cap
+    for cap in (1e3, 1e6):
+        for _ in range(50):
+            rows = rng.randint(2, 16)
+            m = random_full_column_rank(rng, rows, rng.randint(1, rows), cap)
+            p1 = pseudo_inverse(m)
+            p2 = pseudo_inverse_qr(m)
+            assert np.abs(p1 - p2).max() <= 1e-8 * max(1.0, np.abs(p1).max())
 
 
 def test_qr_route_requires_full_column_rank():
@@ -168,3 +177,14 @@ def test_rank_consistency_qr_vs_svd():
         l = rng.randint(1, min(n, k))
         m = rng.complex_normals((n, l)) @ rng.complex_normals((l, k))
         assert qr_economy_pivoted(m).rank == svd(m).rank == l
+    # ill-conditioned: rank l with cond up to the cap, and full column rank;
+    # the reorthogonalization pass keeps q orthonormal to rounding here
+    for cap in (1e3, 1e6):
+        for _ in range(50):
+            n, k = rng.randint(2, 16), rng.randint(2, 16)
+            l = rng.randint(1, min(n, k))
+            for m in (random_rank_l(rng, n, k, l, cap),
+                      random_full_column_rank(rng, max(n, k), l, cap)):
+                f = qr_economy_pivoted(m)
+                assert f.rank == svd(m).rank == l
+                assert np.abs(f.q.conj().T @ f.q - np.eye(l)).max() <= 1e-13
