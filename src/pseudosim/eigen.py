@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
-from .linalg import as_matrix, is_hermitian
+from .linalg import _is_hermitian, as_matrix
 
 
 def spectral_scale(values) -> float:
@@ -60,7 +60,7 @@ def eigvals_hermitian(m, tol: float | None = None) -> Spectrum:
     silently symmetrized.
     """
     m = as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not _is_hermitian(m, tol):
         raise ContractViolation("input is not Hermitian within tolerance")
     try:
         w = np.linalg.eigvalsh(m)

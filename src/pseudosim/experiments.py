@@ -37,7 +37,7 @@ from .ensembles import (
 from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
 from .errors import ContractViolation, NumericalError, RealnessViolation
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import adjoint, penrose_residuals, pseudo_inverse, svd
+from .linalg import adjoint, penrose_residuals, svd
 from .oracles import charpoly_eigenvalues
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
@@ -161,29 +161,39 @@ def _pick(pinned: int | None, rng: SplitMix64, lo: int, hi: int) -> int:
     return pinned if pinned is not None else rng.randint(lo, hi)
 
 
-def _compression_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
+def _compression_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite: str):
     """K = L <= N, for full-rank and subsumption trials."""
     n = _pick(spec.n, rng, *DEFAULT_N_RANGE)
+    if spec.l is not None and spec.l > n:
+        raise ContractViolation(f"{suite} needs l <= n; got n = {n}, l = {spec.l}")
     l = _pick(spec.l, rng, 1, n)
     return n, l, l
 
 
-def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, inflated: bool):
-    """L < min(N, K), with K <= N, or K > N when ``inflated``.
+def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite: str):
+    """L < min(N, K), with K <= N, or K > N on interlace-inflated.
 
-    A pinned dimension that leaves a draw range empty is a configuration
-    error, not a failed trial.
+    A pinned dimension that leaves a draw range empty, or that gives the
+    suite a shape other than its own (K > N inflated, K <= N and L < K
+    rank-deficient, L <= N both), is a configuration error, not a failed
+    trial.
     """
-    suite = "interlace-inflated" if inflated else "interlace-rank-deficient"
+    inflated = suite == "interlace-inflated"
     n = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), 12)
     k_lo, k_hi = (n + 1, 24) if inflated else (2, n)
     if spec.k is None and k_lo > k_hi:
         raise ContractViolation(f"{suite} draws k from [{k_lo}, {k_hi}], "
                                 f"so it needs {'n <= 23' if inflated else 'n >= 2'}; got n = {n}")
+    if spec.k is not None and (spec.k <= n) == inflated:
+        raise ContractViolation(f"{suite} needs {'k > n' if inflated else 'k <= n'}; "
+                                f"got n = {n}, k = {spec.k}")
     k = _pick(spec.k, rng, k_lo, k_hi)
     if spec.l is None and min(n, k) < 2:
         raise ContractViolation(f"{suite} draws 1 <= l < min(n, k), so it needs n >= 2 and k >= 2; "
                                 f"got n = {n}, k = {k}")
+    if spec.l is not None and spec.l > (n if inflated else k - 1):
+        raise ContractViolation(f"{suite} needs {'l <= n' if inflated else 'l < k'}; "
+                                f"got n = {n}, k = {k}, l = {spec.l}")
     l = _pick(spec.l, rng, 1, min(n, k) - 1)
     return n, k, l
 
@@ -228,9 +238,9 @@ def _subsumption_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, di
     p = hermitian_with_spectrum(rng, lam)
     q = random_unitary(rng, n, l)
 
-    pinv_dev = float(np.abs(pseudo_inverse(q, tols.rank) - adjoint(q)).max())
     classical = unitary_compression(p, q)
     general = pseudo_similarity(p, q, tols.rank)
+    pinv_dev = float(np.abs(general.pinv - adjoint(q)).max())
     route_dev = float(np.abs(classical.transformed - general.transformed).max())
 
     notes = []
@@ -336,12 +346,13 @@ def _oracle_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
 #: indexes its seed derivation.  The oblique search has no per-trial entry,
 #: because it yields one record per search rather than one per trial.
 _SUITE_TABLE = {
-    "interlace-full-rank": (_compression_dims, partial(_interlace_check, inflate=False)),
-    "interlace-rank-deficient": (partial(_deficient_dims, inflated=False),
+    "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
+                            partial(_interlace_check, inflate=False)),
+    "interlace-rank-deficient": (partial(_deficient_dims, suite="interlace-rank-deficient"),
                                  partial(_interlace_check, inflate=True)),
-    "interlace-inflated": (partial(_deficient_dims, inflated=True),
+    "interlace-inflated": (partial(_deficient_dims, suite="interlace-inflated"),
                            partial(_interlace_check, inflate=True)),
-    "subsumption": (_compression_dims, _subsumption_check),
+    "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_check),
     "oblique-counterexample": None,
     "mp-axioms": (_mp_dims, _mp_check),
     "solver-oracle": (_oracle_dims, _oracle_check),
@@ -380,10 +391,12 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
         return TrialOutcome(*dims, passed=False, notes=f"{type(exc).__name__}: {exc}")
 
 
+def _oblique_n(spec: EnsembleSpec) -> int:
+    return spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
+
+
 def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, control: str | None):
-    n = spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
-    if n < 2:
-        raise ContractViolation("oblique search needs n >= 2")
+    n = _oblique_n(spec)
     lam = np.sort(draw_spectrum(rng, spec, n))
     p = hermitian_with_spectrum(rng, lam)
     if control == "identity":
@@ -433,6 +446,10 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
         raise ContractViolation(f"unknown control arm {control!r}")
     spec = config.ensemble
     tols = config.tolerances
+    n = _oblique_n(spec)
+    if n < 2:  # a config error, which the loop below would swallow
+        raise ContractViolation(f"oblique-counterexample draws 1 <= l <= n - 1, so it needs n >= 2; "
+                                f"got n = {n}")
     for trial_index in range(config.trials):
         seed = trial_seed(spec.seed, "oblique-counterexample", trial_index)
         rng = SplitMix64(seed)
@@ -478,7 +495,7 @@ def _not_found_record(config: ExperimentConfig, control: str | None) -> TrialRec
         suite="oblique-counterexample",
         trial_index=config.trials - 1,
         seed=spec.seed,
-        n=spec.n if spec.n is not None else OBLIQUE_DEFAULT_N, k=0, l=0,
+        n=_oblique_n(spec), k=0, l=0,
         passed=True,
         min_lower_margin=0.0, min_upper_margin=0.0, worst_residual=0.0,
         notes=f"no witness in {config.trials} draws{arm}",

@@ -86,21 +86,11 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     if tol is None:
         tol = default_interlacing_tol(lam)
 
-    per_index = []
-    passed = True
-    for i in range(l):
-        lower, upper, value = lam[i], lam[n - l + i], eta[i]
-        bound = IndexBounds(
-            index=i,
-            lower=float(lower),
-            value=float(value),
-            upper=float(upper),
-            lower_margin=float(value - lower),
-            upper_margin=float(upper - value),
-        )
-        per_index.append(bound)
-        if bound.lower_margin < -tol or bound.upper_margin < -tol:
-            passed = False
+    per_index = [  # Python floats: the same IEEE arithmetic as float64, without numpy scalars
+        IndexBounds(i, lower, value, upper, value - lower, upper - value)
+        for i, (lower, value, upper) in enumerate(zip(lam[:l].tolist(), eta.tolist(), lam[n - l:].tolist()))
+    ]
+    passed = not any(b.lower_margin < -tol or b.upper_margin < -tol for b in per_index)
     return InterlacingReport(
         n=n, l=l, lam=lam, eta=eta, per_index=per_index,
         passed=passed, tol_used=float(tol), vacuous=(l == 0),

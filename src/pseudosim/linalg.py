@@ -53,12 +53,21 @@ def default_hermiticity_tol(m) -> float:
 
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(m)) == m."""
-    return as_matrix(m).conj().T.copy()
+    return _adjoint(as_matrix(m))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """:func:`adjoint` of an array :func:`as_matrix` has already validated."""
+    return m.conj().T.copy()
 
 
 def is_hermitian(m, tol: float | None = None) -> bool:
     """True iff max |m - m^H| <= tol.  `tol=None` uses the scale-relative default."""
-    m = as_matrix(m)
+    return _is_hermitian(as_matrix(m), tol)
+
+
+def _is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
+    """:func:`is_hermitian` of an array :func:`as_matrix` has already validated."""
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"hermiticity is defined for square matrices, got {m.shape}")
     if tol is None:
@@ -145,6 +154,23 @@ class SvdFactors:
         """``v @ diag(1 / sigma) @ u^H``; the zero matrix of transposed shape at rank 0."""
         return (self.v / self.sigma) @ self.u.conj().T
 
+    def truncated(self, rank_tol: float) -> "SvdFactors":
+        """The factors over the rank ``rank_tol`` detects in ``sigma``.
+
+        Equal to :func:`svd` of the same matrix at ``rank_tol`` when these
+        factors are untruncated, as at full rank.
+        """
+        if rank_tol <= 0:
+            raise ContractViolation("rank_tol must be positive")
+        rank = _detected_rank(self.sigma, rank_tol)
+        return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
+
+
+def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
+    """Count of singular values (non-increasing) above ``rank_tol * s[0]``."""
+    smax = float(s[0]) if s.size else 0.0
+    return 0 if smax == 0.0 else int(np.count_nonzero(s > rank_tol * smax))
+
 
 def svd(m, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD with rank detection (singular values above rank_tol * sigma_max)."""
@@ -157,8 +183,7 @@ def svd(m, rank_tol: float | None = None) -> SvdFactors:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge for shape {m.shape}: {exc}") from exc
-    smax = float(s[0]) if s.size else 0.0
-    rank = 0 if smax == 0.0 else int(np.count_nonzero(s > rank_tol * smax))
+    rank = _detected_rank(s, rank_tol)
     return SvdFactors(u=u[:, :rank], sigma=s[:rank], v=vh[:rank, :].conj().T, rank=rank)
 
 

@@ -73,7 +73,9 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
     z = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
     off = ~np.eye(n, dtype=bool)
     for _ in range(max_iter):
-        p = np.polyval(c, z)
+        p = np.zeros_like(z)  # Horner's rule, as np.polyval(c, z) evaluates it
+        for coeff in c:
+            p = p * z + coeff
         denom = (z[:, None] - z)[off].reshape(n, n - 1).prod(axis=1)  # prod_{j != i} (z_i - z_j)
         step = p / denom
         z = z - step

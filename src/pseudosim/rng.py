@@ -20,9 +20,11 @@ Derived values
     * standard normal:     Box-Muller cosine branch,
       ``sqrt(-2 ln u1) * cos(2 pi u2)`` with ``u1`` on (0, 1] and ``u2`` on
       [0, 1).  One normal consumes exactly two words, ``u1`` first.
-    * complex standard normal array: all real parts are drawn first in
-      row-major order, then all imaginary parts; real and imaginary parts are
-      independent standard normals.
+    * complex standard normal array of ``count`` entries: one pass over the
+      next ``4 * count`` words, which give ``2 * count`` normals; the first
+      ``count`` are the real parts in row-major order, the rest the
+      imaginary parts.  Real and imaginary parts are independent standard
+      normals.
     * integer on [lo, hi]: ``lo + word % (hi - lo + 1)``
     * distinct index draws: partial Fisher-Yates over ``range(n)``, one
       integer draw per selected index.
@@ -35,6 +37,8 @@ Stream splitting
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -43,6 +47,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _TWO53 = float(2**53)
+
+# uint64 constants, built once rather than on every draw.  uint64 *array*
+# arithmetic wraps modulo 2**64 without a warning, so no np.errstate is needed.
+_U_GOLDEN = np.uint64(GOLDEN)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(shift) for shift in (11, 27, 30, 31))
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """One standard normal per consecutive word pair, ``u1`` first."""
+    bits = words >> _U11
+    u1 = (bits[0::2].astype(np.float64) + 1.0) / _TWO53
+    u2 = bits[1::2].astype(np.float64) / _TWO53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def mix64(z: int) -> int:
@@ -78,32 +97,36 @@ class SplitMix64:
         """Next `count` outputs as a uint64 array (vectorized scalar recurrence)."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        with np.errstate(over="ignore"):
-            steps = np.arange(1, count + 1, dtype=np.uint64)
-            z = np.uint64(self._state) + steps * np.uint64(GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _U_GOLDEN
+        z += np.uint64(self._state)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
         self._state = (self._state + count * GOLDEN) & _MASK64
         return z
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform on [0, 1)."""
-        return (self.uint64s(count) >> np.uint64(11)).astype(np.float64) / _TWO53
+        return (self.uint64s(count) >> _U11).astype(np.float64) / _TWO53
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normals (Box-Muller cosine branch, two words each)."""
-        words = self.uint64s(2 * count) >> np.uint64(11)
-        u1 = (words[0::2].astype(np.float64) + 1.0) / _TWO53
-        u2 = words[1::2].astype(np.float64) / _TWO53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return _box_muller(self.uint64s(2 * count))
 
     def complex_normals(self, shape) -> np.ndarray:
-        """Complex array with independent standard normal real/imaginary parts."""
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        re = self.normals(count)
-        im = self.normals(count)
-        return (re + 1j * im).reshape(shape)
+        """Complex array of the tuple ``shape``, with independent standard
+        normal real and imaginary parts.
+
+        One pass over the next ``4 * count`` words: the same words, in the same
+        order, as ``count`` real-part normals followed by ``count``
+        imaginary-part normals.
+        """
+        count = math.prod(shape)
+        z = _box_muller(self.uint64s(4 * count))
+        return (z[:count] + 1j * z[count:]).reshape(shape)
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on the inclusive range [lo, hi] (modulo method)."""

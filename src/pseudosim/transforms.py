@@ -11,17 +11,17 @@ interlacing guarantee demonstrably fails.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
 from .linalg import (
     ORTH_TOL,
-    adjoint,
+    SvdFactors,
+    _adjoint,
+    _is_hermitian,
     as_matrix,
-    is_hermitian,
-    numerical_rank,
     svd,
 )
 
@@ -37,13 +37,17 @@ class TransformResult:
     construction: str
     route_deviation: float | None = None  # filled by dual-route transforms
     sigma: np.ndarray | None = None  # retained singular values of h, pseudo-inverse routes
+    pinv: np.ndarray | None = None  # pseudo-inverse of h, pseudo-inverse routes
 
+
+# The public transforms validate their arguments once; the private bodies
+# below take arrays that are already validated.
 
 def _require_hermitian(p, name="p"):
     p = as_matrix(p, name)
     if p.shape[0] != p.shape[1]:
         raise DimensionError(f"{name} must be square, got {p.shape}")
-    if not is_hermitian(p):
+    if not _is_hermitian(p):
         raise ContractViolation(f"{name} is not Hermitian within tolerance")
     return p
 
@@ -59,14 +63,43 @@ def _require_orthonormal_columns(v, name="matrix"):
     return v
 
 
-def _result(t, rank, construction, sigma=None):
+def _require_map(p, h):
+    """h, once its shape fits a pseudo-similarity of p."""
+    if h.shape[0] != p.shape[0]:
+        raise DimensionError(f"h has {h.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
+    if h.shape[1] < 1:
+        raise DimensionError("h must have at least one column")
+    return h
+
+
+def _require_embedding(h, v) -> tuple[np.ndarray, np.ndarray, SvdFactors]:
+    """Validated h and v for ``h @ v^H``, with the SVD of h that shows its
+    full column rank at the default threshold."""
+    h = as_matrix(h, "h")
+    v = _require_orthonormal_columns(v, "v")
+    if v.shape[1] != h.shape[1]:
+        raise DimensionError(f"v has {v.shape[1]} columns, expected {h.shape[1]}")
+    factors = svd(h)
+    if factors.rank != h.shape[1]:
+        raise ContractViolation("h must have full column rank")
+    return h, v, factors
+
+
+def _result(t, rank, construction, sigma=None, pinv=None):
     return TransformResult(
         transformed=t,
         input_rank=int(rank),
-        hermitian=is_hermitian(t),
+        hermitian=_is_hermitian(t),
         construction=construction,
         sigma=sigma,
+        pinv=pinv,
     )
+
+
+def _similarity(p, h, factors: SvdFactors) -> TransformResult:
+    """:func:`pseudo_similarity` of validated p and h, given the SVD of h."""
+    pinv = factors.pseudo_inverse()
+    return _result(pinv @ p @ h, factors.rank, "pseudo_similarity", factors.sigma, pinv)
 
 
 def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
@@ -75,15 +108,12 @@ def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
     Any rank and any K are accepted, including K > N.  A rank-0 h yields the
     K x K zero matrix (every later interlacing check on it is vacuous and is
     flagged as such in reports).  Non-Hermitian p is rejected, not repaired.
+    The result carries the pseudo-inverse and the retained singular values
+    of h, from the one SVD that gives both the pseudo-inverse and the rank.
     """
     p = _require_hermitian(p)
-    h = as_matrix(h, "h")
-    if h.shape[0] != p.shape[0]:
-        raise DimensionError(f"h has {h.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
-    if h.shape[1] < 1:
-        raise DimensionError("h must have at least one column")
-    f = svd(h, rank_tol)  # one factorization gives both the pseudo-inverse and the rank
-    return _result(f.pseudo_inverse() @ p @ h, f.rank, "pseudo_similarity", f.sigma)
+    h = _require_map(p, as_matrix(h, "h"))
+    return _similarity(p, h, svd(h, rank_tol))
 
 
 def unitary_compression(p, q) -> TransformResult:
@@ -108,12 +138,7 @@ def build_rank_deficient(h, v) -> np.ndarray:
     result has numerical rank exactly L while gaining K - L dependent
     columns.  K > N turns later transforms into dimensional inflation.
     """
-    h = as_matrix(h, "h")
-    v = _require_orthonormal_columns(v, "v")
-    if v.shape[1] != h.shape[1]:
-        raise DimensionError(f"v has {v.shape[1]} columns, expected {h.shape[1]}")
-    if numerical_rank(h) != h.shape[1]:
-        raise ContractViolation("h must have full column rank")
+    h, v, _ = _require_embedding(h, v)
     return h @ v.conj().T
 
 
@@ -125,16 +150,22 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
     within ``1e-8 * max(1, entry scale)`` per entry or a
     :class:`NumericalError` carrying both matrices is raised.  Route (a) is
     returned, with the observed deviation recorded.
+
+    One SVD of h serves both the full-column-rank contract of
+    :func:`build_rank_deficient`, at the default threshold, and route (b),
+    at ``rank_tol``.
     """
     p = _require_hermitian(p)
-    route_a = pseudo_similarity(p, build_rank_deficient(h, v), rank_tol)
-    core = pseudo_similarity(p, h, rank_tol)
-    v = as_matrix(v, "v")
-    route_b = v @ core.transformed @ adjoint(v)
+    h, v, h_factors = _require_embedding(h, v)
+    hv = _require_map(p, h) @ v.conj().T  # h v^H has h's rows and at least as many columns
+    route_a = _similarity(p, hv, svd(hv, rank_tol))
+    core_factors = h_factors if rank_tol is None else h_factors.truncated(rank_tol)
+    core = core_factors.pseudo_inverse() @ p @ h
+    route_b = v @ core @ _adjoint(v)
     dev = float(np.abs(route_a.transformed - route_b).max())
     scale = max(1.0, float(np.abs(route_a.transformed).max()),
                 float(np.abs(route_b).max()))
-    if dev > CROSS_REL_TOL * scale:
+    if not dev <= CROSS_REL_TOL * scale:  # a NaN deviation fails too
         err = NumericalError(
             f"inflation routes disagree: max entry deviation {dev:.3e} "
             f"exceeds {CROSS_REL_TOL * scale:.3e}"
@@ -142,14 +173,7 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
         err.route_a = route_a.transformed
         err.route_b = route_b
         raise err
-    return TransformResult(
-        transformed=route_a.transformed,
-        input_rank=route_a.input_rank,
-        hermitian=route_a.hermitian,
-        construction="inflate_transform",
-        route_deviation=dev,
-        sigma=route_a.sigma,
-    )
+    return replace(route_a, construction="inflate_transform", route_deviation=dev)
 
 
 def oblique_transform(p, x, selection) -> TransformResult:

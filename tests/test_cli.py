@@ -166,9 +166,20 @@ def test_exit_two_on_malformed_value(tmp_path, capsys, section, line):
     ("n = 24", "interlace-inflated"),
     ("n = 25", "mp-axioms"),
     ("n = 0", "interlace-full-rank"),
+    ("l = 17", "interlace-full-rank"),
+    ("n = 4\nl = 5", "interlace-full-rank"),
+    ("l = 17", "subsumption"),
+    ("l = 5", "interlace-rank-deficient"),
+    ("n = 4\nk = 3\nl = 3", "interlace-rank-deficient"),
+    ("n = 4\nl = 5", "interlace-inflated"),
+    ("n = 1", "oblique-counterexample"),
+    ("k = 3", "interlace-inflated"),
+    ("n = 4\nk = 4", "interlace-inflated"),
+    ("n = 4\nk = 6", "interlace-rank-deficient"),
 ])
 def test_exit_two_on_undrawable_dimension(tmp_path, capsys, pinned, suite):
-    # a config error, not a failed theorem trial (exit 1)
+    # a config error, not a failed theorem trial (exit 1), nor a run of
+    # another shape under the suite's name (exit 0)
     path = tmp_path / "pinned.ini"
     path.write_text(f"[ensemble]\n{pinned}\n", encoding="utf-8")
     assert main(["--config", str(path), "--suite", suite, "--trials", "2", "--format", "csv"]) == 2

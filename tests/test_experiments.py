@@ -173,3 +173,12 @@ def test_trial_record_is_flat():
     # serialization relies on every field being a scalar
     for field in dataclasses.fields(TrialRecord):
         assert field.type in ("str", "int", "bool", "float")
+
+
+def test_subsumption_trial_factors_q_once(svd_calls):
+    # pinv(q) comes from the SVD the pseudo-similarity route already makes
+    for index in range(3):
+        svd_calls.clear()
+        outcome = run_trial(EnsembleSpec(seed=42), "subsumption", index)
+        assert outcome.passed
+        assert svd_calls == [(outcome.n, outcome.l)]

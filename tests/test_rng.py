@@ -63,12 +63,33 @@ def test_complex_normals_layout():
     # real parts are drawn as one batch, imaginary parts as the next, so the
     # matrix shape cannot change which words feed which component
     g = SplitMix64(14)
-    flat_re = SplitMix64(14).normals(6)
     z = g.complex_normals((2, 3))
-    np.testing.assert_allclose(z.real.ravel(), flat_re)
+    ref = SplitMix64(14)
+    assert np.array_equal(z.real.ravel(), ref.normals(6))
+    assert np.array_equal(z.imag.ravel(), ref.normals(6))
+    assert g.state == ref.state == (14 + 4 * 6 * GOLDEN) & 0xFFFFFFFFFFFFFFFF
     assert z.dtype == np.complex128
     var = np.var(SplitMix64(15).complex_normals((200, 200)))
     assert abs(var - 2.0) < 0.1  # unit variance per component
+
+
+# Derived draws at one seed, pinned bit for bit: a change to how words become
+# uniforms or normals (or to the complex layout) must show here.
+GOLDEN_SEED = 20251018
+GOLDEN_UNIFORMS = [0.4503443122278289, 0.8859061253801158, 0.8902394394990621]
+GOLDEN_NORMALS = [-1.466818781093146, -1.0864671793643663, -0.6353955146082287]
+GOLDEN_COMPLEX = [
+    -0.6828958331640548 - 1.2778131490425912j, 2.0832059060241512 - 0.2708383545263217j,
+    0.9057528606712384 + 1.973680649359811j, -1.0167964752842025 + 0.5493893280905643j,
+]
+
+
+def test_golden_derived_draws():
+    g = SplitMix64(GOLDEN_SEED)
+    assert g.uniforms(3).tolist() == GOLDEN_UNIFORMS
+    assert g.normals(3).tolist() == GOLDEN_NORMALS
+    assert g.complex_normals((2, 2)).ravel().tolist() == GOLDEN_COMPLEX
+    assert g.state == 0x736AE31D6F7B1F97
 
 
 def test_determinism_across_instances():

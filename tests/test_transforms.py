@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
 from pseudosim.ensembles import random_full_column_rank, random_unitary, selection_matrix
 from pseudosim.errors import ContractViolation, DimensionError, NumericalError
 from pseudosim.interlace import check_interlacing, classify_real
-from pseudosim.linalg import numerical_rank, pseudo_inverse
+from pseudosim.linalg import numerical_rank, pseudo_inverse, svd
 from pseudosim.oracles import charpoly_eigenvalues
 from pseudosim.rng import SplitMix64
 from pseudosim.transforms import (
@@ -280,3 +280,47 @@ def test_similarity_consistency_with_compression():
         dev = match_distance(eigvals_general(t).values,
                              eigvals_hermitian(compressed).values)
         assert dev <= 1e-7
+
+
+def test_inflate_factors_h_once(svd_calls):
+    # one SVD of h serves the rank contract and route (b); one of h v^H route (a)
+    rng = SplitMix64(52)
+    p = _hermitian(rng, 5)
+    h = random_full_column_rank(rng, 5, 2)
+    v = random_unitary(rng, 7, 2)
+    inflate_transform(p, h, v)
+    assert svd_calls == [(5, 2), (5, 7)]
+    inflate_transform(p, h, v, rank_tol=1e-12)
+    assert len(svd_calls) == 4
+
+
+def test_inflate_explicit_rank_tol_matches_both_routes():
+    # an explicit rank_tol truncates the one SVD of h as svd(h, rank_tol) would
+    rng = SplitMix64(53)
+    p = _hermitian(rng, 6)
+    h = random_full_column_rank(rng, 6, 3, condition_cap=1e4)
+    v = random_unitary(rng, 8, 3)
+    for rank_tol in (1e-14, 1e-3, 0.5):
+        assert_array_equal(pseudo_inverse(h, rank_tol), svd(h).truncated(rank_tol).pseudo_inverse())
+        res = inflate_transform(p, h, v, rank_tol)
+        assert res.input_rank == svd(build_rank_deficient(h, v), rank_tol).rank
+        assert res.route_deviation <= 1e-8
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-30, 1e-3])
+def test_rank_deficient_h_rejected(rank_tol):
+    # the full-column-rank contract is decided at the default threshold,
+    # whatever rank_tol the transform itself uses
+    p = np.diag([1.0, 2.0]).astype(complex)
+    rank1 = np.outer([1.0, 2.0], [1.0, 1.0]).astype(complex)
+    with pytest.raises(ContractViolation, match="h must have full column rank"):
+        inflate_transform(p, rank1, np.eye(2, dtype=complex), rank_tol)
+
+
+def test_pseudo_similarity_carries_pinv():
+    rng = SplitMix64(54)
+    p = _hermitian(rng, 5)
+    h = random_full_column_rank(rng, 5, 3)
+    res = pseudo_similarity(p, h)
+    assert_array_equal(res.pinv, pseudo_inverse(h))
+    assert_array_equal(res.transformed, res.pinv @ p @ h)
