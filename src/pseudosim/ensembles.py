@@ -5,15 +5,25 @@ are bit-reproducible across platforms; none of them touch numpy's global
 state.  Structural properties (orthonormality, rank, spectrum, conditioning)
 are part of each generator's contract and are re-checked by the test suite on
 every draw.
+
+A generator that needs Haar-like unitaries runs in three steps.  Its
+``draw_*`` function takes every random number from the stream, in a fixed
+order, and returns a :class:`Draw`; :func:`haar_factors` turns the draw's
+complex Gaussians into orthonormal columns, for many draws at once with one
+QR call per matrix shape; :meth:`Draw.assemble` builds the member from them.
+``random_*`` and :func:`hermitian_with_spectrum` run the three steps for one
+draw.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
-from .rng import SplitMix64
+from .rng import SplitMix64, complex_normals_from
 from .transforms import build_rank_deficient
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
@@ -98,30 +108,100 @@ def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
     return signs * magnitudes
 
 
-def random_unitary(rng: SplitMix64, n: int, l: int) -> np.ndarray:
-    """n x l with orthonormal columns, Haar-like.
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """An ensemble member whose random words are drawn but which is not
+    built yet.
 
-    QR of an i.i.d. complex standard normal matrix, with the Q columns
-    rephased so the R diagonal is real and positive.  Without that fix the
-    distribution would depend on the QR routine's sign conventions.
+    The member needs the Haar-like factors of complex standard normal
+    matrices of the given ``shapes``; ``words`` holds the stream words each
+    one is made of, as :meth:`SplitMix64.complex_normals` would make it.
+    ``build`` makes the member from those factors, taken in the same order.
+    :func:`haar_factors` serves many draws at once, with one QR call per
+    matrix shape.
     """
+
+    shapes: tuple[tuple[int, int], ...]
+    words: tuple[np.ndarray, ...]
+    build: Callable[..., np.ndarray]
+
+    def assemble(self, unitaries) -> np.ndarray:
+        """The member, from the Haar factors of its Gaussians."""
+        return self.build(*unitaries)
+
+
+def _gaussians(rng: SplitMix64, *shapes):
+    """``shapes`` and the words of complex Gaussians of those shapes, drawn
+    in order: the first two fields of a :class:`Draw`.  The words are copied
+    out of the stream's look-ahead block, so a draw that waits for its chunk
+    keeps its own words alive and not the block."""
+    return shapes, tuple(rng.uint64s(4 * n * l).copy() for n, l in shapes)
+
+
+def _haar_columns(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of each matrix of the stack ``a``, Haar-like.
+
+    QR of each i.i.d. complex standard normal matrix, with the Q columns
+    rephased so the R diagonal is real and positive.  Without that fix the
+    distribution would depend on the QR routine's sign conventions.  A
+    stacked QR gives each matrix the same factors as a call of its own.
+    """
+    q, r = np.linalg.qr(a, mode="reduced")
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., np.newaxis, :]
+
+
+def haar_factors(draws) -> list[tuple[np.ndarray, ...]]:
+    """The Haar factors of each draw's Gaussians: one stack of Gaussians and
+    one stacked QR per shape."""
+    shapes = [shape for d in draws for shape in d.shapes]
+    words = [w for d in draws for w in d.words]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(i)
+    factors = [None] * len(shapes)
+    for shape, indices in by_shape.items():
+        gaussians = complex_normals_from(np.stack([words[i] for i in indices]), shape)
+        for i, q in zip(indices, _haar_columns(gaussians)):
+            factors[i] = q
+    in_order = iter(factors)
+    return [tuple(islice(in_order, len(d.shapes))) for d in draws]
+
+
+def _built(draw: Draw) -> np.ndarray:
+    return draw.assemble(haar_factors([draw])[0])
+
+
+def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:
+    """The draw of :func:`random_unitary`."""
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
-    a = rng.complex_normals((n, l))
-    q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return Draw(*_gaussians(rng, (n, l)), lambda u: u)
+
+
+def random_unitary(rng: SplitMix64, n: int, l: int) -> np.ndarray:
+    """n x l with orthonormal columns, Haar-like: the rephased QR factor of
+    an i.i.d. complex standard normal matrix."""
+    return _built(draw_unitary(rng, n, l))
+
+
+def draw_hermitian(rng: SplitMix64, lam) -> Draw:
+    """The draw of :func:`hermitian_with_spectrum`."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
+        raise ContractViolation("spectrum must be a nonempty finite real vector")
+
+    def build(u):
+        p = (u * lam) @ u.conj().T
+        return (p + p.conj().T) / 2.0
+
+    return Draw(*_gaussians(rng, (lam.size, lam.size)), build)
 
 
 def hermitian_with_spectrum(rng: SplitMix64, lam) -> np.ndarray:
     """U diag(lam) U^H for a Haar-like U; exactly Hermitian by symmetrization."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
-        raise ContractViolation("spectrum must be a nonempty finite real vector")
-    u = random_unitary(rng, lam.size, lam.size)
-    p = (u * lam) @ u.conj().T
-    return (p + p.conj().T) / 2.0
+    return _built(draw_hermitian(rng, lam))
 
 
 def selection_matrix(indices, n: int) -> np.ndarray:
@@ -144,6 +224,21 @@ def _log_uniform(rng: SplitMix64, count: int, lo: float, hi: float) -> np.ndarra
     return np.exp(np.log(lo) + (np.log(hi) - np.log(lo)) * rng.uniforms(count))
 
 
+def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
+                          condition_cap: float = DEFAULT_CONDITION_CAP) -> Draw:
+    """The draw of :func:`random_full_column_rank`."""
+    if not 1 <= l <= n:
+        raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
+    if condition_cap < 1.0:
+        raise ContractViolation("condition_cap must be >= 1")
+    gaussians = _gaussians(rng, (n, l), (l, l))
+    s = np.empty(l)
+    s[0] = 1.0
+    if l > 1:
+        s[1:] = _log_uniform(rng, l - 1, 1.0 / condition_cap, 1.0)
+    return Draw(*gaussians, lambda u, v: (u * s) @ v.conj().T)
+
+
 def random_full_column_rank(rng: SplitMix64, n: int, l: int,
                             condition_cap: float = DEFAULT_CONDITION_CAP) -> np.ndarray:
     """n x l of full column rank with sigma_max/sigma_min <= condition_cap.
@@ -151,38 +246,31 @@ def random_full_column_rank(rng: SplitMix64, n: int, l: int,
     U diag(s) V^H with fixed sigma_max = 1 and the remaining singular values
     log-uniform in [1/condition_cap, 1].
     """
-    if not 1 <= l <= n:
-        raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
-    if condition_cap < 1.0:
-        raise ContractViolation("condition_cap must be >= 1")
-    u = random_unitary(rng, n, l)
-    v = random_unitary(rng, l, l)
-    s = np.empty(l)
-    s[0] = 1.0
-    if l > 1:
-        s[1:] = _log_uniform(rng, l - 1, 1.0 / condition_cap, 1.0)
-    return (u * s) @ v.conj().T
+    return _built(draw_full_column_rank(rng, n, l, condition_cap))
+
+
+def draw_rank_l(rng: SplitMix64, n: int, k: int, l: int,
+                condition_cap: float = DEFAULT_CONDITION_CAP) -> Draw:
+    """The draw of :func:`random_rank_l`."""
+    if not 1 <= l <= min(n, k):
+        raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
+    core = draw_full_column_rank(rng, n, l, condition_cap)
+    shapes, words = _gaussians(rng, (k, l))
+    return Draw(core.shapes + shapes, core.words + words,
+                lambda u, w, v: build_rank_deficient(core.build(u, w), v))
 
 
 def random_rank_l(rng: SplitMix64, n: int, k: int, l: int,
                   condition_cap: float = DEFAULT_CONDITION_CAP) -> np.ndarray:
     """n x k of numerical rank exactly l, where k may exceed n (inflation)."""
-    if not 1 <= l <= min(n, k):
-        raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
-    core = random_full_column_rank(rng, n, l, condition_cap)
-    v = random_unitary(rng, k, l)
-    return build_rank_deficient(core, v)
+    return _built(draw_rank_l(rng, n, k, l, condition_cap))
 
 
-def random_invertible_nonunitary(rng: SplitMix64, n: int,
-                                 condition_cap: float = DEFAULT_CONDITION_CAP,
-                                 nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR,
-                                 ) -> np.ndarray:
-    """Invertible n x n with sigma_max/sigma_min in [floor, cap], floor > 1.
-
-    The floor keeps every draw measurably non-unitary, so this ensemble
-    never degenerates into the control arm of the oblique experiments.
-    """
+def draw_invertible_nonunitary(rng: SplitMix64, n: int,
+                               condition_cap: float = DEFAULT_CONDITION_CAP,
+                               nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR,
+                               ) -> Draw:
+    """The draw of :func:`random_invertible_nonunitary`."""
     if n < 2:
         raise DimensionError("need n >= 2 to separate sigma_max from sigma_min")
     if not (1.0 < nonunitarity_floor <= condition_cap):
@@ -195,6 +283,16 @@ def random_invertible_nonunitary(rng: SplitMix64, n: int,
     s[n - 1] = 1.0 / ratio
     if n > 2:
         s[1:n - 1] = _log_uniform(rng, n - 2, 1.0 / ratio, 1.0)
-    u = random_unitary(rng, n, n)
-    v = random_unitary(rng, n, n)
-    return (u * s) @ v.conj().T
+    return Draw(*_gaussians(rng, (n, n), (n, n)), lambda u, v: (u * s) @ v.conj().T)
+
+
+def random_invertible_nonunitary(rng: SplitMix64, n: int,
+                                 condition_cap: float = DEFAULT_CONDITION_CAP,
+                                 nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR,
+                                 ) -> np.ndarray:
+    """Invertible n x n with sigma_max/sigma_min in [floor, cap], floor > 1.
+
+    The floor keeps every draw measurably non-unitary, so this ensemble
+    never degenerates into the control arm of the oblique experiments.
+    """
+    return _built(draw_invertible_nonunitary(rng, n, condition_cap, nonunitarity_floor))

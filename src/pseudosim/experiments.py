@@ -6,10 +6,14 @@ agreement of independent computation routes, the Moore-Penrose axioms,
 eigensolver output against characteristic-polynomial oracles, or (the one
 negative result) that oblique compressions do violate interlacing.
 
-A suite is one entry of ``_SUITE_TABLE``: a dimension rule and a check.
-:func:`run_trial` runs one trial and returns its :class:`TrialOutcome`;
-:func:`run_suite` is a loop over it, and the acceptance tests assert on the
-same outcomes.
+A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
+check.  Trials run in chunks: each trial of a chunk is drawn from its own
+stream, then the Haar factors of all the chunk's draws come from one stacked
+QR per matrix shape, then each trial is checked.  :func:`run_suite` runs a
+suite's trials in chunks of at most ``CHUNK_BYTES`` of draws;
+:func:`run_trial` runs one trial as a chunk of one and returns its
+:class:`TrialOutcome`, so the runner, replay and the acceptance tests share
+one path.
 
 Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
@@ -21,17 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .ensembles import (
     DEFAULT_N_RANGE,
+    Draw,
     EnsembleSpec,
+    draw_full_column_rank,
+    draw_hermitian,
+    draw_rank_l,
     draw_spectrum,
+    draw_unitary,
+    haar_factors,
     hermitian_with_spectrum,
-    random_full_column_rank,
     random_invertible_nonunitary,
-    random_rank_l,
     random_unitary,
 )
 from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
@@ -161,8 +170,22 @@ def _pick(pinned: int | None, rng: SplitMix64, lo: int, hi: int) -> int:
     return pinned if pinned is not None else rng.randint(lo, hi)
 
 
+def _prescribed_fits(spec: EnsembleSpec, suite: str, n: int | None):
+    """Raise unless a prescribed spectrum fits the n the suite uses, where
+    None stands for an n drawn per trial."""
+    if spec.spectrum_law == "prescribed" and n != len(spec.spectrum_values):
+        uses = "draws n per trial" if n is None else f"uses n = {n}"
+        raise ContractViolation(f"{suite} {uses}; a prescribed spectrum of length "
+                                f"{len(spec.spectrum_values)} needs n = {len(spec.spectrum_values)}")
+
+
 def _compression_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite: str):
-    """K = L <= N, for full-rank and subsumption trials."""
+    """K = L <= N, for full-rank and subsumption trials.  A pinned k must
+    equal a pinned l."""
+    _prescribed_fits(spec, suite, spec.n)
+    if spec.k is not None and spec.k != spec.l:
+        raise ContractViolation(f"{suite} has k = l, so a pinned k needs the same l pinned; "
+                                f"got k = {spec.k}, l = {spec.l}")
     n = _pick(spec.n, rng, *DEFAULT_N_RANGE)
     if spec.l is not None and spec.l > n:
         raise ContractViolation(f"{suite} needs l <= n; got n = {n}, l = {spec.l}")
@@ -179,6 +202,7 @@ def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite
     trial.
     """
     inflated = suite == "interlace-inflated"
+    _prescribed_fits(spec, suite, spec.n)
     n = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), 12)
     k_lo, k_hi = (n + 1, 24) if inflated else (2, n)
     if spec.k is None and k_lo > k_hi:
@@ -198,14 +222,18 @@ def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite
     return n, k, l
 
 
-def _interlace_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims, tols: Tolerances,
-                     inflate: bool) -> TrialOutcome:
+def _interlace_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims, inflate: bool):
     n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
-    p = hermitian_with_spectrum(rng, lam)
-    h = random_full_column_rank(rng, n, l, spec.condition_cap)
-    if inflate:
-        result = inflate_transform(p, h, random_unitary(rng, k, l), tols.rank)
+    return (lam, draw_hermitian(rng, lam), draw_full_column_rank(rng, n, l, spec.condition_cap),
+            draw_unitary(rng, k, l) if inflate else None)
+
+
+def _interlace_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerances) -> TrialOutcome:
+    n, k, l = dims
+    lam, p, h, v = drawn
+    if v is not None:
+        result = inflate_transform(p, h, v, tols.rank)
     else:
         result = pseudo_similarity(p, h, tols.rank)
 
@@ -231,12 +259,16 @@ def _interlace_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims
                         cond_h=float(sigma[0] / sigma[-1]) if sigma.size else float("inf"))
 
 
-def _subsumption_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
-                       tols: Tolerances) -> TrialOutcome:
+def _subsumption_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
-    p = hermitian_with_spectrum(rng, lam)
-    q = random_unitary(rng, n, l)
+    return draw_hermitian(rng, lam), draw_unitary(rng, n, l)
+
+
+def _subsumption_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
+                       tols: Tolerances) -> TrialOutcome:
+    n, k, l = dims
+    p, q = drawn
 
     classical = unitary_compression(p, q)
     general = pseudo_similarity(p, q, tols.rank)
@@ -275,17 +307,21 @@ def _mp_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
     return rows, cols, rng.randint(1, max(1, min(rows, cols) - 1))
 
 
-def _mp_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
-              tols: Tolerances) -> TrialOutcome:
+def _mp_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
+    """One matrix of the drawn shape and rank; a wide full-rank one is drawn
+    as its tall adjoint."""
+    rows, cols, rank_target = dims
+    if not _MP_SHAPES[trial_index % len(_MP_SHAPES)].endswith("full"):
+        return (draw_rank_l(rng, rows, cols, rank_target, spec.condition_cap),)
+    return (draw_full_column_rank(rng, max(rows, cols), min(rows, cols), spec.condition_cap),)
+
+
+def _mp_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerances) -> TrialOutcome:
     """Penrose conditions on one matrix of the drawn shape and rank."""
     rows, cols, rank_target = dims
-    if _MP_SHAPES[trial_index % len(_MP_SHAPES)].endswith("full"):
-        if cols <= rows:
-            m = random_full_column_rank(rng, rows, cols, spec.condition_cap)
-        else:
-            m = adjoint(random_full_column_rank(rng, cols, rows, spec.condition_cap))
-    else:
-        m = random_rank_l(rng, rows, cols, rank_target, spec.condition_cap)
+    m, = drawn
+    if m.shape != (rows, cols):
+        m = adjoint(m)
 
     factors = svd(m, tols.rank)
     residuals = penrose_residuals(m, factors.pseudo_inverse())
@@ -303,18 +339,24 @@ def _mp_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
 
 def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
     """Side n of the charpoly-checked matrices.  The side k of the
-    trace/determinant matrix is drawn later, so it stays 0 until the check
+    trace/determinant matrix is the draw's, so it stays 0 until the check
     reports it."""
     n = rng.randint(2, 4)
     return n, 0, n
 
 
-def _oracle_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
-                  tols: Tolerances) -> TrialOutcome:
+def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
+    n = dims[0]
+    g = rng.complex_normals((n, n))
+    n_td = rng.randint(2, 6)
+    return g, rng.complex_normals((n_td, n_td))
+
+
+def _oracle_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerances) -> TrialOutcome:
     """LAPACK-backed solvers against the characteristic-polynomial oracle
     (n <= 4) plus trace/determinant identities (n <= 6)."""
     n = dims[0]
-    g = rng.complex_normals((n, n))
+    g, g6 = drawn
     hm = (g + adjoint(g)) / 2.0
 
     worst = 0.0
@@ -327,8 +369,7 @@ def _oracle_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
         if dev > tols.oracle:
             notes.append(f"{solver.__name__} deviates from charpoly roots by {dev:.3e}")
 
-    n_td = rng.randint(2, 6)
-    g6 = rng.complex_normals((n_td, n_td))
+    n_td = g6.shape[0]
     w = eigvals_general(g6).values
     trace_dev = abs(w.sum() - np.trace(g6)) / max(1.0, abs(np.trace(g6)))
     det = np.linalg.det(g6)
@@ -342,20 +383,23 @@ def _oracle_check(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
     return TrialOutcome(n, n_td, n, passed=not notes, worst_residual=worst, notes="; ".join(notes))
 
 
-#: suite -> (dimension rule, check), in canonical order: a suite's position
-#: indexes its seed derivation.  The oblique search has no per-trial entry,
-#: because it yields one record per search rather than one per trial.
+#: suite -> (dimension rule, draw, check), in canonical order: a suite's
+#: position indexes its seed derivation.  The draw takes every random number
+#: of a trial and returns its drawn values; a :class:`Draw` among them reaches
+#: the check as the matrix it builds.  The oblique search has no per-trial
+#: entry, because it yields one record per search rather than one per trial.
 _SUITE_TABLE = {
     "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
-                            partial(_interlace_check, inflate=False)),
+                            partial(_interlace_draw, inflate=False), _interlace_check),
     "interlace-rank-deficient": (partial(_deficient_dims, suite="interlace-rank-deficient"),
-                                 partial(_interlace_check, inflate=True)),
+                                 partial(_interlace_draw, inflate=True), _interlace_check),
     "interlace-inflated": (partial(_deficient_dims, suite="interlace-inflated"),
-                           partial(_interlace_check, inflate=True)),
-    "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_check),
+                           partial(_interlace_draw, inflate=True), _interlace_check),
+    "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_draw,
+                    _subsumption_check),
     "oblique-counterexample": None,
-    "mp-axioms": (_mp_dims, _mp_check),
-    "solver-oracle": (_oracle_dims, _oracle_check),
+    "mp-axioms": (_mp_dims, _mp_draw, _mp_check),
+    "solver-oracle": (_oracle_dims, _oracle_draw, _oracle_check),
 }
 
 #: canonical suite order; positions index the per-suite seed derivation
@@ -365,6 +409,10 @@ SUITES = tuple(_SUITE_TABLE)
 #: reports not-found as a warning instead)
 THEOREM_SUITES = frozenset(s for s, entry in _SUITE_TABLE.items() if entry is not None)
 
+#: a chunk of trials closes before the arrays its trials drew would pass this
+#: many bytes; a trial that draws more runs as a chunk of its own
+CHUNK_BYTES = 256 * 1024
+
 
 def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
     """Seed of one trial: split from the master by the suite's canonical
@@ -372,27 +420,95 @@ def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
     return derive_seed(derive_seed(master_seed, SUITES.index(suite)), trial_index)
 
 
+def _failed(dims, exc: Exception) -> TrialOutcome:
+    return TrialOutcome(*dims, passed=False, notes=f"{type(exc).__name__}: {exc}")
+
+
+class _DrawnTrial(NamedTuple):
+    trial_index: int
+    dims: tuple[int, int, int]
+    drawn: tuple                         # the draw's values, empty if it raised
+    failed: TrialOutcome | None = None   # the outcome of a draw that raised
+
+    @property
+    def draws(self) -> list[Draw]:
+        return [v for v in self.drawn if isinstance(v, Draw)]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the trial's complex128 Gaussians and of the arrays it drew
+        outright."""
+        return (sum(16 * n * l for d in self.draws for n, l in d.shapes)
+                + sum(v.nbytes for v in self.drawn if isinstance(v, np.ndarray)))
+
+
+def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int) -> _DrawnTrial:
+    """One trial's dimensions and draws, from its own stream.  A dimension
+    rule's ContractViolation is a configuration error and propagates."""
+    draw_dims, draw, _ = _SUITE_TABLE[suite]
+    rng = SplitMix64(trial_seed(spec.seed, suite, trial_index))
+    dims = draw_dims(rng, spec, trial_index)
+    try:
+        return _DrawnTrial(trial_index, dims, draw(rng, spec, trial_index, dims))
+    except _TRIAL_ERRORS as exc:
+        return _DrawnTrial(trial_index, dims, (), _failed(dims, exc))
+
+
+def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
+                 tolerances: Tolerances) -> list[TrialOutcome]:
+    """Outcomes of drawn trials, in order.  The Haar factors of every draw in
+    the chunk come from one stacked QR per matrix shape; a trial that raises
+    while its matrices are built or checked fails alone."""
+    check = _SUITE_TABLE[suite][2]
+    factors = iter(haar_factors([d for trial in chunk for d in trial.draws]))
+    outcomes = []
+    for trial in chunk:
+        if trial.failed is not None:
+            outcomes.append(trial.failed)
+            continue
+        mine = [next(factors) if isinstance(v, Draw) else None for v in trial.drawn]
+        try:
+            values = tuple(v.assemble(q) if q is not None else v for v, q in zip(trial.drawn, mine))
+            outcomes.append(check(spec, trial.trial_index, trial.dims, values, tolerances))
+        except _TRIAL_ERRORS as exc:
+            outcomes.append(_failed(trial.dims, exc))
+    return outcomes
+
+
+def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances):
+    """Outcomes of the given trials of a theorem suite, in order, checked in
+    chunks of at most CHUNK_BYTES of draws."""
+    chunk: list[_DrawnTrial] = []
+    size = 0
+    for trial_index in trial_indices:
+        trial = _draw_trial(spec, suite, trial_index)
+        nbytes = trial.nbytes
+        if chunk and size + nbytes > CHUNK_BYTES:
+            yield from _check_chunk(spec, suite, chunk, tolerances)
+            chunk, size = [], 0
+        chunk.append(trial)
+        size += nbytes
+    if chunk:
+        yield from _check_chunk(spec, suite, chunk, tolerances)
+
+
 def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
               tolerances: Tolerances = Tolerances()) -> TrialOutcome:
-    """Trial ``trial_index`` of a theorem suite, regenerated from its seed.
+    """Trial ``trial_index`` of a theorem suite, regenerated from its seed:
+    the runner's path, as a chunk of one trial.
 
     A trial that raises a contract or numerical error yields a failed
     outcome that carries the dimensions it drew and the error as its notes.
     """
-    entry = _SUITE_TABLE.get(suite)
-    if entry is None:
+    if _SUITE_TABLE.get(suite) is None:
         raise ContractViolation(f"{suite!r} has no per-trial check; valid: {sorted(THEOREM_SUITES)}")
-    draw_dims, check = entry
-    rng = SplitMix64(trial_seed(spec.seed, suite, trial_index))
-    dims = draw_dims(rng, spec, trial_index)
-    try:
-        return check(rng, spec, trial_index, dims, tolerances)
-    except _TRIAL_ERRORS as exc:
-        return TrialOutcome(*dims, passed=False, notes=f"{type(exc).__name__}: {exc}")
+    return next(_run_trials(spec, suite, (trial_index,), tolerances))
 
 
 def _oblique_n(spec: EnsembleSpec) -> int:
-    return spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
+    n = spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
+    _prescribed_fits(spec, "oblique-counterexample", n)
+    return n
 
 
 def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, control: str | None):
@@ -515,8 +631,8 @@ def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
             witness = counterexample_search(config)
             records.append(witness if witness is not None else _not_found_record(config, None))
             continue
-        for trial_index in range(config.trials):
-            outcome = run_trial(spec, suite, trial_index, config.tolerances)
+        outcomes = _run_trials(spec, suite, range(config.trials), config.tolerances)
+        for trial_index, outcome in enumerate(outcomes):
             records.append(outcome.record(suite, trial_index, trial_seed(spec.seed, suite, trial_index)))
     return records
 

@@ -29,6 +29,14 @@ Derived values
     * distinct index draws: partial Fisher-Yates over ``range(n)``, one
       integer draw per selected index.
 
+Look-ahead block
+    A stream computes its words ahead, a block at a time, from its logical
+    state with the vectorized recurrence, and serves each draw from that
+    block.  This leaves the stream unchanged: every word is the one the
+    recurrence gives at its position, and ``state`` is always the state after
+    the last word handed out.  A draw that does not fit in what is left of
+    the block starts a new block, of its own words plus ``BLOCK_WORDS`` more.
+
 Stream splitting
     ``derive_seed(seed, index)`` equals the ``index``-th splitmix64 output
     for ``seed``, computed in O(1) as ``mix(seed + (index + 1) * GOLDEN)``.
@@ -55,13 +63,45 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(shift) for shift in (11, 27, 30, 31))
 
+#: words a stream computes ahead of its draws; a trial of the default suites
+#: draws a few hundred to a few thousand words
+BLOCK_WORDS = 1024
+_NO_WORDS = np.empty(0, dtype=np.uint64)
+
+
+def _words(state: int, count: int) -> np.ndarray:
+    """The `count` splitmix64 outputs that follow `state` (vectorized scalar
+    recurrence)."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _U_GOLDEN
+    z += np.uint64(state)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
+
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
-    """One standard normal per consecutive word pair, ``u1`` first."""
+    """One standard normal per consecutive word pair along the last axis,
+    ``u1`` first."""
     bits = words >> _U11
-    u1 = (bits[0::2].astype(np.float64) + 1.0) / _TWO53
-    u2 = bits[1::2].astype(np.float64) / _TWO53
+    u1 = (bits[..., 0::2].astype(np.float64) + 1.0) / _TWO53
+    u2 = bits[..., 1::2].astype(np.float64) / _TWO53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def complex_normals_from(words: np.ndarray, shape) -> np.ndarray:
+    """The complex array of the tuple ``shape`` that
+    :meth:`SplitMix64.complex_normals` makes of its ``4 * prod(shape)`` words.
+
+    Each row of a 2-D ``words`` gives one array of a stack, equal to the
+    array made of that row alone: Box-Muller works on each word pair apart.
+    """
+    count = math.prod(shape)
+    z = _box_muller(words)
+    return (z[..., :count] + 1j * z[..., count:]).reshape(words.shape[:-1] + tuple(shape))
 
 
 def mix64(z: int) -> int:
@@ -84,29 +124,32 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
+        self._block = _NO_WORDS   # the words after self._state, from self._pos on
+        self._pos = 0
 
     @property
     def state(self) -> int:
         return self._state
 
+    def _take(self, count: int) -> np.ndarray:
+        """The next `count` words, as a view of the look-ahead block."""
+        if count > self._block.size - self._pos:
+            self._block = _words(self._state, count + BLOCK_WORDS)
+            self._pos = 0
+        start = self._pos
+        self._pos += count
+        self._state = (self._state + count * GOLDEN) & _MASK64
+        return self._block[start:self._pos]
+
     def next_uint64(self) -> int:
-        self._state = (self._state + GOLDEN) & _MASK64
-        return mix64(self._state)
+        return self._take(1).item()
 
     def uint64s(self, count: int) -> np.ndarray:
-        """Next `count` outputs as a uint64 array (vectorized scalar recurrence)."""
+        """Next `count` outputs as a uint64 array (a view of the look-ahead
+        block; writing to it changes no later draw)."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= _U_GOLDEN
-        z += np.uint64(self._state)
-        z ^= z >> _U30
-        z *= _U_MIX1
-        z ^= z >> _U27
-        z *= _U_MIX2
-        z ^= z >> _U31
-        self._state = (self._state + count * GOLDEN) & _MASK64
-        return z
+        return self._take(count)
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform on [0, 1)."""
@@ -124,9 +167,7 @@ class SplitMix64:
         order, as ``count`` real-part normals followed by ``count``
         imaginary-part normals.
         """
-        count = math.prod(shape)
-        z = _box_muller(self.uint64s(4 * count))
-        return (z[:count] + 1j * z[count:]).reshape(shape)
+        return complex_normals_from(self.uint64s(4 * math.prod(shape)), shape)
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on the inclusive range [lo, hi] (modulo method)."""

@@ -195,3 +195,53 @@ def test_import_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+PRESCRIBED = "[ensemble]\nspectrum_law = prescribed\nspectrum_values = -1 0.5 1 2\n"
+
+
+@pytest.mark.parametrize("suite", ["interlace-full-rank", "interlace-rank-deficient",
+                                   "interlace-inflated", "subsumption", "oblique-counterexample"])
+def test_prescribed_spectrum_needs_its_n(tmp_path, capsys, suite):
+    # n drawn per trial (or the oblique default n = 3) against a spectrum of
+    # length 4: a config error, not failed trials (exit 1) nor a search that
+    # swallows the mismatch (exit 0)
+    path = tmp_path / "prescribed.ini"
+    path.write_text(PRESCRIBED, encoding="utf-8")
+    assert main(["--config", str(path), "--suite", suite, "--trials", "3", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and suite in err and "needs n = 4" in err
+
+
+@pytest.mark.parametrize("suite", ["interlace-full-rank", "interlace-inflated", "oblique-counterexample"])
+def test_prescribed_spectrum_runs_at_its_n(tmp_path, capsys, suite):
+    path = tmp_path / "prescribed.ini"
+    path.write_text(PRESCRIBED + "n = 4\n", encoding="utf-8")
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(path), "--suite", suite, "--trials", "3",
+                 "--format", "csv", "--out", str(out)]) == 0
+    for row in out.read_text(encoding="utf-8").splitlines()[1:]:
+        assert row.split(",")[3] == "4" and row.split(",")[6] == "true"
+
+
+@pytest.mark.parametrize("pinned", ["k = 9", "n = 12\nk = 5", "n = 12\nk = 5\nl = 4"])
+@pytest.mark.parametrize("suite", ["interlace-full-rank", "subsumption"])
+def test_pinned_k_needs_equal_l(tmp_path, capsys, suite, pinned):
+    # these suites have K = L: a pinned k other than a pinned l used to be
+    # dropped without a word
+    path = tmp_path / "pinned.ini"
+    path.write_text(f"[ensemble]\n{pinned}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", suite, "--trials", "3", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and suite in err and "pinned k" in err
+
+
+@pytest.mark.parametrize("suite", ["interlace-full-rank", "subsumption"])
+def test_pinned_k_equal_to_l_runs(tmp_path, capsys, suite):
+    path = tmp_path / "pinned.ini"
+    path.write_text("[ensemble]\nn = 12\nk = 5\nl = 5\n", encoding="utf-8")
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(path), "--suite", suite, "--trials", "3",
+                 "--format", "csv", "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[3:6] for row in rows] == [["12", "5", "5"]] * 3

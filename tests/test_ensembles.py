@@ -5,7 +5,13 @@ from numpy.testing import assert_allclose
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
 from pseudosim.ensembles import (
     EnsembleSpec,
+    _haar_columns,
+    draw_full_column_rank,
+    draw_hermitian,
+    draw_rank_l,
     draw_spectrum,
+    draw_unitary,
+    haar_factors,
     hermitian_with_spectrum,
     random_full_column_rank,
     random_invertible_nonunitary,
@@ -16,7 +22,7 @@ from pseudosim.ensembles import (
 from pseudosim.errors import ContractViolation, DimensionError
 from pseudosim.interlace import classify_real
 from pseudosim.linalg import is_hermitian, numerical_rank, penrose_residuals, pseudo_inverse, svd
-from pseudosim.rng import SplitMix64
+from pseudosim.rng import SplitMix64, complex_normals_from
 
 
 def test_unitary_1x1_unit_modulus():
@@ -188,3 +194,48 @@ def test_ensemble_spec_validation():
         EnsembleSpec(seed=1, condition_cap=0.5)
     spec = EnsembleSpec(seed=2**65 + 5)
     assert spec.seed == 5  # wrapped to 64 bits
+
+
+def _haar_reference(a):
+    """One QR call for one Gaussian, then the rephasing, as a generator
+    computed it per matrix."""
+    q, r = np.linalg.qr(a, mode="reduced")
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (4, 1), (6, 6), (9, 4), (16, 16)])
+@pytest.mark.parametrize("count", [1, 7])
+def test_stacked_haar_factor_is_bitwise_per_matrix(n, l, count):
+    rng = SplitMix64(1000 * n + l)
+    gaussians = [rng.complex_normals((n, l)) for _ in range(count)]
+    stacked = _haar_columns(np.stack(gaussians))
+    assert stacked.shape == (count, n, l)
+    for g, q in zip(gaussians, stacked):
+        assert np.array_equal(q, _haar_reference(g))
+
+
+def test_haar_factors_keep_draw_order_across_shapes():
+    rng = SplitMix64(63)
+    draws = [draw_unitary(rng, 5, 2), draw_full_column_rank(rng, 5, 2), draw_unitary(rng, 3, 3),
+             draw_rank_l(rng, 4, 7, 2), draw_hermitian(rng, [1.0, -2.0, 0.5])]
+    factors = haar_factors(draws)
+    assert [len(f) for f in factors] == [len(d.shapes) for d in draws]
+    for d, f in zip(draws, factors):
+        for shape, words, q in zip(d.shapes, d.words, f):
+            assert np.array_equal(q, _haar_reference(complex_normals_from(words, shape)))
+
+
+def test_generators_are_their_draws_assembled():
+    # the public generators and a batch of draws give the same matrices
+    def draws(rng):
+        return [draw_hermitian(rng, [0.5, -1.0, 2.0, 1.5]), draw_full_column_rank(rng, 6, 3, 1e2),
+                draw_rank_l(rng, 5, 8, 2), draw_unitary(rng, 4, 4)]
+    batch = draws(SplitMix64(64))
+    built = [d.assemble(f) for d, f in zip(batch, haar_factors(batch))]
+    rng = SplitMix64(64)
+    direct = [hermitian_with_spectrum(rng, [0.5, -1.0, 2.0, 1.5]), random_full_column_rank(rng, 6, 3, 1e2),
+              random_rank_l(rng, 5, 8, 2), random_unitary(rng, 4, 4)]
+    for a, b in zip(built, direct):
+        assert np.array_equal(a, b)

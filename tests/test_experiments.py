@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
+import pseudosim.experiments as experiments
 from pseudosim.ensembles import EnsembleSpec
-from pseudosim.errors import ContractViolation
+from pseudosim.errors import ContractViolation, NumericalError
 from pseudosim.experiments import (
     OBLIQUE_DEFAULT_BUDGET,
     OBLIQUE_DEFAULT_CAP,
@@ -182,3 +183,77 @@ def test_subsumption_trial_factors_q_once(svd_calls):
         outcome = run_trial(EnsembleSpec(seed=42), "subsumption", index)
         assert outcome.passed
         assert svd_calls == [(outcome.n, outcome.l)]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of a few trials each; returns the list to which the trial
+    indices of every checked chunk are appended."""
+    chunks = []
+    check_chunk = experiments._check_chunk
+
+    def recorded(spec, suite, chunk, tolerances):
+        chunks.append([trial.trial_index for trial in chunk])
+        return check_chunk(spec, suite, chunk, tolerances)
+
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 1024)
+    monkeypatch.setattr(experiments, "_check_chunk", recorded)
+    return chunks
+
+
+@pytest.mark.parametrize("suite", sorted(THEOREM_SUITES))
+def test_chunked_run_equals_single_trials(small_chunks, suite):
+    records = run_suite(_config(suites=(suite,), trials=40))
+    assert len(small_chunks) >= 3 and max(map(len, small_chunks)) >= 2, small_chunks
+    assert [i for chunk in small_chunks for i in chunk] == list(range(40))
+    for index, record in enumerate(records):
+        outcome = run_trial(EnsembleSpec(seed=42), suite, index)
+        assert outcome.record(suite, index, trial_seed(42, suite, index)) == record
+
+
+def test_default_chunk_bound():
+    # one trial's draws at n = 64, k = 128, l = 48 pass the bound alone, so
+    # every such trial is a chunk of its own
+    drawn = experiments._draw_trial(EnsembleSpec(seed=1, n=64, k=128, l=48), "interlace-inflated", 0)
+    assert drawn.nbytes == 16 * (64 * 64 + 64 * 48 + 48 * 48 + 128 * 48) + 8 * 64
+    assert 2 * drawn.nbytes > experiments.CHUNK_BYTES >= drawn.nbytes
+
+
+def test_failed_checks_stay_inside_their_trial(small_chunks):
+    # RealnessViolation at a realness tolerance below rounding fails all but
+    # a few trials of a chunk; the others keep their records
+    suite = "interlace-full-rank"
+    default = run_suite(_config(suites=(suite,), trials=30))
+    small_chunks.clear()
+    forced = run_suite(_config(suites=(suite,), trials=30, tolerances=Tolerances(realness=1e-18)))
+    assert any(len({forced[i].passed for i in chunk}) == 2 for chunk in small_chunks), small_chunks
+    for record, expected in zip(forced, default):
+        if record.passed:
+            assert record == expected
+        else:
+            assert record.notes.startswith("RealnessViolation")
+            assert (record.n, record.k, record.l) == (expected.n, expected.k, expected.l)
+
+
+def test_failed_draws_stay_inside_their_trial(small_chunks, monkeypatch):
+    # a draw that raises fails its own trial, with the dimensions it drew
+    suite = "interlace-rank-deficient"
+    default = run_suite(_config(suites=(suite,), trials=30))
+    draw_spectrum = experiments.draw_spectrum
+
+    def odd_n_fails(rng, spec, n):
+        if n % 2:
+            raise NumericalError(f"no spectrum at n = {n}")
+        return draw_spectrum(rng, spec, n)
+
+    monkeypatch.setattr(experiments, "draw_spectrum", odd_n_fails)
+    small_chunks.clear()
+    forced = run_suite(_config(suites=(suite,), trials=30))
+    assert any(len({forced[i].n % 2 for i in chunk}) == 2 for chunk in small_chunks), small_chunks
+    for record, expected in zip(forced, default):
+        if record.n % 2:
+            assert not record.passed
+            assert record.notes == f"NumericalError: no spectrum at n = {record.n}"
+            assert (record.n, record.k, record.l) == (expected.n, expected.k, expected.l)
+        else:
+            assert record == expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudosim.rng import GOLDEN, SplitMix64, derive_seed, mix64
+from pseudosim.rng import GOLDEN, SplitMix64, complex_normals_from, derive_seed, mix64
 
 
 # Reference outputs of the standard splitmix64 stream, cross-checked against
@@ -73,6 +73,19 @@ def test_complex_normals_layout():
     assert abs(var - 2.0) < 0.1  # unit variance per component
 
 
+def test_complex_normals_from_stacked_words():
+    # a stack of word rows makes the same arrays as each row alone, and as
+    # the stream's own complex draw of those words
+    g = SplitMix64(18)
+    rows = [g.uint64s(4 * 15) for _ in range(5)]
+    stacked = complex_normals_from(np.stack(rows), (5, 3))
+    ref = SplitMix64(18)
+    assert stacked.shape == (5, 5, 3)
+    for row, z in zip(rows, stacked):
+        assert np.array_equal(z, complex_normals_from(row, (5, 3)))
+        assert np.array_equal(z, ref.complex_normals((5, 3)))
+
+
 # Derived draws at one seed, pinned bit for bit: a change to how words become
 # uniforms or normals (or to the complex layout) must show here.
 GOLDEN_SEED = 20251018
@@ -132,3 +145,52 @@ def test_derive_seed_splits_streams():
 
 def test_mix64_is_the_stream_step():
     assert mix64((5 + GOLDEN) & 0xFFFFFFFFFFFFFFFF) == SplitMix64(5).next_uint64()
+
+
+def test_interleaved_draws_follow_the_stream():
+    # each draw, whatever its kind or size, takes the next words of the
+    # splitmix64 stream and leaves the state just past them; the 5000-word
+    # draw is larger than the look-ahead block
+    seed = 0x5EED
+    consumed = 0
+
+    def words(count):
+        nonlocal consumed
+        out = [mix64((seed + (consumed + i + 1) * GOLDEN) & 0xFFFFFFFFFFFFFFFF) for i in range(count)]
+        consumed += count
+        return out
+
+    g = SplitMix64(seed)
+    calls = [
+        lambda: g.randint(3, 17) == 3 + words(1)[0] % 15,
+        lambda: g.uniforms(3).tolist() == [(w >> 11) / 2.0**53 for w in words(3)],
+        lambda: g.uint64s(0).size == 0,
+        lambda: g.uniforms(1).tolist() == [(w >> 11) / 2.0**53 for w in words(1)],
+        lambda: np.array_equal(g.complex_normals((3, 2)), _complex_reference(words(24), (3, 2))),
+        lambda: g.choose_distinct(3, 8) == _fisher_yates(words(3), 3, 8),
+        lambda: g.uint64s(5000).tolist() == words(5000),
+        lambda: g.randint(0, 2**40) == words(1)[0] % (2**40 + 1),
+        lambda: g.uniforms(5).tolist() == [(w >> 11) / 2.0**53 for w in words(5)],
+        lambda: g.next_uint64() == words(1)[0],
+    ]
+    for i, call in enumerate(calls):
+        assert call(), i
+        assert g.state == (seed + consumed * GOLDEN) & 0xFFFFFFFFFFFFFFFF, i
+
+
+def _complex_reference(words, shape):
+    """Box-Muller on the given words: real parts first, then imaginary."""
+    bits = np.array(words, dtype=np.uint64) >> np.uint64(11)
+    u1 = (bits[0::2].astype(np.float64) + 1.0) / 2.0**53
+    u2 = bits[1::2].astype(np.float64) / 2.0**53
+    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    count = len(words) // 4
+    return (normals[:count] + 1j * normals[count:]).reshape(shape)
+
+
+def _fisher_yates(words, count, n):
+    pool = list(range(n))
+    for i, w in zip(range(count), words):
+        j = i + w % (n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]
