@@ -6,6 +6,11 @@ complex QR iteration (both via LAPACK, which budgets 30 iterations per
 eigenvalue before reporting non-convergence).  Eigenvectors are deliberately
 not part of the public surface; :func:`eig_residual` accepts externally
 supplied vectors for spot checks.
+
+Each solver is a private body that works on a stack of same-size matrices
+with one LAPACK call, and a public function that validates one matrix and
+runs the body on a stack of one; a stack gives each matrix the spectrum it
+gets alone.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
-from .linalg import _is_hermitian, as_matrix
+from .linalg import _hermitian_each, as_matrix
 
 
 def spectral_scale(values) -> float:
@@ -34,6 +39,12 @@ def sort_eigenvalues(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.complex128).ravel()
     order = np.lexsort((values.imag, values.real))
     return values[order]
+
+
+def _sorted_rows(values: np.ndarray) -> np.ndarray:
+    """:func:`sort_eigenvalues` of each row of a stack of complex arrays."""
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    return np.take_along_axis(values, order, axis=-1)
 
 
 @dataclass
@@ -59,14 +70,19 @@ def eigvals_hermitian(m, tol: float | None = None) -> Spectrum:
     scale-relative); a non-Hermitian input is a contract violation, never
     silently symmetrized.
     """
-    m = as_matrix(m)
-    if not _is_hermitian(m, tol):
+    w = _eigvals_hermitian(as_matrix(m)[np.newaxis], tol)[0]
+    return Spectrum(values=w.astype(np.complex128))
+
+
+def _eigvals_hermitian(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Ascending real spectra of a stack of finite matrices, each of which
+    must be Hermitian within ``tol``."""
+    if not _hermitian_each(m, tol).all():
         raise ContractViolation("input is not Hermitian within tolerance")
     try:
-        w = np.linalg.eigvalsh(m)
+        return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return Spectrum(values=w.astype(np.complex128))
 
 
 def eigvals_general(m) -> Spectrum:
@@ -74,11 +90,15 @@ def eigvals_general(m) -> Spectrum:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"eigenvalues are defined for square matrices, got {m.shape}")
+    return Spectrum(values=_eigvals_general(m[np.newaxis])[0])
+
+
+def _eigvals_general(m: np.ndarray) -> np.ndarray:
+    """Unsorted spectra of a stack of finite square matrices."""
     try:
-        w = np.linalg.eigvals(m)
+        return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"general eigensolver did not converge: {exc}") from exc
-    return Spectrum(values=w)
 
 
 def eig_residual(m, value, vector) -> float:
@@ -101,16 +121,24 @@ def match_distance(a, b) -> float:
     Complex spectra have no perturbation-stable total order, so comparisons
     go through this matching rather than through positional differences.
     """
-    a = sort_eigenvalues(a)
-    b = sort_eigenvalues(b)
+    a = np.asarray(a, dtype=np.complex128).ravel()
+    b = np.asarray(b, dtype=np.complex128).ravel()
     if a.size != b.size:
         raise DimensionError(f"multiset sizes differ: {a.size} vs {b.size}")
-    used = np.zeros(b.size, dtype=bool)
-    worst = 0.0
-    for z in a:
-        dist = np.abs(b - z)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        used[j] = True
-        worst = max(worst, float(dist[j]))
+    return float(_match_distances(a[np.newaxis], b[np.newaxis])[0])
+
+
+def _match_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`match_distance` of each row of the stack a to the same row of
+    the stack b, with rows of one length."""
+    a = _sorted_rows(np.asarray(a, dtype=np.complex128))
+    b = _sorted_rows(np.asarray(b, dtype=np.complex128))
+    rows = np.arange(len(a))
+    used = np.zeros(b.shape, dtype=bool)
+    worst = np.zeros(len(a))
+    for i in range(a.shape[1]):
+        dist = np.where(used, np.inf, np.abs(b - a[:, i:i + 1]))
+        j = np.argmin(dist, axis=1)
+        used[rows, j] = True
+        worst = np.fmax(worst, dist[rows, j])
     return worst

@@ -162,7 +162,10 @@ def haar_factors(draws) -> list[tuple[np.ndarray, ...]]:
         by_shape.setdefault(shape, []).append(i)
     factors = [None] * len(shapes)
     for shape, indices in by_shape.items():
-        gaussians = complex_normals_from(np.stack([words[i] for i in indices]), shape)
+        # a draw's words are its own copy, so a group of one uses them as they are
+        rows = (np.stack([words[i] for i in indices]) if len(indices) > 1
+                else words[indices[0]][np.newaxis])
+        gaussians = complex_normals_from(rows, shape)
         for i, q in zip(indices, _haar_columns(gaussians)):
             factors[i] = q
     in_order = iter(factors)
@@ -256,8 +259,9 @@ def draw_rank_l(rng: SplitMix64, n: int, k: int, l: int,
         raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
     core = draw_full_column_rank(rng, n, l, condition_cap)
     shapes, words = _gaussians(rng, (k, l))
+    build_core = core.build  # not core, whose words the build must not hold
     return Draw(core.shapes + shapes, core.words + words,
-                lambda u, w, v: build_rank_deficient(core.build(u, w), v))
+                lambda u, w, v: build_rank_deficient(build_core(u, w), v))
 
 
 def random_rank_l(rng: SplitMix64, n: int, k: int, l: int,

@@ -9,8 +9,11 @@ negative result) that oblique compressions do violate interlacing.
 A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
 check.  Trials run in chunks: each trial of a chunk is drawn from its own
 stream, then the Haar factors of all the chunk's draws come from one stacked
-QR per matrix shape, then each trial is checked.  :func:`run_suite` runs a
-suite's trials in chunks of at most ``CHUNK_BYTES`` of draws;
+QR per matrix shape, then each trial builds its matrices and the suite's
+check takes the chunk's trials at once.  Most checks take them one at a time;
+solver-oracle runs each of its stages on one stack per matrix size.
+:func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
+of draws;
 :func:`run_trial` runs one trial as a chunk of one and returns its
 :class:`TrialOutcome`, so the runner, replay and the acceptance tests share
 one path.
@@ -43,11 +46,20 @@ from .ensembles import (
     random_invertible_nonunitary,
     random_unitary,
 )
-from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
+from .eigen import (
+    _eigvals_general,
+    _eigvals_hermitian,
+    _match_distances,
+    _sorted_rows,
+    eigvals_general,
+    match_distance,
+    relative_imag,
+    spectral_scale,
+)
 from .errors import ContractViolation, NumericalError, RealnessViolation
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import adjoint, penrose_residuals, svd
-from .oracles import charpoly_eigenvalues
+from .linalg import _adjoint, _check_finite, adjoint, penrose_residuals, svd
+from .oracles import _characteristic_polynomial, _polynomial_roots, charpoly_eigenvalues
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
@@ -340,7 +352,7 @@ def _mp_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerance
 def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
     """Side n of the charpoly-checked matrices.  The side k of the
     trace/determinant matrix is the draw's, so it stays 0 until the check
-    reports it."""
+    reports it, and on a trial whose draw raised."""
     n = rng.randint(2, 4)
     return n, 0, n
 
@@ -352,53 +364,121 @@ def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     return g, rng.complex_normals((n_td, n_td))
 
 
-def _oracle_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerances) -> TrialOutcome:
+def _oracle_check(spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialOutcome]:
     """LAPACK-backed solvers against the characteristic-polynomial oracle
-    (n <= 4) plus trace/determinant identities (n <= 6)."""
-    n = dims[0]
-    g, g6 = drawn
-    hm = (g + adjoint(g)) / 2.0
+    (n <= 4) plus trace/determinant identities (n <= 6), for a chunk of
+    trials at once.
 
-    worst = 0.0
-    notes = []
-    for matrix, solver in ((g, eigvals_general), (hm, eigvals_hermitian)):
-        computed = solver(matrix).values
-        oracle = charpoly_eigenvalues(matrix)
-        dev = match_distance(computed, oracle) / spectral_scale(oracle)
-        worst = max(worst, dev)
-        if dev > tols.oracle:
-            notes.append(f"{solver.__name__} deviates from charpoly roots by {dev:.3e}")
+    Each part runs on one stack per matrix size; a trial that raises fails
+    alone.  Every outcome, a failed one too, carries the side of its
+    trace/determinant matrix as k.
+    """
+    charpoly = _per_size(_charpoly_deviations, [trial.drawn[0] for trial in trials])
+    trace_det = _per_size(_trace_det_deviations, [trial.drawn[1] for trial in trials])
+    outcomes = []
+    for trial, devs, identities in zip(trials, charpoly, trace_det):
+        n = trial.dims[0]
+        dims = (n, trial.drawn[1].shape[0], n)
+        error = next((part for part in (devs, identities) if isinstance(part, Exception)), None)
+        if error is not None:
+            outcomes.append(_failed(dims, error))
+            continue
+        trace_dev, det_dev = identities
+        worst = 0.0
+        notes = []
+        for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
+            worst = max(worst, dev)
+            if dev > tols.oracle:
+                notes.append(f"{solver} deviates from charpoly roots by {dev:.3e}")
+        worst = max(worst, trace_dev, det_dev)
+        if trace_dev > tols.oracle:
+            notes.append(f"trace identity off by {trace_dev:.3e}")
+        if det_dev > tols.oracle:
+            notes.append(f"determinant identity off by {det_dev:.3e}")
+        outcomes.append(TrialOutcome(*dims, passed=not notes, worst_residual=worst,
+                                     notes="; ".join(notes)))
+    return outcomes
 
-    n_td = g6.shape[0]
-    w = eigvals_general(g6).values
-    trace_dev = abs(w.sum() - np.trace(g6)) / max(1.0, abs(np.trace(g6)))
-    det = np.linalg.det(g6)
-    det_dev = abs(np.prod(w) - det) / max(1.0, abs(det))
-    worst = max(worst, trace_dev, det_dev)
-    if trace_dev > tols.oracle:
-        notes.append(f"trace identity off by {trace_dev:.3e}")
-    if det_dev > tols.oracle:
-        notes.append(f"determinant identity off by {det_dev:.3e}")
 
-    return TrialOutcome(n, n_td, n, passed=not notes, worst_residual=worst, notes="; ".join(notes))
+def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack g, a row: how far LAPACK's spectra of it and
+    of its Hermitian part lie from their characteristic-polynomial roots, per
+    the roots' spectral scale."""
+    _check_finite(g)
+    hm = (g + _adjoint(g)) / 2.0
+    general = _eigvals_general(g), _polynomial_roots(_characteristic_polynomial(g))
+    _check_finite(hm)
+    hermitian = _eigvals_hermitian(hm), _polynomial_roots(_characteristic_polynomial(hm))
+    return np.stack([_match_distances(w, roots) / np.maximum(1.0, np.abs(roots).max(axis=1))
+                     for w, roots in (general, hermitian)], axis=1)
+
+
+def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
+    """Per matrix of the stack g6: how far the sum and the product of its
+    eigenvalues lie from its trace and its determinant."""
+    _check_finite(g6)
+    w = _sorted_rows(_eigvals_general(g6))
+    traces, dets = np.trace(g6, axis1=1, axis2=2), np.linalg.det(g6)
+    return [(abs(total - trace) / max(1.0, abs(trace)), abs(prod - det) / max(1.0, abs(det)))
+            for total, trace, prod, det in zip(w.sum(axis=1), traces, w.prod(axis=1), dets)]
+
+
+def _per_size(part, matrices) -> list:
+    """``part`` of each square matrix, run on one stack per size.  A stack
+    that raises is redone a matrix at a time, and a matrix that raises alone
+    gets its error in place of its result."""
+    results: list = [None] * len(matrices)
+    by_size: dict[int, list[int]] = {}
+    for i, m in enumerate(matrices):
+        by_size.setdefault(m.shape[0], []).append(i)
+    for rows in by_size.values():
+        stack = np.stack([matrices[i] for i in rows])
+        try:
+            values = part(stack)
+        except _TRIAL_ERRORS:
+            values = []
+            for i in range(len(rows)):
+                try:
+                    values.extend(part(stack[i:i + 1]))
+                except _TRIAL_ERRORS as exc:
+                    values.append(exc)
+        for i, value in zip(rows, values):
+            results[i] = value
+    return results
+
+
+def _each_trial(check, spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialOutcome]:
+    """A chunk check made of a per-trial one: ``check``'s outcome for each
+    trial, or a failed outcome for a trial that raises."""
+    outcomes = []
+    for trial in trials:
+        try:
+            outcomes.append(check(spec, trial.trial_index, trial.dims, trial.drawn, tols))
+        except _TRIAL_ERRORS as exc:
+            outcomes.append(_failed(trial.dims, exc))
+    return outcomes
 
 
 #: suite -> (dimension rule, draw, check), in canonical order: a suite's
 #: position indexes its seed derivation.  The draw takes every random number
 #: of a trial and returns its drawn values; a :class:`Draw` among them reaches
-#: the check as the matrix it builds.  The oblique search has no per-trial
+#: the check as the matrix it builds.  The check takes a chunk's trials and
+#: returns their outcomes, in order.  The oblique search has no per-trial
 #: entry, because it yields one record per search rather than one per trial.
 _SUITE_TABLE = {
     "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
-                            partial(_interlace_draw, inflate=False), _interlace_check),
+                            partial(_interlace_draw, inflate=False),
+                            partial(_each_trial, _interlace_check)),
     "interlace-rank-deficient": (partial(_deficient_dims, suite="interlace-rank-deficient"),
-                                 partial(_interlace_draw, inflate=True), _interlace_check),
+                                 partial(_interlace_draw, inflate=True),
+                                 partial(_each_trial, _interlace_check)),
     "interlace-inflated": (partial(_deficient_dims, suite="interlace-inflated"),
-                           partial(_interlace_draw, inflate=True), _interlace_check),
+                           partial(_interlace_draw, inflate=True),
+                           partial(_each_trial, _interlace_check)),
     "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_draw,
-                    _subsumption_check),
+                    partial(_each_trial, _subsumption_check)),
     "oblique-counterexample": None,
-    "mp-axioms": (_mp_dims, _mp_draw, _mp_check),
+    "mp-axioms": (_mp_dims, _mp_draw, partial(_each_trial, _mp_check)),
     "solver-oracle": (_oracle_dims, _oracle_draw, _oracle_check),
 }
 
@@ -427,7 +507,8 @@ def _failed(dims, exc: Exception) -> TrialOutcome:
 class _DrawnTrial(NamedTuple):
     trial_index: int
     dims: tuple[int, int, int]
-    drawn: tuple                         # the draw's values, empty if it raised
+    drawn: tuple                         # the draw's values, empty if it raised;
+                                         # a check gets them built
     failed: TrialOutcome | None = None   # the outcome of a draw that raised
 
     @property
@@ -454,25 +535,39 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int) -> _DrawnTrial
         return _DrawnTrial(trial_index, dims, (), _failed(dims, exc))
 
 
+def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
+    """The chunk's trials with each :class:`Draw` built into its matrix, and
+    a failed outcome for a trial whose matrices raise.  The Haar factors of
+    every draw in the chunk come from one stacked QR per matrix shape.
+
+    Takes the trials out of ``chunk`` one at a time, so each trial's words
+    and Haar factors are let go as soon as its matrices are built.
+    """
+    factors = haar_factors([d for trial in chunk for d in trial.draws])[::-1]
+    chunk.reverse()
+    built = []
+    while chunk:
+        trial = chunk.pop()
+        if trial.failed is None:
+            mine = [factors.pop() if isinstance(v, Draw) else None for v in trial.drawn]
+            try:
+                trial = trial._replace(drawn=tuple(v.assemble(q) if q is not None else v
+                                                   for v, q in zip(trial.drawn, mine)))
+            except _TRIAL_ERRORS as exc:
+                trial = trial._replace(drawn=(), failed=_failed(trial.dims, exc))
+        built.append(trial)
+    return built
+
+
 def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
                  tolerances: Tolerances) -> list[TrialOutcome]:
-    """Outcomes of drawn trials, in order.  The Haar factors of every draw in
-    the chunk come from one stacked QR per matrix shape; a trial that raises
-    while its matrices are built or checked fails alone."""
+    """Outcomes of drawn trials, in order, emptying ``chunk``.  The suite's
+    check takes the built trials at once; a trial that raises while its
+    matrices are built or checked fails alone."""
     check = _SUITE_TABLE[suite][2]
-    factors = iter(haar_factors([d for trial in chunk for d in trial.draws]))
-    outcomes = []
-    for trial in chunk:
-        if trial.failed is not None:
-            outcomes.append(trial.failed)
-            continue
-        mine = [next(factors) if isinstance(v, Draw) else None for v in trial.drawn]
-        try:
-            values = tuple(v.assemble(q) if q is not None else v for v, q in zip(trial.drawn, mine))
-            outcomes.append(check(spec, trial.trial_index, trial.dims, values, tolerances))
-        except _TRIAL_ERRORS as exc:
-            outcomes.append(_failed(trial.dims, exc))
-    return outcomes
+    trials = _built(chunk)
+    checked = iter(check(spec, [trial for trial in trials if trial.failed is None], tolerances))
+    return [trial.failed if trial.failed is not None else next(checked) for trial in trials]
 
 
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances):
@@ -482,12 +577,12 @@ def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Toler
     size = 0
     for trial_index in trial_indices:
         trial = _draw_trial(spec, suite, trial_index)
-        nbytes = trial.nbytes
-        if chunk and size + nbytes > CHUNK_BYTES:
+        if chunk and size + trial.nbytes > CHUNK_BYTES:
             yield from _check_chunk(spec, suite, chunk, tolerances)
-            chunk, size = [], 0
+            size = 0
+        size += trial.nbytes
         chunk.append(trial)
-        size += nbytes
+        del trial  # the chunk holds the only reference, which checking it drops
     if chunk:
         yield from _check_chunk(spec, suite, chunk, tolerances)
 

@@ -33,9 +33,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got shape {m.shape}")
+    _check_finite(m, name)
+    return m
+
+
+def _check_finite(m: np.ndarray, name: str = "matrix") -> None:
+    """:func:`as_matrix`'s finiteness check, over a matrix or a whole stack."""
     if m.size and not np.isfinite(m).all():
         raise ContractViolation(f"{name} contains non-finite entries")
-    return m
 
 
 def default_rank_tol(shape) -> float:
@@ -44,11 +49,10 @@ def default_rank_tol(shape) -> float:
     return max(shape) * EPS
 
 
-def default_hermiticity_tol(m) -> float:
-    """Scale-relative hermiticity tolerance: 1e-10 times the largest entry."""
-    m = np.asarray(m)
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    return HERMITICITY_REL_TOL * scale
+def default_hermiticity_tol(m):
+    """Scale-relative hermiticity tolerance: 1e-10 times the largest entry,
+    per matrix of a stack."""
+    return HERMITICITY_REL_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def adjoint(m) -> np.ndarray:
@@ -57,8 +61,9 @@ def adjoint(m) -> np.ndarray:
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
-    """:func:`adjoint` of an array :func:`as_matrix` has already validated."""
-    return m.conj().T.copy()
+    """:func:`adjoint` of an array :func:`as_matrix` has already validated,
+    or of each matrix of a stack of them."""
+    return m.conj().swapaxes(-1, -2).copy()
 
 
 def is_hermitian(m, tol: float | None = None) -> bool:
@@ -68,13 +73,17 @@ def is_hermitian(m, tol: float | None = None) -> bool:
 
 def _is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
     """:func:`is_hermitian` of an array :func:`as_matrix` has already validated."""
-    if m.shape[0] != m.shape[1]:
+    return bool(_hermitian_each(m, tol))
+
+
+def _hermitian_each(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Whether each matrix of a validated stack is Hermitian within ``tol``;
+    None takes each matrix's own scale-relative default."""
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"hermiticity is defined for square matrices, got {m.shape}")
     if tol is None:
         tol = default_hermiticity_tol(m)
-    if m.size == 0:
-        return True
-    return float(np.abs(m - m.conj().T).max()) <= tol
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= tol
 
 
 @dataclass

@@ -6,13 +6,23 @@ Weierstrass (Durand-Kerner) iteration above that.  Coefficients come from the
 Faddeev-LeVerrier trace recurrence, so no factorization is shared with the
 solvers under test.  Intended for desk sizes (n <= 6 or so); the recurrence
 loses accuracy quickly beyond that.
+
+Both steps run on a stack at once: same-size matrices, or polynomials of one
+degree.  The public functions validate one input and run the stacked body on
+a stack of one.  The Weierstrass iteration corrects every polynomial of the
+stack together and freezes each one as its correction settles, so each
+polynomial gets the roots it gets alone, bit for bit.  That needs one rule:
+the products over ``j != i`` run on a C-contiguous array.  Masking the
+stacked differences gives an array whose factors lie a whole stack apart;
+numpy then multiplies them with its vectorised complex multiply across the
+stack, which rounds differently from its product along a contiguous row.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
-from .eigen import sort_eigenvalues
+from .eigen import _sorted_rows
 from .linalg import as_matrix
 
 
@@ -23,29 +33,43 @@ def characteristic_polynomial(m) -> np.ndarray:
     c_k = -trace(M_k)/k, N_k = M_k + c_k I.
     """
     m = as_matrix(m)
-    n = m.shape[0]
-    if n != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise DimensionError(f"characteristic polynomial needs a square matrix, got {m.shape}")
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    nk = np.eye(n, dtype=np.complex128)
+    return _characteristic_polynomial(m[np.newaxis])[0]
+
+
+def _characteristic_polynomial(m: np.ndarray) -> np.ndarray:
+    """One row of coefficients per matrix of a stack of finite square ones."""
+    count, n = m.shape[0], m.shape[-1]
+    coeffs = np.zeros((count, n + 1), dtype=np.complex128)
+    coeffs[:, 0] = 1.0
+    eye = np.eye(n)
+    nk = np.repeat(eye[np.newaxis].astype(np.complex128), count, axis=0)
     for k in range(1, n + 1):
         mk = m @ nk
-        c = -np.trace(mk) / k
-        coeffs[k] = c
-        nk = mk + c * np.eye(n)
+        c = -np.trace(mk, axis1=1, axis2=2) / k
+        coeffs[:, k] = c
+        nk = mk + c[:, np.newaxis, np.newaxis] * eye
     return coeffs
 
 
 def _quadratic_roots(b, c) -> np.ndarray:
-    # roots of t^2 + b t + c, cancellation-safe branch choice
-    s = np.sqrt(complex(b * b - 4.0 * c))
-    if abs(b - s) > abs(b + s):
-        s = -s
+    """Roots of t^2 + b t + c, one row per entry of the arrays b and c, with
+    the cancellation-safe branch choice.
+
+    b^2 and the moduli are formed as numpy's scalar arithmetic forms them:
+    its vectorised complex square and absolute value round differently.
+    """
+    b_sq = np.empty_like(b)
+    b_sq.real = b.real * b.real - b.imag * b.imag
+    b_sq.imag = 2.0 * (b.real * b.imag)
+    s = np.sqrt(b_sq - 4.0 * c)
+    minus, plus = b - s, b + s
+    s = np.where(np.hypot(minus.real, minus.imag) > np.hypot(plus.real, plus.imag), -s, s)
     q = -(b + s) / 2.0
-    if q == 0:
-        return np.zeros(2, dtype=np.complex128)
-    return np.array([q, c / q], dtype=np.complex128)
+    roots = np.stack([q, c / np.where(q == 0, 1.0, q)], axis=-1)
+    roots[q == 0] = 0.0
+    return roots
 
 
 def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
@@ -59,31 +83,45 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size < 2:
         raise ContractViolation("need a polynomial of degree >= 1")
-    if not np.all(np.isfinite(c)) or c[0] == 0:
-        raise ContractViolation("coefficients must be finite with a nonzero leading term")
-    if c[0] != 1.0:
-        c = c / c[0]
-    n = c.size - 1
-    if n == 1:
-        return np.array([-c[1]])
-    if n == 2:
-        return sort_eigenvalues(_quadratic_roots(c[1], c[2]))
+    return _polynomial_roots(c[np.newaxis], max_iter)[0]
 
-    radius = 1.0 + float(np.abs(c[1:]).max())  # Cauchy bound on |root|
-    z = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
+
+def _polynomial_roots(c: np.ndarray, max_iter: int = 500) -> np.ndarray:
+    """Roots of each row of a stack of coefficient rows of one degree >= 1,
+    sorted by (real, imag) from degree 2 on.  Raises if any row is not
+    finite with a nonzero leading term, or if its iteration does not settle."""
+    if not (np.isfinite(c).all() and c[:, 0].all()):
+        raise ContractViolation("coefficients must be finite with a nonzero leading term")
+    rescale = c[:, 0] != 1.0
+    if rescale.any():
+        c = c.copy()
+        c[rescale] /= c[rescale, :1]
+    n = c.shape[1] - 1
+    if n == 1:
+        return -c[:, 1:]
+    if n == 2:
+        return _sorted_rows(_quadratic_roots(c[:, 1], c[:, 2]))
+
+    radius = 1.0 + np.abs(c[:, 1:]).max(axis=1)  # Cauchy bound on |root|
+    z = radius[:, np.newaxis] * (0.4 + 0.9j) ** np.arange(1, n + 1)
     off = ~np.eye(n, dtype=bool)
+    active = np.arange(len(c))  # rows still iterating
     for _ in range(max_iter):
-        p = np.zeros_like(z)  # Horner's rule, as np.polyval(c, z) evaluates it
-        for coeff in c:
-            p = p * z + coeff
-        denom = (z[:, None] - z)[off].reshape(n, n - 1).prod(axis=1)  # prod_{j != i} (z_i - z_j)
-        step = p / denom
-        z = z - step
-        if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(z).max())):
+        za, ca = z[active], c[active]
+        p = np.zeros_like(za)  # Horner's rule, as np.polyval(c, z) evaluates it
+        for j in range(n + 1):
+            p = p * za + ca[:, j:j + 1]
+        diffs = np.ascontiguousarray((za[:, :, np.newaxis] - za[:, np.newaxis, :])[:, off])
+        step = p / diffs.reshape(-1, n, n - 1).prod(axis=2)  # prod_{j != i} (z_i - z_j)
+        za = za - step
+        z[active] = za
+        settled = np.abs(step).max(axis=1) <= 1e-14 * np.maximum(1.0, np.abs(za).max(axis=1))
+        active = active[~settled]
+        if not active.size:
             break
     else:
         raise NumericalError(f"root iteration did not settle for degree {n}")
-    return sort_eigenvalues(z)
+    return _sorted_rows(z)
 
 
 def charpoly_eigenvalues(m) -> np.ndarray:

@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose
 
 from pseudosim.eigen import (
     Spectrum,
+    _eigvals_general,
+    _eigvals_hermitian,
+    _match_distances,
     eig_residual,
     eigvals_general,
     eigvals_hermitian,
@@ -107,3 +110,21 @@ def test_match_distance():
     assert match_distance([1, 2], [2.0 + 1e-12, 1.0]) < 1e-9
     with pytest.raises(DimensionError):
         match_distance([1, 2], [1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_stacked_solvers_are_bitwise_per_matrix(n):
+    # one LAPACK call over a stack gives each matrix its own spectrum, and
+    # the stacked matching gives each pair of rows its own distance
+    rng = SplitMix64(60 + n)
+    general = np.array([rng.complex_normals((n, n)) for _ in range(40)])
+    hermitian = (general + general.conj().swapaxes(1, 2)) / 2
+    spectra = _eigvals_general(general)
+    assert np.array_equal(np.sort_complex(spectra), [eigvals_general(m).values for m in general])
+    assert np.array_equal(_eigvals_hermitian(hermitian),
+                          [eigvals_hermitian(m).values.real for m in hermitian])
+    perturbed = spectra[::-1] + 1e-9 * spectra
+    assert np.array_equal(_match_distances(spectra, perturbed),
+                          [match_distance(a, b) for a, b in zip(spectra, perturbed)])
+    with pytest.raises(ContractViolation):
+        _eigvals_hermitian(np.concatenate([hermitian[:3], general[:1]]))

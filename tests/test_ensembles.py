@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pseudosim.ensembles as ensembles
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
 from pseudosim.ensembles import (
     EnsembleSpec,
@@ -239,3 +240,22 @@ def test_generators_are_their_draws_assembled():
               random_rank_l(rng, 5, 8, 2), random_unitary(rng, 4, 4)]
     for a, b in zip(built, direct):
         assert np.array_equal(a, b)
+
+
+def test_single_draw_group_is_a_view_of_its_words(monkeypatch):
+    # a shape that only one draw of the batch has is made from that draw's
+    # own words, not from a second copy of them
+    seen = []
+    complex_normals = ensembles.complex_normals_from
+
+    def recorded(words, shape):
+        seen.append(words)
+        return complex_normals(words, shape)
+
+    monkeypatch.setattr(ensembles, "complex_normals_from", recorded)
+    rng = SplitMix64(3)
+    alone, first, second = draw_unitary(rng, 5, 2), draw_unitary(rng, 4, 3), draw_unitary(rng, 4, 3)
+    haar_factors([alone, first, second])
+    assert len(seen) == 2
+    assert np.shares_memory(seen[0], alone.words[0])
+    assert not any(np.shares_memory(seen[1], d.words[0]) for d in (first, second))

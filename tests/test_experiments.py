@@ -1,5 +1,11 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+import weakref
 
+import numpy as np
 import pytest
 
 import pseudosim.experiments as experiments
@@ -257,3 +263,114 @@ def test_failed_draws_stay_inside_their_trial(small_chunks, monkeypatch):
             assert (record.n, record.k, record.l) == (expected.n, expected.k, expected.l)
         else:
             assert record == expected
+
+
+def test_chunk_frees_words_before_its_check(monkeypatch):
+    # once a chunk's Haar factors are made, its draws' words are gone: the
+    # check runs without them
+    suite = "interlace-rank-deficient"
+    spec = EnsembleSpec(seed=42)
+    chunk = [experiments._draw_trial(spec, suite, i) for i in range(4)]
+    words = [weakref.ref(w) for trial in chunk for d in trial.draws for w in d.words]
+    alive = []
+    dims, draw, check = experiments._SUITE_TABLE[suite]
+
+    def counted(spec, trials, tolerances):
+        alive.append(sum(ref() is not None for ref in words))
+        return check(spec, trials, tolerances)
+
+    monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted))
+    outcomes = experiments._check_chunk(spec, suite, chunk, Tolerances())
+    assert len(words) == 16 and alive == [0] and chunk == []
+    assert all(outcome.passed for outcome in outcomes)
+
+
+ORACLE = "solver-oracle"
+
+
+def _oracle_records():
+    """The first 20 solver-oracle records at seed 42: one chunk whose charpoly
+    stacks hold 3 to 9 trials each (n = 2, 3, 4)."""
+    return run_suite(_config(suites=(ORACLE,), trials=20))
+
+
+def _oracle_g(trial_index):
+    return experiments._draw_trial(EnsembleSpec(seed=42), ORACLE, trial_index).drawn[0]
+
+
+def _only_trial_failed(forced, default, trial_indices, notes):
+    """Records of forced equal the default ones but on the given trials, which
+    failed with the given notes and the default dimensions."""
+    assert trial_indices
+    for record, expected in zip(forced, default, strict=True):
+        if record.trial_index in trial_indices:
+            assert not record.passed and record.notes == notes
+            assert (record.n, record.k, record.l) == (expected.n, expected.k, expected.l)
+        else:
+            assert record == expected
+
+
+def test_unsettled_root_fails_only_its_trial(monkeypatch):
+    # trial 10 (n = 3) gets the polynomial (z - 1)^3, which the iteration
+    # cannot settle; the other trials of its stack keep their records
+    default = _oracle_records()
+    target = _oracle_g(10)
+    assert target.shape == (3, 3)
+    charpoly = experiments._characteristic_polynomial
+
+    def triple_root_for_target(m):
+        coeffs = charpoly(m)
+        if m.shape[-1] == 3:
+            coeffs[[np.array_equal(x, target) for x in m]] = [1.0, -3.0, 3.0, -1.0]
+        return coeffs
+
+    monkeypatch.setattr(experiments, "_characteristic_polynomial", triple_root_for_target)
+    _only_trial_failed(_oracle_records(), default, {10},
+                       "NumericalError: root iteration did not settle for degree 3")
+
+
+def test_stacked_eigensolve_error_fails_only_its_trial(monkeypatch):
+    # LAPACK failing on one matrix fails the stacked call; only the trial
+    # that owns the matrix fails
+    default = _oracle_records()
+    target = _oracle_g(4)
+    eigvals = np.linalg.eigvals
+
+    def fails_on_target(a):
+        if any(np.array_equal(m, target) for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("forced")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_on_target)
+    _only_trial_failed(_oracle_records(), default, {4},
+                       "NumericalError: general eigensolver did not converge: forced")
+
+
+def test_failed_oracle_records_carry_the_drawn_k(monkeypatch):
+    # a failure after the draw keeps the side of the trace/determinant matrix
+    # as k, as a passed record does
+    default = _oracle_records()
+    det = np.linalg.det
+
+    def no_5x5(a):
+        if a.shape[-1] == 5:
+            raise np.linalg.LinAlgError("forced")
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", no_5x5)
+    _only_trial_failed(_oracle_records(), default,
+                       {r.trial_index for r in default if r.k == 5}, "LinAlgError: forced")
+
+
+@pytest.mark.parametrize("seed, md5", [(3, "7a887ffabdcc7f4d384d53299e54a976"),
+                                       (9, "56d41e5a57a0755ead699865bbc2fdf6")])
+def test_solver_oracle_csv_digest(tmp_path, seed, md5):
+    # 1000 trials through the stacked checks give the CSV of the one trial
+    # at a time check, byte for byte (single-threaded BLAS, numpy 2.4.6)
+    out = tmp_path / "oracle.csv"
+    subprocess.run(
+        [sys.executable, "-m", "pseudosim.cli", "--suite", ORACLE, "--trials", "1000",
+         "--seed", str(seed), "--format", "csv", "--out", str(out)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=300, check=True,
+    )
+    assert hashlib.md5(out.read_bytes()).hexdigest() == md5

@@ -4,7 +4,13 @@ from numpy.testing import assert_allclose
 
 from pseudosim.eigen import eigvals_general, match_distance, spectral_scale
 from pseudosim.errors import ContractViolation, NumericalError
-from pseudosim.oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
+from pseudosim.oracles import (
+    _characteristic_polynomial,
+    _polynomial_roots,
+    characteristic_polynomial,
+    charpoly_eigenvalues,
+    polynomial_roots,
+)
 from pseudosim.rng import SplitMix64
 
 
@@ -82,3 +88,103 @@ def test_oracle_matches_hermitian_small():
         oracle = np.sort(charpoly_eigenvalues(h).real)
         lapack = np.sort(eigvals_general(h).values.real)
         assert np.abs(oracle - lapack).max() <= 1e-6 * spectral_scale(lapack)
+
+
+def _stack(seed, n, count):
+    """count n x n matrices: general ones, their Hermitian parts, and a few
+    rescaled by powers of ten."""
+    rng = SplitMix64(seed)
+    mats = []
+    for i in range(count):
+        g = rng.complex_normals((n, n))
+        if i % 2:
+            g = (g + g.conj().T) / 2
+        if i % 5 == 4:
+            g = g * 10.0 ** rng.randint(-3, 3)
+        mats.append(g)
+    return np.array(mats)
+
+
+def _faddeev_leverrier_reference(m):
+    """Characteristic polynomial of one matrix, the recurrence written out."""
+    n = m.shape[0]
+    coeffs = [1.0 + 0j]
+    nk = np.eye(n, dtype=np.complex128)
+    for k in range(1, n + 1):
+        mk = m @ nk
+        coeffs.append(-np.trace(mk) / k)
+        nk = mk + coeffs[-1] * np.eye(n)
+    return np.array(coeffs)
+
+
+def _weierstrass_reference(c, max_iter=500):
+    """Roots of one monic polynomial of degree >= 3, iterated on their own."""
+    n = c.size - 1
+    z = (1.0 + float(np.abs(c[1:]).max())) * (0.4 + 0.9j) ** np.arange(1, n + 1)
+    off = ~np.eye(n, dtype=bool)
+    for _ in range(max_iter):
+        p = np.zeros_like(z)
+        for coeff in c:
+            p = p * z + coeff
+        step = p / (z[:, None] - z)[off].reshape(n, n - 1).prod(axis=1)
+        z = z - step
+        if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(z).max())):
+            return np.sort_complex(z)
+    raise NumericalError("reference iteration did not settle")
+
+
+@pytest.mark.parametrize("count", [1, 2, 50])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_charpoly_and_roots_are_bitwise_per_matrix(n, count):
+    # a stack gives each matrix and each polynomial exactly what it gets
+    # alone, through the closed forms (n <= 2) and the Weierstrass iteration,
+    # and what the one-matrix recurrence and iteration give
+    mats = _stack(40 + n, n, count)
+    coeffs = _characteristic_polynomial(mats)
+    assert np.array_equal(coeffs, [characteristic_polynomial(m) for m in mats])
+    assert np.array_equal(coeffs, [_faddeev_leverrier_reference(m) for m in mats])
+    roots = _polynomial_roots(coeffs)
+    assert np.array_equal(roots, [polynomial_roots(c) for c in coeffs])
+    if n >= 3:
+        assert np.array_equal(roots, [_weierstrass_reference(c) for c in coeffs])
+    scaled = coeffs * (1.5 - 0.5j)  # not monic: each row is divided by its leading term
+    assert np.array_equal(_polynomial_roots(scaled), [polynomial_roots(c) for c in scaled])
+
+
+def test_unsettled_row_fails_its_stack():
+    # an unsettled row fails the whole stack; the others settle alone in
+    # their usual number of iterations
+    coeffs = _characteristic_polynomial(_stack(50, 3, 4))
+    stuck = np.array([1.0, -3.0, 3.0, -1.0], dtype=np.complex128)  # (z - 1)^3
+    with pytest.raises(NumericalError, match="did not settle for degree 3"):
+        _polynomial_roots(np.vstack([coeffs[:2], stuck, coeffs[2:]]))
+    assert np.array_equal(_polynomial_roots(coeffs), [polynomial_roots(c) for c in coeffs])
+
+
+def test_stacked_roots_contract():
+    coeffs = _characteristic_polynomial(_stack(51, 3, 3))
+    for bad in (np.nan, 0.0):
+        rows = coeffs.copy()
+        rows[1, 0] = bad
+        with pytest.raises(ContractViolation):
+            _polynomial_roots(rows)
+
+
+def _scalar_quadratic(b, c):
+    """Roots of t^2 + b t + c in numpy scalar arithmetic, one pair at a time."""
+    s = np.sqrt(complex(b * b - 4.0 * c))
+    if abs(b - s) > abs(b + s):
+        s = -s
+    q = -(b + s) / 2.0
+    return [0j, 0j] if q == 0 else [q, c / q]
+
+
+def test_quadratic_roots_match_scalar_arithmetic():
+    # the vectorised closed form rounds as scalar arithmetic does, where
+    # numpy's vectorised complex square and absolute value would not
+    rng = SplitMix64(52)
+    coeffs = np.ones((2000, 3), dtype=np.complex128)
+    coeffs[:, 1:] = rng.complex_normals((2000, 2)) * 10.0 ** rng.uniforms(2000)[:, None]
+    coeffs[::7, 2] = 0.0  # a zero root
+    expected = [np.sort_complex(_scalar_quadratic(b, c)) for _, b, c in coeffs]
+    assert np.array_equal(_polynomial_roots(coeffs), expected)
