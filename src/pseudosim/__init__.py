@@ -10,7 +10,6 @@ such protection, and this package can hunt down explicit counterexamples.
 
 from .eigen import (
     Spectrum,
-    eig_residual,
     eigvals_general,
     eigvals_hermitian,
     match_distance,
@@ -104,7 +103,6 @@ __all__ = [
     "counterexample_search",
     "derive_seed",
     "draw_spectrum",
-    "eig_residual",
     "eigvals_general",
     "eigvals_hermitian",
     "emit_report",

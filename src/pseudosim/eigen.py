@@ -4,8 +4,7 @@ Hermitian spectra come from unitary tridiagonalization plus implicit-shift
 QR/QL iteration, general spectra from Hessenberg reduction plus shifted
 complex QR iteration (both via LAPACK, which budgets 30 iterations per
 eigenvalue before reporting non-convergence).  Eigenvectors are deliberately
-not part of the public surface; :func:`eig_residual` accepts externally
-supplied vectors for spot checks.
+not part of the public surface.
 
 Each solver is a private body that works on a stack of same-size matrices
 with one LAPACK call, and a public function that validates one matrix and
@@ -99,18 +98,6 @@ def _eigvals_general(m: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"general eigensolver did not converge: {exc}") from exc
-
-
-def eig_residual(m, value, vector) -> float:
-    """Relative residual ||m v - value v||_2 / ||v||_2 of an eigenpair claim."""
-    m = as_matrix(m)
-    v = np.asarray(vector, dtype=np.complex128).ravel()
-    if v.size != m.shape[1]:
-        raise DimensionError(f"vector length {v.size} does not match matrix side {m.shape[1]}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ContractViolation("residual of the zero vector is undefined")
-    return float(np.linalg.norm(m @ v - value * v)) / norm
 
 
 def match_distance(a, b) -> float:

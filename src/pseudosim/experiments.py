@@ -16,7 +16,8 @@ solver-oracle runs each of its stages on one stack per matrix size.
 of draws;
 :func:`run_trial` runs one trial as a chunk of one and returns its
 :class:`TrialOutcome`, so the runner, replay and the acceptance tests share
-one path.
+one path.  So does :func:`counterexample_search`: it runs the oblique
+suite's trials one at a time and stops at the first re-verified violation.
 
 Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
@@ -26,7 +27,7 @@ carries, independent of which other suites ran.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -38,13 +39,11 @@ from .ensembles import (
     EnsembleSpec,
     draw_full_column_rank,
     draw_hermitian,
+    draw_invertible_nonunitary,
     draw_rank_l,
     draw_spectrum,
     draw_unitary,
     haar_factors,
-    hermitian_with_spectrum,
-    random_invertible_nonunitary,
-    random_unitary,
 )
 from .eigen import (
     _eigvals_general,
@@ -63,7 +62,6 @@ from .oracles import _characteristic_polynomial, _polynomial_roots, charpoly_eig
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
-ORACLE_TOL = 1e-6                 # solver vs charpoly roots, trace/det
 OBLIQUE_DEFAULT_N = 3
 OBLIQUE_DEFAULT_SEED = 7
 OBLIQUE_DEFAULT_CAP = 100.0
@@ -88,7 +86,7 @@ class Tolerances:
     mp: float = 1e-8                  # Penrose residuals
     unitary_pinv: float = 1e-10       # pinv(Q) vs Q^H, subsumption
     route: float = 1e-9               # compression route agreement, subsumption
-    oracle: float = ORACLE_TOL
+    oracle: float = 1e-6              # solver vs charpoly roots, trace/det; oblique witnesses
 
 
 @dataclass
@@ -296,6 +294,62 @@ def _subsumption_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
                         notes="; ".join(notes))
 
 
+def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int):
+    """Side n of P and X, OBLIQUE_DEFAULT_N unless pinned.  The selection
+    size is the draw's: the check reports it."""
+    n = spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
+    _prescribed_fits(spec, "oblique-counterexample", n)
+    if n < 2:
+        raise ContractViolation(f"oblique-counterexample draws 1 <= l <= n - 1, so it needs n >= 2; "
+                                f"got n = {n}")
+    return n, 0, 0
+
+
+def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
+                  control: str | None = None):
+    """P, the frame X and the selection.  X is invertible and non-unitary,
+    or on a control arm unitary or the identity."""
+    n = dims[0]
+    lam = np.sort(draw_spectrum(rng, spec, n))
+    p = draw_hermitian(rng, lam)  # its words come before X's
+    if control == "identity":
+        x = np.eye(n, dtype=np.complex128)
+    elif control == "unitary":
+        x = draw_unitary(rng, n, n)
+    else:
+        x = draw_invertible_nonunitary(rng, n, spec.condition_cap, spec.nonunitarity_floor)
+    l = rng.randint(1, n - 1)
+    return lam, p, x, sorted(rng.choose_distinct(l, n))
+
+
+def _oblique_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
+                   tols: Tolerances) -> TrialOutcome:
+    """How far one oblique compression lands past interlacing, as
+    ``worst_residual``: positive when its spectrum is complex or breaches a
+    margin, zero otherwise.  A breach of a block with at most 6 rows counts
+    only if the characteristic-polynomial roots confirm its spectrum.  The
+    outcome passes either way: a breach is what the search looks for."""
+    lam, p, x, sel = drawn
+    t = oblique_transform(p, x, sel).transformed
+    spectrum, scale = eigvals_general(t), spectral_scale(lam)
+    try:
+        eta = classify_real(spectrum, tols.realness)
+    except RealnessViolation:
+        magnitude = relative_imag(spectrum.values)
+        lo, hi, note = -magnitude, 0.0, f"complex spectrum (max rel imag {magnitude:.3e})"
+    else:
+        report = check_interlacing(lam, eta, tols.interlace * scale)
+        lo, hi = report.min_margins()
+        magnitude = 0.0 if report.passed else max(-lo, -hi) / scale
+        note = "" if report.passed else f"interlacing violated (worst margin {min(lo, hi):.3e})"
+    if magnitude > 0.0 and t.shape[0] <= 6:
+        oracle_dev = match_distance(spectrum.values, charpoly_eigenvalues(t))
+        if oracle_dev > tols.oracle * scale:
+            magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
+    return TrialOutcome(lam.size, len(sel), len(sel), passed=True, min_lower_margin=_finite(lo),
+                        min_upper_margin=_finite(hi), worst_residual=magnitude, notes=note)
+
+
 _MP_SHAPES = ("tall-full", "wide-full", "square-full", "tall-deficient",
               "wide-deficient", "square-deficient")
 
@@ -463,8 +517,8 @@ def _each_trial(check, spec: EnsembleSpec, trials, tols: Tolerances) -> list[Tri
 #: position indexes its seed derivation.  The draw takes every random number
 #: of a trial and returns its drawn values; a :class:`Draw` among them reaches
 #: the check as the matrix it builds.  The check takes a chunk's trials and
-#: returns their outcomes, in order.  The oblique search has no per-trial
-#: entry, because it yields one record per search rather than one per trial.
+#: returns their outcomes, in order.  The oblique search's trials reduce to
+#: one record: see :func:`counterexample_search`.
 _SUITE_TABLE = {
     "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
                             partial(_interlace_draw, inflate=False),
@@ -477,7 +531,7 @@ _SUITE_TABLE = {
                            partial(_each_trial, _interlace_check)),
     "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_draw,
                     partial(_each_trial, _subsumption_check)),
-    "oblique-counterexample": None,
+    "oblique-counterexample": (_oblique_dims, _oblique_draw, partial(_each_trial, _oblique_check)),
     "mp-axioms": (_mp_dims, _mp_draw, partial(_each_trial, _mp_check)),
     "solver-oracle": (_oracle_dims, _oracle_draw, _oracle_check),
 }
@@ -485,9 +539,9 @@ _SUITE_TABLE = {
 #: canonical suite order; positions index the per-suite seed derivation
 SUITES = tuple(_SUITE_TABLE)
 
-#: suites whose failures flip the process exit status (the oblique search
-#: reports not-found as a warning instead)
-THEOREM_SUITES = frozenset(s for s, entry in _SUITE_TABLE.items() if entry is not None)
+#: suites whose failures flip the process exit status: all but the oblique
+#: search, which reports not-found as a warning instead
+THEOREM_SUITES = frozenset(SUITES) - {"oblique-counterexample"}
 
 #: a chunk of trials closes before the arrays its trials drew would pass this
 #: many bytes; a trial that draws more runs as a chunk of its own
@@ -523,14 +577,15 @@ class _DrawnTrial(NamedTuple):
                 + sum(v.nbytes for v in self.drawn if isinstance(v, np.ndarray)))
 
 
-def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int) -> _DrawnTrial:
-    """One trial's dimensions and draws, from its own stream.  A dimension
-    rule's ContractViolation is a configuration error and propagates."""
-    draw_dims, draw, _ = _SUITE_TABLE[suite]
+def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> _DrawnTrial:
+    """One trial's dimensions and draws, from its own stream, by the suite's
+    draw or by ``draw`` in its place.  A dimension rule's ContractViolation
+    is a configuration error and propagates."""
+    draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
     rng = SplitMix64(trial_seed(spec.seed, suite, trial_index))
     dims = draw_dims(rng, spec, trial_index)
     try:
-        return _DrawnTrial(trial_index, dims, draw(rng, spec, trial_index, dims))
+        return _DrawnTrial(trial_index, dims, (draw or suite_draw)(rng, spec, trial_index, dims))
     except _TRIAL_ERRORS as exc:
         return _DrawnTrial(trial_index, dims, (), _failed(dims, exc))
 
@@ -570,13 +625,14 @@ def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
     return [trial.failed if trial.failed is not None else next(checked) for trial in trials]
 
 
-def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances):
-    """Outcomes of the given trials of a theorem suite, in order, checked in
-    chunks of at most CHUNK_BYTES of draws."""
+def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):
+    """Outcomes of the given trials of a suite, in order, checked in chunks
+    of at most CHUNK_BYTES of draws; ``draw``, if given, replaces the
+    suite's draw."""
     chunk: list[_DrawnTrial] = []
     size = 0
     for trial_index in trial_indices:
-        trial = _draw_trial(spec, suite, trial_index)
+        trial = _draw_trial(spec, suite, trial_index, draw)
         if chunk and size + trial.nbytes > CHUNK_BYTES:
             yield from _check_chunk(spec, suite, chunk, tolerances)
             size = 0
@@ -595,136 +651,57 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     A trial that raises a contract or numerical error yields a failed
     outcome that carries the dimensions it drew and the error as its notes.
     """
-    if _SUITE_TABLE.get(suite) is None:
-        raise ContractViolation(f"{suite!r} has no per-trial check; valid: {sorted(THEOREM_SUITES)}")
+    if suite not in THEOREM_SUITES:
+        raise ContractViolation(f"{suite!r} reduces its trials to one search record; "
+                                f"valid: {sorted(THEOREM_SUITES)}")
     return next(_run_trials(spec, suite, (trial_index,), tolerances))
-
-
-def _oblique_n(spec: EnsembleSpec) -> int:
-    n = spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
-    _prescribed_fits(spec, "oblique-counterexample", n)
-    return n
-
-
-def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, control: str | None):
-    n = _oblique_n(spec)
-    lam = np.sort(draw_spectrum(rng, spec, n))
-    p = hermitian_with_spectrum(rng, lam)
-    if control == "identity":
-        x = np.eye(n, dtype=np.complex128)
-    elif control == "unitary":
-        x = random_unitary(rng, n, n)
-    else:
-        x = random_invertible_nonunitary(rng, n, spec.condition_cap, spec.nonunitarity_floor)
-    l = rng.randint(1, n - 1)
-    sel = sorted(rng.choose_distinct(l, n))
-    return lam, p, x, sel
-
-
-def _oblique_violation(lam, p, x, sel, interlace_rel: float, realness_rel: float):
-    """(violation magnitude, lower margin, upper margin, note) for one draw.
-
-    Magnitude is how far past the tolerance the draw lands: positive means
-    the interlacing claim fails here, by complex eigenvalues or by a
-    margin breach.  Zero means the draw is consistent with interlacing.
-    """
-    spectrum = eigvals_general(oblique_transform(p, x, sel).transformed)
-    try:
-        eta = classify_real(spectrum, realness_rel)
-    except RealnessViolation:
-        imag_dev = relative_imag(spectrum.values)
-        return imag_dev, -imag_dev, 0.0, f"complex spectrum (max rel imag {imag_dev:.3e})"
-    tol = interlace_rel * spectral_scale(lam)
-    report = check_interlacing(lam, eta, tol)
-    lo, hi = report.min_margins()
-    if not report.passed:
-        breach = max(-lo, -hi) / spectral_scale(lam)
-        return breach, lo, hi, f"interlacing violated (worst margin {min(lo, hi):.3e})"
-    return 0.0, lo, hi, ""
 
 
 def counterexample_search(config: ExperimentConfig, control: str | None = None) -> TrialRecord | None:
     """Hunt for an oblique compression that breaks interlacing.
 
-    Draws (P, X, selection) until a draw fails the interlacing check, then
-    re-verifies the candidate from its seed alone with tolerances tightened
-    by 10x and the eigenvalues cross-checked against the
-    characteristic-polynomial oracle when the compressed block is small.
-    Returns the witnessing record, or None when the budget is exhausted
-    (which the control arms are expected to do every time).
+    Runs the oblique suite's trials one at a time, each as a chunk of one,
+    skipping any that raise.  A violating trial is re-run from its seed with
+    the interlacing and realness tolerances multiplied by WITNESS_TIGHTEN,
+    and is the witness if it still violates.  ``control`` swaps X for a
+    unitary or the identity.  Returns the witness's record, or None when the
+    budget is exhausted (as the control arms should every time).
     """
     if control not in (None, "unitary", "identity"):
         raise ContractViolation(f"unknown control arm {control!r}")
-    spec = config.ensemble
-    tols = config.tolerances
-    n = _oblique_n(spec)
-    if n < 2:  # a config error, which the loop below would swallow
-        raise ContractViolation(f"oblique-counterexample draws 1 <= l <= n - 1, so it needs n >= 2; "
-                                f"got n = {n}")
+    suite, spec, tols = "oblique-counterexample", config.ensemble, config.tolerances
+    strict = replace(tols, interlace=WITNESS_TIGHTEN * tols.interlace,
+                     realness=WITNESS_TIGHTEN * tols.realness)
+    draw = partial(_oblique_draw, control=control)
+
+    def outcome(trial_index: int, tolerances: Tolerances) -> TrialOutcome:
+        return next(_run_trials(spec, suite, (trial_index,), tolerances, draw))
+
     for trial_index in range(config.trials):
-        seed = trial_seed(spec.seed, "oblique-counterexample", trial_index)
-        rng = SplitMix64(seed)
-        try:
-            lam, p, x, sel = _oblique_draw(rng, spec, control)
-            magnitude, lo, hi, note = _oblique_violation(
-                lam, p, x, sel, tols.interlace, tols.realness)
-        except _TRIAL_ERRORS:
+        if outcome(trial_index, tols).worst_residual <= 0.0:
             continue
-        if magnitude <= 0.0:
-            continue
-
-        # independent recomputation from the bare seed, 10x tightened
-        rng2 = SplitMix64(seed)
-        lam2, p2, x2, sel2 = _oblique_draw(rng2, spec, control)
-        magnitude2, lo2, hi2, note2 = _oblique_violation(
-            lam2, p2, x2, sel2,
-            WITNESS_TIGHTEN * tols.interlace, WITNESS_TIGHTEN * tols.realness)
-        if magnitude2 <= 0.0:
-            continue
-        t2 = oblique_transform(p2, x2, sel2).transformed
-        if t2.shape[0] <= 6:
-            oracle_dev = match_distance(eigvals_general(t2).values, charpoly_eigenvalues(t2))
-            if oracle_dev > ORACLE_TOL * spectral_scale(lam2):
-                continue
-        return TrialRecord(
-            suite="oblique-counterexample",
-            trial_index=trial_index,
-            seed=seed,
-            n=lam2.size, k=len(sel2), l=len(sel2),
-            passed=True,
-            min_lower_margin=_finite(lo2), min_upper_margin=_finite(hi2),
-            worst_residual=magnitude2,
-            notes=f"witness: {note2}",
-        )
+        witness = outcome(trial_index, strict)
+        if witness.worst_residual > 0.0:
+            record = witness.record(suite, trial_index, trial_seed(spec.seed, suite, trial_index))
+            return replace(record, notes=f"witness: {record.notes}")
     return None
-
-
-def _not_found_record(config: ExperimentConfig, control: str | None) -> TrialRecord:
-    spec = config.ensemble
-    arm = f", control={control}" if control else ""
-    return TrialRecord(
-        suite="oblique-counterexample",
-        trial_index=config.trials - 1,
-        seed=spec.seed,
-        n=_oblique_n(spec), k=0, l=0,
-        passed=True,
-        min_lower_margin=0.0, min_upper_margin=0.0, worst_residual=0.0,
-        notes=f"no witness in {config.trials} draws{arm}",
-    )
 
 
 def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
     """Execute every configured suite; failures are recorded, never raised.
 
     Output order is (suite as configured, trial index), so a fixed config
-    yields an identical record list on every run.
+    yields an identical record list on every run.  The oblique search gives
+    one record: its witness, or a not-found record for the whole budget.
     """
     spec = config.ensemble
     records: list[TrialRecord] = []
     for suite in config.suites:
-        if _SUITE_TABLE[suite] is None:
-            witness = counterexample_search(config)
-            records.append(witness if witness is not None else _not_found_record(config, None))
+        if suite not in THEOREM_SUITES:
+            not_found = TrialOutcome(_oblique_dims(None, spec, 0)[0], 0, 0, passed=True,
+                                     notes=f"no witness in {config.trials} draws")
+            records.append(counterexample_search(config)
+                           or not_found.record(suite, config.trials - 1, spec.seed))
             continue
         outcomes = _run_trials(spec, suite, range(config.trials), config.tolerances)
         for trial_index, outcome in enumerate(outcomes):

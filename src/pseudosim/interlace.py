@@ -27,10 +27,6 @@ INTERLACE_REL_TOL = 1e-7
 ZERO_REL_TOL = 1e-7
 
 
-def default_interlacing_tol(lam) -> float:
-    return INTERLACE_REL_TOL * spectral_scale(lam)
-
-
 @dataclass
 class IndexBounds:
     """One interlacing inequality: lower <= value <= upper, with margins."""
@@ -84,7 +80,7 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     if l > n:
         raise DimensionError(f"compressed spectrum longer than reference: {l} > {n}")
     if tol is None:
-        tol = default_interlacing_tol(lam)
+        tol = INTERLACE_REL_TOL * spectral_scale(lam)
 
     per_index = [  # Python floats: the same IEEE arithmetic as float64, without numpy scalars
         IndexBounds(i, lower, value, upper, value - lower, upper - value)

@@ -130,6 +130,19 @@ def test_oblique_warning_on_stderr(tmp_path, capsys):
     assert "no witness" in capsys.readouterr().err
 
 
+def test_oblique_search_skips_a_trial_that_raises(tmp_path, capsys):
+    # trial 0's violating block (n = 4, a 3 x 3 block) has a characteristic
+    # polynomial whose roots the oracle cannot settle; the search skips that
+    # trial and reports the witness at trial 1
+    path = tmp_path / "unsettled.ini"
+    path.write_text("[ensemble]\nseed = 298\nn = 4\ncondition_cap = 2.5\n", encoding="utf-8")
+    code = main(["--config", str(path), "--suite", "oblique-counterexample", "--format", "csv"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("oblique-counterexample,1,3526216789610159704,4,3,3,true,")
+    assert ",witness: complex spectrum" in rows[1]
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pseudosim.cli", "--suite", "solver-oracle", "--trials", "2"],

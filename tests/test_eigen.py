@@ -7,7 +7,6 @@ from pseudosim.eigen import (
     _eigvals_general,
     _eigvals_hermitian,
     _match_distances,
-    eig_residual,
     eigvals_general,
     eigvals_hermitian,
     match_distance,
@@ -56,14 +55,6 @@ def test_spectrum_real_view_guard():
         classify_real(Spectrum(values=np.array([1j, -1j])))
     s = Spectrum(values=np.array([3 + 1e-14j, 1 - 2e-15j]))
     assert_allclose(classify_real(s), [1, 3])
-
-
-def test_eig_residual():
-    assert eig_residual(np.eye(2), 1.0, [1, 0]) == 0
-    assert eig_residual(np.diag([2.0, 3.0]), 2.0, [1, 0]) == 0
-    assert eig_residual(np.array([[2.0, 1.0], [1.0, 2.0]]), 3.0, [1, 1]) < 1e-15
-    with pytest.raises(ContractViolation):
-        eig_residual(np.eye(2), 1.0, [0, 0])
 
 
 def test_trace_identity():

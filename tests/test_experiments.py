@@ -374,3 +374,48 @@ def test_solver_oracle_csv_digest(tmp_path, seed, md5):
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=300, check=True,
     )
     assert hashlib.md5(out.read_bytes()).hexdigest() == md5
+
+
+OBLIQUE_DIGESTS = [
+    # re-verification at 10x tolerances rejects trials 36, 37, 38, 40 and 42;
+    # the witness is trial 43
+    ("seed = 1\nn = 3\ncondition_cap = 1.5\nnonunitarity_floor = 1.5\n"
+     "[tolerances]\ninterlace = 0.03\nrealness = 0.03\n", "4fe9349ba3ab9f199ff9f82cc363657c"),
+    # the documented witness
+    ("seed = 7\nn = 3\ncondition_cap = 100\n", "7d308cd94f2b7862e24f0831d3ec2e3d"),
+    # no witness in 1000 draws
+    ("seed = 7\nn = 3\ncondition_cap = 1.00000001\nnonunitarity_floor = 1.000000001\n",
+     "6fa262bd90be784f092827c1d9b024cc"),
+]
+
+
+@pytest.mark.parametrize("ensemble, md5", OBLIQUE_DIGESTS, ids=["rejected-then-found", "documented", "none"])
+def test_oblique_search_csv_digest(tmp_path, ensemble, md5):
+    # the search's record, byte for byte (single-threaded BLAS, numpy 2.4.6)
+    config, out = tmp_path / "oblique.ini", tmp_path / "oblique.csv"
+    config.write_text("[ensemble]\n" + ensemble, encoding="utf-8")
+    subprocess.run(
+        [sys.executable, "-m", "pseudosim.cli", "--config", str(config),
+         "--suite", "oblique-counterexample", "--trials", "1000", "--format", "csv", "--out", str(out)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=300, check=True,
+    )
+    assert hashlib.md5(out.read_bytes()).hexdigest() == md5
+
+
+def test_oblique_rejections_are_reverified_failures():
+    # at loose tolerances trials 36-42 violate but fail the 10x tighter
+    # re-run (39 and 41 do not violate at all); trial 43 is the witness
+    spec = EnsembleSpec(seed=1, n=3, condition_cap=1.5, nonunitarity_floor=1.5)
+    loose = Tolerances(interlace=0.03, realness=0.03)
+    strict = dataclasses.replace(loose, interlace=0.3, realness=0.3)
+
+    def magnitude(trial_index, tols):
+        outcomes = experiments._run_trials(spec, "oblique-counterexample", (trial_index,), tols)
+        return next(outcomes).worst_residual
+
+    violating = [i for i in range(44) if magnitude(i, loose) > 0]
+    assert violating[-6:] == [36, 37, 38, 40, 42, 43]
+    assert [i for i in violating if magnitude(i, strict) > 0][0] == 43
+    config = ExperimentConfig(suites=("oblique-counterexample",), ensemble=spec, trials=1000,
+                              tolerances=loose)
+    assert counterexample_search(config).trial_index == 43
