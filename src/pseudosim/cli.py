@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 
 from .ensembles import EnsembleSpec
@@ -164,9 +165,12 @@ def main(argv=None) -> int:
         return 2
 
     if config.out is not None:
-        try:
-            with open(config.out, "w", encoding="utf-8"):
-                pass  # fail before running any trial, not after
+        try:  # fail before running any trial, not after, and leave the path as it was
+            existed = os.path.lexists(config.out)
+            with open(config.out, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                os.remove(config.out)
         except OSError as exc:
             print(f"error: cannot write to {config.out!r}: {exc}", file=sys.stderr)
             return 3

@@ -13,7 +13,9 @@ QR per matrix shape, then each trial builds its matrices and the suite's
 check takes the chunk's trials at once.  Most checks take them one at a time;
 solver-oracle runs each of its stages on one stack per matrix size.
 :func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
-of draws;
+of draws, cut into one contiguous slice of trials per usable CPU: slice 0 runs
+in the calling process, each other slice in a forked child that sends its
+records back through a pipe;
 :func:`run_trial` runs one trial as a chunk of one and returns its
 :class:`TrialOutcome`, so the runner, replay and the acceptance tests share
 one path.  So does :func:`counterexample_search`: it runs the oblique
@@ -23,10 +25,15 @@ Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
 gets ``derive_seed(suite_seed, trial_index)``.  A trial is therefore fully
 reproducible from the (suite, trial_index, master seed) triple its record
-carries, independent of which other suites ran.
+carries, independent of which other suites ran, of how its suite's trials are
+chunked and of which slice, in which process, ran it.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
@@ -687,26 +694,118 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
     return None
 
 
+def _cpus() -> int:
+    """How many processes a run may use: the CPUs in the affinity mask, or 1
+    where the platform has none (macOS, Windows) or where the process runs
+    other threads, since a forked child inherits any lock they hold, held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _search_record(config: ExperimentConfig) -> TrialRecord:
+    """The oblique search's one record: its witness, or a not-found record
+    for the whole budget."""
+    spec = config.ensemble
+    not_found = TrialOutcome(_oblique_dims(None, spec, 0)[0], 0, 0, passed=True,
+                             notes=f"no witness in {config.trials} draws")
+    return (counterexample_search(config)
+            or not_found.record("oblique-counterexample", config.trials - 1, spec.seed))
+
+
+def _run_slice(config: ExperimentConfig, part: int, workers: int):
+    """Slice ``part`` of a run cut into ``workers`` slices: the records of
+    the ``part``-th of ``workers`` contiguous runs of each theorem suite's
+    trials, one list per configured suite.  The oblique search's record goes
+    with slice 0.
+
+    Returns the lists and None, or, when a dimension rule raises, the lists
+    of the suites before it and (the suite's position, the error).
+    """
+    spec, trials = config.ensemble, config.trials
+    indices = range(part * trials // workers, (part + 1) * trials // workers)
+    records: list[list[TrialRecord]] = []
+    for position, suite in enumerate(config.suites):
+        try:
+            if suite in THEOREM_SUITES:
+                outcomes = _run_trials(spec, suite, indices, config.tolerances)
+                records.append([outcome.record(suite, i, trial_seed(spec.seed, suite, i))
+                                for i, outcome in zip(indices, outcomes)])
+            else:
+                records.append([_search_record(config)] if part == 0 else [])
+        except ContractViolation as exc:
+            return records, (position, exc)
+    return records, None
+
+
+def _fork_slice(config: ExperimentConfig, part: int, workers: int):
+    """Start slice ``part`` in a forked child, which sends back the pickled
+    result and exits.  Returns (pid, read end of its pipe), or None if no
+    process could be made."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:  # the child never returns: it leaves by os._exit, status 0 once all is sent
+        status = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_run_slice(config, part, workers), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as stream:
+                stream.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
 def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
-    """Execute every configured suite; failures are recorded, never raised.
+    """Execute every configured suite.  A failed trial is recorded, not
+    raised; a configuration error (a dimension rule's ContractViolation)
+    propagates, the first in (suite, trial) order, as a serial run raises it.
+
+    Each theorem suite's trials are cut into one contiguous slice per CPU
+    (see :func:`_cpus`).  Slice 0 runs here, the others each in a forked
+    child; a child that dies before sending its whole result has its slice
+    run here instead.  A trial's outcome depends only on its seed, so the
+    records do not depend on the number of slices.
 
     Output order is (suite as configured, trial index), so a fixed config
     yields an identical record list on every run.  The oblique search gives
     one record: its witness, or a not-found record for the whole budget.
     """
-    spec = config.ensemble
-    records: list[TrialRecord] = []
-    for suite in config.suites:
-        if suite not in THEOREM_SUITES:
-            not_found = TrialOutcome(_oblique_dims(None, spec, 0)[0], 0, 0, passed=True,
-                                     notes=f"no witness in {config.trials} draws")
-            records.append(counterexample_search(config)
-                           or not_found.record(suite, config.trials - 1, spec.seed))
-            continue
-        outcomes = _run_trials(spec, suite, range(config.trials), config.tolerances)
-        for trial_index, outcome in enumerate(outcomes):
-            records.append(outcome.record(suite, trial_index, trial_seed(spec.seed, suite, trial_index)))
-    return records
+    workers = min(_cpus(), config.trials)
+    children = {}
+    try:
+        for part in range(1, workers):
+            children[part] = _fork_slice(config, part, workers)
+        slices = [_run_slice(config, 0, workers)]
+        for part in range(1, workers):
+            sent = None
+            if children[part] is not None:
+                pid, stream = children[part]
+                with stream:
+                    payload = stream.read()  # to EOF: all the child sent before it exited
+                status = os.waitpid(pid, 0)[1]
+                children[part] = None
+                if status == 0:
+                    sent = pickle.loads(payload)
+            slices.append(sent or _run_slice(config, part, workers))
+    finally:  # on the way out of an error: leave no child behind
+        for child in filter(None, children.values()):
+            pid, stream = child
+            stream.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [(error[0], part, error[1]) for part, (_, error) in enumerate(slices) if error]
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
+    return [record for lists in zip(*(records for records, _ in slices))
+            for part in lists for record in part]
 
 
 def failed_theorem_records(records) -> list[TrialRecord]:

@@ -116,6 +116,20 @@ def test_output_failure_precedes_trials(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_config_error_leaves_the_output_path_as_it_was(tmp_path, capsys):
+    # the output probe runs before the trials that find the config error: it
+    # must neither empty an existing report nor leave a new empty one behind
+    path = tmp_path / "pinned.ini"
+    path.write_text("[ensemble]\nl = 5\n", encoding="utf-8")
+    existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+    existing.write_text("an earlier report\n", encoding="utf-8")
+    for out in (existing, new):
+        assert main(["--config", str(path), "--suite", "interlace-full-rank", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: interlace-full-rank needs l <= n")
+    assert existing.read_text(encoding="utf-8") == "an earlier report\n"
+    assert not new.exists()
+
+
 def test_oblique_warning_on_stderr(tmp_path, capsys):
     # an almost-unitary ensemble cannot violate interlacing, so the search
     # comes back empty: warning on stderr, exit status still zero

@@ -193,8 +193,8 @@ def test_subsumption_trial_factors_q_once(svd_calls):
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Chunks of a few trials each; returns the list to which the trial
-    indices of every checked chunk are appended."""
+    """Chunks of a few trials each, all checked in this process; returns the
+    list to which the trial indices of every checked chunk are appended."""
     chunks = []
     check_chunk = experiments._check_chunk
 
@@ -202,6 +202,7 @@ def small_chunks(monkeypatch):
         chunks.append([trial.trial_index for trial in chunk])
         return check_chunk(spec, suite, chunk, tolerances)
 
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 1024)
     monkeypatch.setattr(experiments, "_check_chunk", recorded)
     return chunks
