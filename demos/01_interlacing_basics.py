@@ -44,9 +44,11 @@ print("compressed spectrum:", np.round(eta, 6))
 
 report = check_interlacing(lam, eta)
 print("interlacing holds:", report.passed)
-for entry in report.per_index:
-    print(f"  lam[{entry.index}] = {entry.lower:+.4f} <= "
-          f"eta = {entry.value:+.4f} <= lam[{entry.index + 3}] = {entry.upper:+.4f}")
+shift = report.n - report.l
+for i in range(report.l):
+    print(f"  lam[{i}] = {lam[i]:+.4f} <= eta = {eta[i]:+.4f} <= lam[{i + shift}] = "
+          f"{lam[i + shift]:+.4f}   margins {report.lower_margins[i]:.4f}, "
+          f"{report.upper_margins[i]:.4f}")
 
 # sanity: an orthonormal H reduces to the classical compression, where the
 # same bound is the textbook Cauchy statement

@@ -9,7 +9,6 @@ such protection, and this package can hunt down explicit counterexamples.
 """
 
 from .eigen import (
-    Spectrum,
     eigvals_general,
     eigvals_hermitian,
     match_distance,
@@ -87,7 +86,6 @@ __all__ = [
     "QrFactors",
     "RealnessViolation",
     "SUITES",
-    "Spectrum",
     "SplitMix64",
     "SvdFactors",
     "Tolerances",

@@ -6,19 +6,18 @@ complex QR iteration (both via LAPACK, which budgets 30 iterations per
 eigenvalue before reporting non-convergence).  Eigenvectors are deliberately
 not part of the public surface.
 
-Each solver is a private body that works on a stack of same-size matrices
-with one LAPACK call, and a public function that validates one matrix and
-runs the body on a stack of one; a stack gives each matrix the spectrum it
-gets alone.
+Each function takes one square matrix or a stack of same-size matrices along
+the leading axes, validates it once, and returns plain arrays: one spectrum
+per matrix, under the stack's leading axes.  General spectra are complex and
+sorted by (real, imag), Hermitian ones real and ascending.  A stack runs as
+one LAPACK call and gives each matrix the spectrum it gets alone.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
-from .linalg import _hermitian_each, as_matrix
+from .linalg import _as_square_stack, _hermitian_each
 
 
 def spectral_scale(values) -> float:
@@ -34,48 +33,22 @@ def relative_imag(values) -> float:
 
 
 def sort_eigenvalues(values) -> np.ndarray:
-    """Sort by real part ascending, ties by imaginary part ascending."""
-    values = np.asarray(values, dtype=np.complex128).ravel()
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
-def _sorted_rows(values: np.ndarray) -> np.ndarray:
-    """:func:`sort_eigenvalues` of each row of a stack of complex arrays."""
+    """Sort by real part ascending, ties by imaginary part ascending, along
+    the last axis."""
+    values = np.asarray(values, dtype=np.complex128)
     order = np.lexsort((values.imag, values.real), axis=-1)
     return np.take_along_axis(values, order, axis=-1)
 
 
-@dataclass
-class Spectrum:
-    """Multiset of eigenvalues sorted by (real, imag) ascending.
-
-    Whether it is real is decided by :func:`pseudosim.interlace.classify_real`.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = sort_eigenvalues(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def eigvals_hermitian(m, tol: float | None = None) -> Spectrum:
-    """Real spectrum of a Hermitian matrix, sorted non-decreasing.
+def eigvals_hermitian(m, tol: float | None = None) -> np.ndarray:
+    """Real spectrum of a Hermitian matrix, sorted non-decreasing; a row per
+    matrix of a stack.
 
     `tol` is the hermiticity tolerance for the precondition check (default
-    scale-relative); a non-Hermitian input is a contract violation, never
-    silently symmetrized.
+    scale-relative, per matrix); a non-Hermitian input is a contract
+    violation, never silently symmetrized.
     """
-    w = _eigvals_hermitian(as_matrix(m)[np.newaxis], tol)[0]
-    return Spectrum(values=w.astype(np.complex128))
-
-
-def _eigvals_hermitian(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Ascending real spectra of a stack of finite matrices, each of which
-    must be Hermitian within ``tol``."""
+    m = _as_square_stack(m)
     if not _hermitian_each(m, tol).all():
         raise ContractViolation("input is not Hermitian within tolerance")
     try:
@@ -84,48 +57,36 @@ def _eigvals_hermitian(m: np.ndarray, tol: float | None = None) -> np.ndarray:
         raise NumericalError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
-def eigvals_general(m) -> Spectrum:
-    """Complex spectrum of a general square matrix, sorted by (real, imag)."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"eigenvalues are defined for square matrices, got {m.shape}")
-    return Spectrum(values=_eigvals_general(m[np.newaxis])[0])
-
-
-def _eigvals_general(m: np.ndarray) -> np.ndarray:
-    """Unsorted spectra of a stack of finite square matrices."""
+def eigvals_general(m) -> np.ndarray:
+    """Complex spectrum of a general square matrix, sorted by (real, imag);
+    a row per matrix of a stack."""
+    m = _as_square_stack(m)
     try:
-        return np.linalg.eigvals(m)
+        w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"general eigensolver did not converge: {exc}") from exc
+    return sort_eigenvalues(w)
 
 
-def match_distance(a, b) -> float:
-    """Largest pair distance matching two eigenvalue multisets.
+def match_distance(a, b) -> float | np.ndarray:
+    """Largest pair distance matching two eigenvalue multisets, or matching
+    each row of one stack of them to the same row of another.
 
     Both sides are sorted by (real, imag); each value of the first multiset
     is greedily matched to the nearest not-yet-used value of the second.
     Complex spectra have no perturbation-stable total order, so comparisons
     go through this matching rather than through positional differences.
+    Returns a float for two multisets, an array of the leading shape for
+    stacks.
     """
-    a = np.asarray(a, dtype=np.complex128).ravel()
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    if a.size != b.size:
-        raise DimensionError(f"multiset sizes differ: {a.size} vs {b.size}")
-    return float(_match_distances(a[np.newaxis], b[np.newaxis])[0])
-
-
-def _match_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`match_distance` of each row of the stack a to the same row of
-    the stack b, with rows of one length."""
-    a = _sorted_rows(np.asarray(a, dtype=np.complex128))
-    b = _sorted_rows(np.asarray(b, dtype=np.complex128))
-    rows = np.arange(len(a))
+    a, b = sort_eigenvalues(a), sort_eigenvalues(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"multiset sizes differ: {a.shape} vs {b.shape}")
     used = np.zeros(b.shape, dtype=bool)
-    worst = np.zeros(len(a))
-    for i in range(a.shape[1]):
-        dist = np.where(used, np.inf, np.abs(b - a[:, i:i + 1]))
-        j = np.argmin(dist, axis=1)
-        used[rows, j] = True
-        worst = np.fmax(worst, dist[rows, j])
-    return worst
+    worst = np.zeros(a.shape[:-1])
+    for i in range(a.shape[-1]):
+        dist = np.where(used, np.inf, np.abs(b - a[..., i:i + 1]))
+        j = np.argmin(dist, axis=-1)[..., np.newaxis]
+        np.put_along_axis(used, j, True, axis=-1)
+        worst = np.fmax(worst, np.take_along_axis(dist, j, axis=-1)[..., 0])
+    return worst[()]

@@ -12,10 +12,11 @@ stream, then the Haar factors of all the chunk's draws come from one stacked
 QR per matrix shape, then each trial builds its matrices and the suite's
 check takes the chunk's trials at once.  Most checks take them one at a time;
 solver-oracle runs each of its stages on one stack per matrix size.
-:func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
-of draws, cut into one contiguous slice of trials per usable CPU: slice 0 runs
-in the calling process, each other slice in a forked child that sends its
-records back through a pipe;
+:func:`run_suite` runs a suite's trials in chunks that close once their
+draws reach ``CHUNK_BYTES``, each checked before the next draw, cut into one
+contiguous slice of trials per usable CPU: slice 0 runs in the calling
+process, each other slice in a forked child that sends its records back
+through a pipe;
 :func:`run_trial` runs one trial as a chunk of one and returns its
 :class:`TrialOutcome`, so the runner, replay and the acceptance tests share
 one path.  So does :func:`counterexample_search`: it runs the oblique
@@ -52,20 +53,11 @@ from .ensembles import (
     draw_unitary,
     haar_factors,
 )
-from .eigen import (
-    _eigvals_general,
-    _eigvals_hermitian,
-    _match_distances,
-    _sorted_rows,
-    eigvals_general,
-    match_distance,
-    relative_imag,
-    spectral_scale,
-)
+from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
 from .errors import ContractViolation, NumericalError, RealnessViolation
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import _adjoint, _check_finite, adjoint, penrose_residuals, svd
-from .oracles import _characteristic_polynomial, _polynomial_roots, charpoly_eigenvalues
+from .linalg import _adjoint, adjoint, penrose_residuals, svd
+from .oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
@@ -255,7 +247,7 @@ def _interlace_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: To
         result = pseudo_similarity(p, h, tols.rank)
 
     spectrum = eigvals_general(result.transformed)
-    rel_imag = relative_imag(spectrum.values)
+    rel_imag = relative_imag(spectrum)
     real_values = classify_real(spectrum, tols.realness)
     eta, zero_count = extract_nonzero(real_values, result.input_rank, tols.zero)
     report = check_interlacing(lam, eta, tols.interlace * spectral_scale(lam))
@@ -342,7 +334,7 @@ def _oblique_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
     try:
         eta = classify_real(spectrum, tols.realness)
     except RealnessViolation:
-        magnitude = relative_imag(spectrum.values)
+        magnitude = relative_imag(spectrum)
         lo, hi, note = -magnitude, 0.0, f"complex spectrum (max rel imag {magnitude:.3e})"
     else:
         report = check_interlacing(lam, eta, tols.interlace * scale)
@@ -350,7 +342,7 @@ def _oblique_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
         magnitude = 0.0 if report.passed else max(-lo, -hi) / scale
         note = "" if report.passed else f"interlacing violated (worst margin {min(lo, hi):.3e})"
     if magnitude > 0.0 and t.shape[0] <= 6:
-        oracle_dev = match_distance(spectrum.values, charpoly_eigenvalues(t))
+        oracle_dev = match_distance(spectrum, charpoly_eigenvalues(t))
         if oracle_dev > tols.oracle * scale:
             magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
     return TrialOutcome(lam.size, len(sel), len(sel), passed=True, min_lower_margin=_finite(lo),
@@ -465,20 +457,17 @@ def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
     """Per matrix of the stack g, a row: how far LAPACK's spectra of it and
     of its Hermitian part lie from their characteristic-polynomial roots, per
     the roots' spectral scale."""
-    _check_finite(g)
+    general = eigvals_general(g), polynomial_roots(characteristic_polynomial(g))
     hm = (g + _adjoint(g)) / 2.0
-    general = _eigvals_general(g), _polynomial_roots(_characteristic_polynomial(g))
-    _check_finite(hm)
-    hermitian = _eigvals_hermitian(hm), _polynomial_roots(_characteristic_polynomial(hm))
-    return np.stack([_match_distances(w, roots) / np.maximum(1.0, np.abs(roots).max(axis=1))
+    hermitian = eigvals_hermitian(hm), polynomial_roots(characteristic_polynomial(hm))
+    return np.stack([match_distance(w, roots) / np.maximum(1.0, np.abs(roots).max(axis=1))
                      for w, roots in (general, hermitian)], axis=1)
 
 
 def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
     """Per matrix of the stack g6: how far the sum and the product of its
     eigenvalues lie from its trace and its determinant."""
-    _check_finite(g6)
-    w = _sorted_rows(_eigvals_general(g6))
+    w = eigvals_general(g6)
     traces, dets = np.trace(g6, axis1=1, axis2=2), np.linalg.det(g6)
     return [(abs(total - trace) / max(1.0, abs(trace)), abs(prod - det) / max(1.0, abs(det)))
             for total, trace, prod, det in zip(w.sum(axis=1), traces, w.prod(axis=1), dets)]
@@ -550,9 +539,10 @@ SUITES = tuple(_SUITE_TABLE)
 #: search, which reports not-found as a warning instead
 THEOREM_SUITES = frozenset(SUITES) - {"oblique-counterexample"}
 
-#: a chunk of trials closes before the arrays its trials drew would pass this
-#: many bytes; a trial that draws more runs as a chunk of its own
-CHUNK_BYTES = 256 * 1024
+#: a chunk of trials closes, and is checked before the next trial is drawn,
+#: as soon as the arrays its trials drew reach this many bytes; a trial that
+#: draws this much runs as a chunk of its own
+CHUNK_BYTES = 128 * 1024
 
 
 def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
@@ -634,18 +624,18 @@ def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
 
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):
     """Outcomes of the given trials of a suite, in order, checked in chunks
-    of at most CHUNK_BYTES of draws; ``draw``, if given, replaces the
-    suite's draw."""
+    that close once their draws reach CHUNK_BYTES; ``draw``, if given,
+    replaces the suite's draw."""
     chunk: list[_DrawnTrial] = []
     size = 0
     for trial_index in trial_indices:
         trial = _draw_trial(spec, suite, trial_index, draw)
-        if chunk and size + trial.nbytes > CHUNK_BYTES:
-            yield from _check_chunk(spec, suite, chunk, tolerances)
-            size = 0
         size += trial.nbytes
         chunk.append(trial)
         del trial  # the chunk holds the only reference, which checking it drops
+        if size >= CHUNK_BYTES:
+            yield from _check_chunk(spec, suite, chunk, tolerances)
+            size = 0
     if chunk:
         yield from _check_chunk(spec, suite, chunk, tolerances)
 
@@ -769,16 +759,16 @@ def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
     propagates, the first in (suite, trial) order, as a serial run raises it.
 
     Each theorem suite's trials are cut into one contiguous slice per CPU
-    (see :func:`_cpus`).  Slice 0 runs here, the others each in a forked
-    child; a child that dies before sending its whole result has its slice
-    run here instead.  A trial's outcome depends only on its seed, so the
+    (see :func:`_cpus`); a run without a theorem suite stays in one process.
+    Slice 0 runs here, the others each in a forked child; a child that dies
+    before sending its whole result has its slice run here instead.  A trial's outcome depends only on its seed, so the
     records do not depend on the number of slices.
 
     Output order is (suite as configured, trial index), so a fixed config
     yields an identical record list on every run.  The oblique search gives
     one record: its witness, or a not-found record for the whole budget.
     """
-    workers = min(_cpus(), config.trials)
+    workers = min(_cpus(), config.trials) if THEOREM_SUITES.intersection(config.suites) else 1
     children = {}
     try:
         for part in range(1, workers):

@@ -3,10 +3,14 @@
 Given the sorted spectrum ``lam`` of the reference Hermitian matrix (length
 N) and the sorted compressed values ``eta`` (length L <= N), the interlacing
 property bounds every compressed value by
-``lam[l] <= eta[l] <= lam[N - L + l]``.  Rank-deficient transforms carry
-additional forced zeros in their spectra; :func:`extract_nonzero` separates
-those from the genuinely interlaced values by count, not by threshold alone,
-and refuses to guess when the separation is ambiguous.
+``lam[l] <= eta[l] <= lam[N - L + l]``.  :func:`check_interlacing` keeps
+the margins of those inequalities as two arrays, ``eta - lam[:L]`` and
+``lam[N - L:] - eta``; a margin below minus the tolerance is a violation.
+Spectra are plain arrays, as the :mod:`pseudosim.eigen` solvers return
+them.  Rank-deficient transforms carry additional forced zeros in their
+spectra; :func:`extract_nonzero` separates those from the genuinely
+interlaced values by count, not by threshold alone, and refuses to guess
+when the separation is ambiguous.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import Spectrum, relative_imag, spectral_scale
+from .eigen import relative_imag, spectral_scale
 from .errors import ClassificationError, ContractViolation, DimensionError, RealnessViolation
 
 #: default relative tolerance for classifying a spectrum as real
@@ -28,36 +32,22 @@ ZERO_REL_TOL = 1e-7
 
 
 @dataclass
-class IndexBounds:
-    """One interlacing inequality: lower <= value <= upper, with margins."""
-
-    index: int
-    lower: float
-    value: float
-    upper: float
-    lower_margin: float  # value - lower
-    upper_margin: float  # upper - value
-
-
-@dataclass
 class InterlacingReport:
     n: int
     l: int
     lam: np.ndarray
     eta: np.ndarray
-    per_index: list[IndexBounds]
+    lower_margins: np.ndarray  # eta - lam[:l], one per index
+    upper_margins: np.ndarray  # lam[n - l:] - eta, one per index
     passed: bool
     tol_used: float
     vacuous: bool = False
 
     def min_margins(self) -> tuple[float, float]:
         """Smallest (lower, upper) margins over all indices; +inf when vacuous."""
-        if not self.per_index:
+        if self.vacuous:
             return float("inf"), float("inf")
-        return (
-            min(b.lower_margin for b in self.per_index),
-            min(b.upper_margin for b in self.per_index),
-        )
+        return float(self.lower_margins.min()), float(self.upper_margins.min())
 
 
 def _require_sorted(values, name):
@@ -82,14 +72,11 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     if tol is None:
         tol = INTERLACE_REL_TOL * spectral_scale(lam)
 
-    per_index = [  # Python floats: the same IEEE arithmetic as float64, without numpy scalars
-        IndexBounds(i, lower, value, upper, value - lower, upper - value)
-        for i, (lower, value, upper) in enumerate(zip(lam[:l].tolist(), eta.tolist(), lam[n - l:].tolist()))
-    ]
-    passed = not any(b.lower_margin < -tol or b.upper_margin < -tol for b in per_index)
+    lower, upper = eta - lam[:l], lam[n - l:] - eta
     return InterlacingReport(
-        n=n, l=l, lam=lam, eta=eta, per_index=per_index,
-        passed=passed, tol_used=float(tol), vacuous=(l == 0),
+        n=n, l=l, lam=lam, eta=eta, lower_margins=lower, upper_margins=upper,
+        passed=not ((lower < -tol).any() or (upper < -tol).any()),
+        tol_used=float(tol), vacuous=(l == 0),
     )
 
 
@@ -98,11 +85,9 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
 
     The one place that decides realness.  Raises :class:`RealnessViolation`
     listing the offending eigenvalues when any imaginary part exceeds
-    ``realness_tol * max(1, max |value|)``.  Accepts a :class:`Spectrum` or
-    any complex sequence.
+    ``realness_tol * max(1, max |value|)``.
     """
-    values = spectrum.values if isinstance(spectrum, Spectrum) else \
-        np.asarray(spectrum, dtype=np.complex128).ravel()
+    values = np.asarray(spectrum, dtype=np.complex128).ravel()
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
     tol = realness_tol * spectral_scale(values)
@@ -123,10 +108,12 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     each must then actually lie below ``zero_tol`` times the spectral scale or
     a :class:`ClassificationError` is raised (wrong rank, or a genuine
     eigenvalue too close to zero to separate; surfaced rather than decided
-    here).  Returns ``(nonzero sorted non-decreasing, zero count)``.
+    here).  Returns ``(nonzero sorted non-decreasing, zero count)``.  A
+    complex spectrum is refused: :func:`classify_real` decides its realness.
     """
-    values = classify_real(spectrum) if isinstance(spectrum, Spectrum) else \
-        np.asarray(spectrum, dtype=np.float64).ravel()
+    if np.iscomplexobj(spectrum):
+        raise ContractViolation("extract_nonzero takes real values; pass the spectrum through classify_real")
+    values = np.asarray(spectrum, dtype=np.float64).ravel()
     k = values.size
     if not 0 <= expected_l <= k:
         raise DimensionError(f"expected rank {expected_l} outside [0, {k}]")

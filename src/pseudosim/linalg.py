@@ -43,6 +43,16 @@ def _check_finite(m: np.ndarray, name: str = "matrix") -> None:
         raise ContractViolation(f"{name} contains non-finite entries")
 
 
+def _as_square_stack(a) -> np.ndarray:
+    """:func:`as_matrix` for one square matrix or a stack of same-size square
+    matrices along the leading axes."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"need a square matrix or a stack of them, got shape {m.shape}")
+    _check_finite(m)
+    return m
+
+
 def default_rank_tol(shape) -> float:
     """Relative rank threshold max(rows, cols) * eps; multiplied by the
     largest singular value (or pivot magnitude) at the point of use."""

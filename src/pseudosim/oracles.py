@@ -7,49 +7,44 @@ Faddeev-LeVerrier trace recurrence, so no factorization is shared with the
 solvers under test.  Intended for desk sizes (n <= 6 or so); the recurrence
 loses accuracy quickly beyond that.
 
-Both steps run on a stack at once: same-size matrices, or polynomials of one
-degree.  The public functions validate one input and run the stacked body on
-a stack of one.  The Weierstrass iteration corrects every polynomial of the
-stack together and freezes each one as its correction settles, so each
-polynomial gets the roots it gets alone, bit for bit.  That needs one rule:
-the products over ``j != i`` run on a C-contiguous array.  Masking the
-stacked differences gives an array whose factors lie a whole stack apart;
-numpy then multiplies them with its vectorised complex multiply across the
-stack, which rounds differently from its product along a contiguous row.
+Both functions take one input or a stack of them along the leading axes
+(same-size matrices, or polynomials of one degree), validate it once, and
+return plain arrays under the stack's leading axes.  The Weierstrass
+iteration corrects every polynomial of the stack together and freezes each
+one as its correction settles, so each polynomial gets the roots it gets
+alone, bit for bit.  That needs one rule: the products over ``j != i`` run
+on a C-contiguous array.  Masking the stacked differences gives an array
+whose factors lie a whole stack apart; numpy then multiplies them with its
+vectorised complex multiply across the stack, which rounds differently from
+its product along a contiguous row.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError
-from .eigen import _sorted_rows
-from .linalg import as_matrix
+from .eigen import sort_eigenvalues
+from .errors import ContractViolation, NumericalError
+from .linalg import _as_square_stack
 
 
 def characteristic_polynomial(m) -> np.ndarray:
-    """Monic coefficients of det(t I - m), highest degree first.
+    """Monic coefficients of det(t I - m), highest degree first; a row per
+    matrix of a stack.
 
     Faddeev-LeVerrier: with N_0 = I, repeatedly M_k = m N_{k-1},
     c_k = -trace(M_k)/k, N_k = M_k + c_k I.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"characteristic polynomial needs a square matrix, got {m.shape}")
-    return _characteristic_polynomial(m[np.newaxis])[0]
-
-
-def _characteristic_polynomial(m: np.ndarray) -> np.ndarray:
-    """One row of coefficients per matrix of a stack of finite square ones."""
-    count, n = m.shape[0], m.shape[-1]
-    coeffs = np.zeros((count, n + 1), dtype=np.complex128)
-    coeffs[:, 0] = 1.0
+    m = _as_square_stack(m)
+    n = m.shape[-1]
+    coeffs = np.zeros(m.shape[:-2] + (n + 1,), dtype=np.complex128)
+    coeffs[..., 0] = 1.0
     eye = np.eye(n)
-    nk = np.repeat(eye[np.newaxis].astype(np.complex128), count, axis=0)
+    nk = np.broadcast_to(eye, m.shape).astype(np.complex128)
     for k in range(1, n + 1):
         mk = m @ nk
-        c = -np.trace(mk, axis1=1, axis2=2) / k
-        coeffs[:, k] = c
-        nk = mk + c[:, np.newaxis, np.newaxis] * eye
+        c = -np.trace(mk, axis1=-2, axis2=-1) / k
+        coeffs[..., k] = c
+        nk = mk + c[..., np.newaxis, np.newaxis] * eye
     return coeffs
 
 
@@ -73,39 +68,39 @@ def _quadratic_roots(b, c) -> np.ndarray:
 
 
 def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
-    """All complex roots of a monic polynomial (coefficients highest first).
+    """All complex roots of a polynomial (coefficients highest first, leading
+    one nonzero), sorted by (real, imag); a row per polynomial of a stack.
 
     Degree 1 and 2 use closed forms; higher degrees run the Weierstrass
     simultaneous-correction iteration from staggered starting points inside
-    the Cauchy root bound.  Accuracy degrades near multiple roots (as for any
-    polynomial method); distinct-root inputs converge to near machine level.
+    the Cauchy root bound, until a correction is within 1e-14 of the roots'
+    scale.  Accuracy degrades near multiple roots (as for any polynomial
+    method): a polynomial whose last of ``max_iter`` corrections is still
+    within 1e-10 of that scale keeps its roots, any other one raises
+    :class:`NumericalError`.  Distinct-root inputs converge to near machine
+    level.
     """
-    c = np.asarray(coeffs, dtype=np.complex128).ravel()
-    if c.size < 2:
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.ndim < 1 or c.shape[-1] < 2:
         raise ContractViolation("need a polynomial of degree >= 1")
-    return _polynomial_roots(c[np.newaxis], max_iter)[0]
-
-
-def _polynomial_roots(c: np.ndarray, max_iter: int = 500) -> np.ndarray:
-    """Roots of each row of a stack of coefficient rows of one degree >= 1,
-    sorted by (real, imag) from degree 2 on.  Raises if any row is not
-    finite with a nonzero leading term, or if its iteration does not settle."""
-    if not (np.isfinite(c).all() and c[:, 0].all()):
+    if not (np.isfinite(c).all() and c[..., 0].all()):
         raise ContractViolation("coefficients must be finite with a nonzero leading term")
+    shape, n = c.shape[:-1], c.shape[-1] - 1
+    c = c.reshape(-1, n + 1)
     rescale = c[:, 0] != 1.0
     if rescale.any():
         c = c.copy()
         c[rescale] /= c[rescale, :1]
-    n = c.shape[1] - 1
     if n == 1:
-        return -c[:, 1:]
+        return -c[:, 1:].reshape(shape + (1,))
     if n == 2:
-        return _sorted_rows(_quadratic_roots(c[:, 1], c[:, 2]))
+        return sort_eigenvalues(_quadratic_roots(c[:, 1], c[:, 2])).reshape(shape + (2,))
 
     radius = 1.0 + np.abs(c[:, 1:]).max(axis=1)  # Cauchy bound on |root|
     z = radius[:, np.newaxis] * (0.4 + 0.9j) ** np.arange(1, n + 1)
     off = ~np.eye(n, dtype=bool)
     active = np.arange(len(c))  # rows still iterating
+    close = np.zeros(len(c), dtype=bool)  # rows whose last correction is within 1e-10
     for _ in range(max_iter):
         za, ca = z[active], c[active]
         p = np.zeros_like(za)  # Horner's rule, as np.polyval(c, z) evaluates it
@@ -115,15 +110,18 @@ def _polynomial_roots(c: np.ndarray, max_iter: int = 500) -> np.ndarray:
         step = p / diffs.reshape(-1, n, n - 1).prod(axis=2)  # prod_{j != i} (z_i - z_j)
         za = za - step
         z[active] = za
-        settled = np.abs(step).max(axis=1) <= 1e-14 * np.maximum(1.0, np.abs(za).max(axis=1))
-        active = active[~settled]
+        size, scale = np.abs(step).max(axis=1), np.maximum(1.0, np.abs(za).max(axis=1))
+        close[active] = size <= 1e-10 * scale
+        active = active[~(size <= 1e-14 * scale)]
         if not active.size:
             break
     else:
-        raise NumericalError(f"root iteration did not settle for degree {n}")
-    return _sorted_rows(z)
+        if not close[active].all():
+            raise NumericalError(f"root iteration did not settle for degree {n}")
+    return sort_eigenvalues(z).reshape(shape + (n,))
 
 
 def charpoly_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues as characteristic-polynomial roots, sorted by (real, imag)."""
+    """Eigenvalues as characteristic-polynomial roots, sorted by (real, imag);
+    a row per matrix of a stack."""
     return polynomial_roots(characteristic_polynomial(m))

@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
+import pseudosim.experiments as experiments
 from pseudosim.cli import build_config, load_config_file, main, make_parser
-from pseudosim.errors import ContractViolation
+from pseudosim.errors import ContractViolation, NumericalError
+from pseudosim.oracles import charpoly_eigenvalues
 
 CONFIG_TEXT = """\
 [run]
@@ -144,10 +146,19 @@ def test_oblique_warning_on_stderr(tmp_path, capsys):
     assert "no witness" in capsys.readouterr().err
 
 
-def test_oblique_search_skips_a_trial_that_raises(tmp_path, capsys):
-    # trial 0's violating block (n = 4, a 3 x 3 block) has a characteristic
-    # polynomial whose roots the oracle cannot settle; the search skips that
-    # trial and reports the witness at trial 1
+def test_oblique_search_skips_a_trial_that_raises(tmp_path, capsys, monkeypatch):
+    # the oracle raises on trial 0's violating block (n = 4, a 3 x 3 block),
+    # the first one it sees; the search skips that trial and reports the
+    # witness at trial 1
+    seen = []
+
+    def raises_first(t):
+        seen.append(t)
+        if len(seen) == 1:
+            raise NumericalError("root iteration did not settle for degree 3")
+        return charpoly_eigenvalues(t)
+
+    monkeypatch.setattr(experiments, "charpoly_eigenvalues", raises_first)
     path = tmp_path / "unsettled.ini"
     path.write_text("[ensemble]\nseed = 298\nn = 4\ncondition_cap = 2.5\n", encoding="utf-8")
     code = main(["--config", str(path), "--suite", "oblique-counterexample", "--format", "csv"])
@@ -155,6 +166,7 @@ def test_oblique_search_skips_a_trial_that_raises(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].startswith("oblique-counterexample,1,3526216789610159704,4,3,3,true,")
     assert ",witness: complex spectrum" in rows[1]
+    assert seen[0].shape == (3, 3)
 
 
 def test_console_script_runs():

@@ -144,3 +144,13 @@ def test_an_error_in_this_process_leaves_no_child(monkeypatch):
     monkeypatch.setattr(experiments, "_run_slice", interrupted)
     with pytest.raises(KeyboardInterrupt):
         _run(monkeypatch, 3, trials=10)
+
+
+def test_a_run_without_a_theorem_suite_forks_nothing(monkeypatch):
+    # the oblique search runs in this process alone, so its slices would idle
+    def no_fork():
+        raise AssertionError("forked a child with no theorem suite to run")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    records = _run(monkeypatch, 3, suites=("oblique-counterexample",), trials=5)
+    assert [record.suite for record in records] == ["oblique-counterexample"]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from pseudosim.eigen import Spectrum, eigvals_general
+from pseudosim.eigen import eigvals_general
 from pseudosim.errors import (
     ClassificationError,
     ContractViolation,
@@ -16,8 +16,8 @@ from pseudosim.transforms import pseudo_similarity
 def test_interlacing_selection_case():
     report = check_interlacing([1.0, 2.0, 3.0], [1.0, 2.0])
     assert report.passed
-    assert report.per_index[0].lower_margin == 0.0
-    assert report.per_index[1].upper_margin == 1.0
+    assert_array_equal(report.lower_margins, [0.0, 0.0])  # eta - lam[:2]
+    assert_array_equal(report.upper_margins, [1.0, 1.0])  # lam[1:] - eta
 
 
 def test_interlacing_middle_value():
@@ -36,14 +36,15 @@ def test_interlacing_identity_case():
     lam = [-1.0, 0.5, 2.0]
     report = check_interlacing(lam, lam)
     assert report.passed
-    assert report.per_index[0].lower_margin == 0.0
-    assert report.per_index[-1].upper_margin == 0.0
+    assert_array_equal(report.lower_margins, [0.0, 0.0, 0.0])
+    assert_array_equal(report.upper_margins, [0.0, 0.0, 0.0])
     assert report.min_margins() == (0.0, 0.0)
 
 
 def test_interlacing_vacuous():
     report = check_interlacing([1.0, 2.0], [])
     assert report.passed and report.vacuous
+    assert report.lower_margins.size == report.upper_margins.size == 0
     assert report.min_margins() == (np.inf, np.inf)
 
 
@@ -85,8 +86,12 @@ def test_extract_nonzero_misfit_rank():
 
 
 def test_extract_nonzero_spectrum_input():
-    s = Spectrum(values=np.array([2.0 + 1e-15j, 0.0 + 0j]))
-    nonzero, zeros = extract_nonzero(s, 1)
+    # a solver's spectrum reaches the zero split through the realness
+    # verdict, never around it
+    s = eigvals_general(np.array([[2.0 + 1e-15j, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ContractViolation):
+        extract_nonzero(s, 1)
+    nonzero, zeros = extract_nonzero(classify_real(s), 1)
     assert_allclose(nonzero, [2.0])
     assert zeros == 1
 

@@ -4,13 +4,7 @@ from numpy.testing import assert_allclose
 
 from pseudosim.eigen import eigvals_general, match_distance, spectral_scale
 from pseudosim.errors import ContractViolation, NumericalError
-from pseudosim.oracles import (
-    _characteristic_polynomial,
-    _polynomial_roots,
-    characteristic_polynomial,
-    charpoly_eigenvalues,
-    polynomial_roots,
-)
+from pseudosim.oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
 from pseudosim.rng import SplitMix64
 
 
@@ -75,7 +69,7 @@ def test_oracle_matches_lapack_small():
         n = rng.randint(2, 4)
         m = rng.complex_normals((n, n))
         oracle = charpoly_eigenvalues(m)
-        lapack = eigvals_general(m).values
+        lapack = eigvals_general(m)
         assert match_distance(lapack, oracle) <= 1e-6 * spectral_scale(oracle)
 
 
@@ -86,7 +80,7 @@ def test_oracle_matches_hermitian_small():
         g = rng.complex_normals((n, n))
         h = (g + g.conj().T) / 2
         oracle = np.sort(charpoly_eigenvalues(h).real)
-        lapack = np.sort(eigvals_general(h).values.real)
+        lapack = np.sort(eigvals_general(h).real)
         assert np.abs(oracle - lapack).max() <= 1e-6 * spectral_scale(lapack)
 
 
@@ -140,34 +134,38 @@ def test_stacked_charpoly_and_roots_are_bitwise_per_matrix(n, count):
     # alone, through the closed forms (n <= 2) and the Weierstrass iteration,
     # and what the one-matrix recurrence and iteration give
     mats = _stack(40 + n, n, count)
-    coeffs = _characteristic_polynomial(mats)
+    coeffs = characteristic_polynomial(mats)
     assert np.array_equal(coeffs, [characteristic_polynomial(m) for m in mats])
     assert np.array_equal(coeffs, [_faddeev_leverrier_reference(m) for m in mats])
-    roots = _polynomial_roots(coeffs)
+    roots = polynomial_roots(coeffs)
     assert np.array_equal(roots, [polynomial_roots(c) for c in coeffs])
     if n >= 3:
         assert np.array_equal(roots, [_weierstrass_reference(c) for c in coeffs])
     scaled = coeffs * (1.5 - 0.5j)  # not monic: each row is divided by its leading term
-    assert np.array_equal(_polynomial_roots(scaled), [polynomial_roots(c) for c in scaled])
+    assert np.array_equal(polynomial_roots(scaled), [polynomial_roots(c) for c in scaled])
+    if count == 50:  # two leading axes give the same rows as one
+        assert np.array_equal(characteristic_polynomial(mats.reshape(5, 10, n, n)),
+                              coeffs.reshape(5, 10, n + 1))
+        assert np.array_equal(polynomial_roots(coeffs.reshape(5, 10, n + 1)), roots.reshape(5, 10, n))
 
 
 def test_unsettled_row_fails_its_stack():
     # an unsettled row fails the whole stack; the others settle alone in
     # their usual number of iterations
-    coeffs = _characteristic_polynomial(_stack(50, 3, 4))
+    coeffs = characteristic_polynomial(_stack(50, 3, 4))
     stuck = np.array([1.0, -3.0, 3.0, -1.0], dtype=np.complex128)  # (z - 1)^3
     with pytest.raises(NumericalError, match="did not settle for degree 3"):
-        _polynomial_roots(np.vstack([coeffs[:2], stuck, coeffs[2:]]))
-    assert np.array_equal(_polynomial_roots(coeffs), [polynomial_roots(c) for c in coeffs])
+        polynomial_roots(np.vstack([coeffs[:2], stuck, coeffs[2:]]))
+    assert np.array_equal(polynomial_roots(coeffs), [polynomial_roots(c) for c in coeffs])
 
 
 def test_stacked_roots_contract():
-    coeffs = _characteristic_polynomial(_stack(51, 3, 3))
+    coeffs = characteristic_polynomial(_stack(51, 3, 3))
     for bad in (np.nan, 0.0):
         rows = coeffs.copy()
         rows[1, 0] = bad
         with pytest.raises(ContractViolation):
-            _polynomial_roots(rows)
+            polynomial_roots(rows)
 
 
 def _scalar_quadratic(b, c):
@@ -187,4 +185,4 @@ def test_quadratic_roots_match_scalar_arithmetic():
     coeffs[:, 1:] = rng.complex_normals((2000, 2)) * 10.0 ** rng.uniforms(2000)[:, None]
     coeffs[::7, 2] = 0.0  # a zero root
     expected = [np.sort_complex(_scalar_quadratic(b, c)) for _, b, c in coeffs]
-    assert np.array_equal(_polynomial_roots(coeffs), expected)
+    assert np.array_equal(polynomial_roots(coeffs), expected)
