@@ -13,6 +13,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import fields
 
 from .ensembles import EnsembleSpec
 from .errors import ContractViolation
@@ -28,9 +29,6 @@ from .reports import FORMATS, emit_report, summarize
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
 
-_ENSEMBLE_INTS = ("seed", "n", "k", "l")
-_ENSEMBLE_FLOATS = ("spectrum_gap", "spectrum_bound", "condition_cap", "nonunitarity_floor")
-
 
 def _parse_suites(raw: str) -> list[str]:
     return [token.strip() for token in raw.replace(",", " ").split() if token.strip()]
@@ -40,8 +38,20 @@ def _spectrum_values(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in _parse_suites(raw))
 
 
+#: INI section -> its keys, each with the function that reads its value
+_INI_KEYS = {
+    "run": {"suites": _parse_suites, "trials": int},
+    "ensemble": {**dict.fromkeys(("seed", "n", "k", "l"), int),
+                 **dict.fromkeys(("spectrum_gap", "spectrum_bound", "condition_cap",
+                                  "nonunitarity_floor"), float),
+                 "spectrum_law": str.strip, "spectrum_values": _spectrum_values},
+    "tolerances": dict.fromkeys((f.name for f in fields(Tolerances)), float),
+    "output": {"path": str.strip, "format": str.strip},
+}
+
+
 def load_config_file(path: str) -> dict:
-    """Flatten the INI file into keyword arguments for :func:`build_config`."""
+    """The INI file's values, section -> key -> value, for :func:`build_config`."""
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as stream:
@@ -51,85 +61,49 @@ def load_config_file(path: str) -> dict:
     except configparser.Error as exc:
         raise ContractViolation(f"malformed config file {path!r}: {exc}") from exc
 
-    def value(section, key: str, convert):
-        try:
-            return convert(section[key])
-        except ValueError as exc:
-            raise ContractViolation(
-                f"bad value for [{section.name}] {key} in config file {path!r}: {exc}") from exc
-
-    out: dict = {}
-    if parser.has_section("run"):
-        run = parser["run"]
-        if "suites" in run:
-            out["suites"] = _parse_suites(run["suites"])
-        if "trials" in run:
-            out["trials"] = value(run, "trials", int)
-    if parser.has_section("ensemble"):
-        ens = parser["ensemble"]
-        ensemble: dict = {}
-        for key in _ENSEMBLE_INTS:
-            if key in ens:
-                ensemble[key] = value(ens, key, int)
-        for key in _ENSEMBLE_FLOATS:
-            if key in ens:
-                ensemble[key] = value(ens, key, float)
-        if "spectrum_law" in ens:
-            ensemble["spectrum_law"] = ens["spectrum_law"].strip()
-        if "spectrum_values" in ens:
-            ensemble["spectrum_values"] = value(ens, "spectrum_values", _spectrum_values)
-        out["ensemble"] = ensemble
-    if parser.has_section("tolerances"):
-        tol = parser["tolerances"]
-        out["tolerances"] = {key: value(tol, key, float) for key in tol}
-    if parser.has_section("output"):
-        output = parser["output"]
-        if "path" in output:
-            out["out"] = output["path"].strip()
-        if "format" in output:
-            out["format"] = output["format"].strip()
-    return out
+    sections: dict = {}
+    for name in parser:  # the default section comes first, empty unless the file has one
+        section, readers = parser[name], _INI_KEYS.get(name)
+        if readers is None:
+            if name != parser.default_section or len(section):
+                raise ContractViolation(f"unknown section [{name}] in config file {path!r}; "
+                                        f"valid: {', '.join(_INI_KEYS)}")
+            continue
+        sections[name] = {}
+        for key in section:
+            if key not in readers:
+                raise ContractViolation(f"unknown key {key!r} in [{name}] of config file "
+                                        f"{path!r}; valid: {', '.join(readers)}")
+            try:
+                sections[name][key] = readers[key](section[key])
+            except ValueError as exc:
+                raise ContractViolation(
+                    f"bad value for [{name}] {key} in config file {path!r}: {exc}") from exc
+    return sections
 
 
 def build_config(file_values: dict | None, args: argparse.Namespace) -> ExperimentConfig:
-    values = dict(file_values or {})
-    ensemble_kwargs = dict(values.get("ensemble", {}))
-    tolerance_kwargs = dict(values.get("tolerances", {}))
-
-    if args.suite:
-        suites: list[str] = []
-        for chunk in args.suite:
-            suites.extend(_parse_suites(chunk))
-        values["suites"] = suites
-    if args.trials is not None:
-        values["trials"] = args.trials
+    """The run's configuration: the flags in ``args`` over ``file_values``,
+    as :func:`load_config_file` reads them, over the defaults."""
+    sections = file_values or {}
+    run, output = sections.get("run", {}), sections.get("output", {})
+    ensemble_kwargs = {"seed": DEFAULT_SEED, **sections.get("ensemble", {})}
+    tolerance_kwargs = dict(sections.get("tolerances", {}))
     if args.seed is not None:
         ensemble_kwargs["seed"] = args.seed
-    if args.out is not None:
-        values["out"] = args.out
-    if args.format is not None:
-        values["format"] = args.format
     if args.tol_interlace is not None:
         tolerance_kwargs["interlace"] = args.tol_interlace
     if args.tol_rank is not None:
         tolerance_kwargs["rank"] = args.tol_rank
-
-    ensemble_kwargs.setdefault("seed", DEFAULT_SEED)
-    try:
-        tolerances = Tolerances(**tolerance_kwargs)
-    except TypeError as exc:
-        raise ContractViolation(f"unknown tolerance key: {exc}") from exc
-    try:
-        ensemble = EnsembleSpec(**ensemble_kwargs)
-    except TypeError as exc:
-        raise ContractViolation(f"unknown ensemble key: {exc}") from exc
+    suites = ([suite for chunk in args.suite for suite in _parse_suites(chunk)] if args.suite
+              else run.get("suites", SUITES))
     return ExperimentConfig(
-        suites=tuple(values.get("suites", SUITES)),
-        ensemble=ensemble,
-        trials=int(values.get("trials", DEFAULT_TRIALS)),
-        tolerances=tolerances,
-        out=values.get("out"),
-        format=values.get("format", "table"),
+        suites=tuple(suites),
+        ensemble=EnsembleSpec(**ensemble_kwargs),
+        trials=args.trials if args.trials is not None else run.get("trials", DEFAULT_TRIALS),
+        tolerances=Tolerances(**tolerance_kwargs),
+        out=args.out if args.out is not None else output.get("path"),
+        format=args.format if args.format is not None else output.get("format", "table"),
     )
 
 

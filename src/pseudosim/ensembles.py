@@ -8,9 +8,10 @@ every draw.
 
 A generator that needs Haar-like unitaries runs in three steps.  Its
 ``draw_*`` function takes every random number from the stream, in a fixed
-order, and returns a :class:`Draw`; :func:`haar_factors` turns the draw's
-complex Gaussians into orthonormal columns, for many draws at once with one
-QR call per matrix shape; :meth:`Draw.assemble` builds the member from them.
+order, and returns a :class:`Draw` that holds the complex Gaussian matrices
+it drew; :func:`haar_factors` turns those Gaussians into orthonormal columns,
+for many draws at once with one QR call per matrix shape;
+:meth:`Draw.assemble` builds the member from them.
 ``random_*`` and :func:`hermitian_with_spectrum` run the three steps for one
 draw.
 """
@@ -23,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
-from .rng import SplitMix64, complex_normals_from
+from .rng import SplitMix64
 from .transforms import build_rank_deficient
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
@@ -110,19 +111,16 @@ def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """An ensemble member whose random words are drawn but which is not
+    """An ensemble member whose random numbers are drawn but which is not
     built yet.
 
-    The member needs the Haar-like factors of complex standard normal
-    matrices of the given ``shapes``; ``words`` holds the stream words each
-    one is made of, as :meth:`SplitMix64.complex_normals` would make it.
-    ``build`` makes the member from those factors, taken in the same order.
-    :func:`haar_factors` serves many draws at once, with one QR call per
-    matrix shape.
+    ``gaussians`` holds the complex standard normal matrices whose Haar-like
+    factors the member needs; ``build`` makes the member from those factors,
+    taken in the same order.  :func:`haar_factors` serves many draws at once,
+    with one QR call per matrix shape.
     """
 
-    shapes: tuple[tuple[int, int], ...]
-    words: tuple[np.ndarray, ...]
+    gaussians: tuple[np.ndarray, ...]
     build: Callable[..., np.ndarray]
 
     def assemble(self, unitaries) -> np.ndarray:
@@ -130,12 +128,9 @@ class Draw:
         return self.build(*unitaries)
 
 
-def _gaussians(rng: SplitMix64, *shapes):
-    """``shapes`` and the words of complex Gaussians of those shapes, drawn
-    in order: the first two fields of a :class:`Draw`.  The words are copied
-    out of the stream's look-ahead block, so a draw that waits for its chunk
-    keeps its own words alive and not the block."""
-    return shapes, tuple(rng.uint64s(4 * n * l).copy() for n, l in shapes)
+def _gaussians(rng: SplitMix64, *shapes) -> tuple[np.ndarray, ...]:
+    """Complex Gaussians of ``shapes``, drawn in order."""
+    return tuple(rng.complex_normals(shape) for shape in shapes)
 
 
 def _haar_columns(a: np.ndarray) -> np.ndarray:
@@ -155,21 +150,19 @@ def _haar_columns(a: np.ndarray) -> np.ndarray:
 def haar_factors(draws) -> list[tuple[np.ndarray, ...]]:
     """The Haar factors of each draw's Gaussians: one stack of Gaussians and
     one stacked QR per shape."""
-    shapes = [shape for d in draws for shape in d.shapes]
-    words = [w for d in draws for w in d.words]
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, shape in enumerate(shapes):
-        by_shape.setdefault(shape, []).append(i)
-    factors = [None] * len(shapes)
-    for shape, indices in by_shape.items():
-        # a draw's words are its own copy, so a group of one uses them as they are
-        rows = (np.stack([words[i] for i in indices]) if len(indices) > 1
-                else words[indices[0]][np.newaxis])
-        gaussians = complex_normals_from(rows, shape)
-        for i, q in zip(indices, _haar_columns(gaussians)):
+    gaussians = [g for d in draws for g in d.gaussians]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(gaussians):
+        by_shape.setdefault(g.shape, []).append(i)
+    factors = [None] * len(gaussians)
+    for indices in by_shape.values():
+        # a group of one factors the draw's own array, not a copy of it
+        stack = (np.stack([gaussians[i] for i in indices]) if len(indices) > 1
+                 else gaussians[indices[0]][np.newaxis])
+        for i, q in zip(indices, _haar_columns(stack)):
             factors[i] = q
     in_order = iter(factors)
-    return [tuple(islice(in_order, len(d.shapes))) for d in draws]
+    return [tuple(islice(in_order, len(d.gaussians))) for d in draws]
 
 
 def _built(draw: Draw) -> np.ndarray:
@@ -180,7 +173,7 @@ def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:
     """The draw of :func:`random_unitary`."""
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
-    return Draw(*_gaussians(rng, (n, l)), lambda u: u)
+    return Draw(_gaussians(rng, (n, l)), lambda u: u)
 
 
 def random_unitary(rng: SplitMix64, n: int, l: int) -> np.ndarray:
@@ -199,7 +192,7 @@ def draw_hermitian(rng: SplitMix64, lam) -> Draw:
         p = (u * lam) @ u.conj().T
         return (p + p.conj().T) / 2.0
 
-    return Draw(*_gaussians(rng, (lam.size, lam.size)), build)
+    return Draw(_gaussians(rng, (lam.size, lam.size)), build)
 
 
 def hermitian_with_spectrum(rng: SplitMix64, lam) -> np.ndarray:
@@ -239,7 +232,7 @@ def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
     s[0] = 1.0
     if l > 1:
         s[1:] = _log_uniform(rng, l - 1, 1.0 / condition_cap, 1.0)
-    return Draw(*gaussians, lambda u, v: (u * s) @ v.conj().T)
+    return Draw(gaussians, lambda u, v: (u * s) @ v.conj().T)
 
 
 def random_full_column_rank(rng: SplitMix64, n: int, l: int,
@@ -258,9 +251,8 @@ def draw_rank_l(rng: SplitMix64, n: int, k: int, l: int,
     if not 1 <= l <= min(n, k):
         raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
     core = draw_full_column_rank(rng, n, l, condition_cap)
-    shapes, words = _gaussians(rng, (k, l))
-    build_core = core.build  # not core, whose words the build must not hold
-    return Draw(core.shapes + shapes, core.words + words,
+    build_core = core.build  # not core, whose Gaussians the build must not hold
+    return Draw(core.gaussians + _gaussians(rng, (k, l)),
                 lambda u, w, v: build_rank_deficient(build_core(u, w), v))
 
 
@@ -287,7 +279,7 @@ def draw_invertible_nonunitary(rng: SplitMix64, n: int,
     s[n - 1] = 1.0 / ratio
     if n > 2:
         s[1:n - 1] = _log_uniform(rng, n - 2, 1.0 / ratio, 1.0)
-    return Draw(*_gaussians(rng, (n, n), (n, n)), lambda u, v: (u * s) @ v.conj().T)
+    return Draw(_gaussians(rng, (n, n), (n, n)), lambda u, v: (u * s) @ v.conj().T)
 
 
 def random_invertible_nonunitary(rng: SplitMix64, n: int,

@@ -31,6 +31,7 @@ chunked and of which slice, in which process, ran it.
 """
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -75,7 +76,8 @@ class Tolerances:
     All values are relative factors multiplied by the spectral or entry
     scale of the quantity under test, except ``rank``, which replaces the
     rank-detection threshold factor directly; None keeps the per-matrix
-    default, max(rows, cols) * eps.
+    default, max(rows, cols) * eps.  Every value is finite and positive: a
+    NaN or infinite gate would pass anything, a non-positive one nothing.
     """
 
     interlace: float = INTERLACE_REL_TOL
@@ -86,6 +88,13 @@ class Tolerances:
     unitary_pinv: float = 1e-10       # pinv(Q) vs Q^H, subsumption
     route: float = 1e-9               # compression route agreement, subsumption
     oracle: float = 1e-6              # solver vs charpoly roots, trace/det; oblique witnesses
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "rank"
+                    or isinstance(value, (int, float)) and 0.0 < value < math.inf):
+                raise ContractViolation(f"tolerance {f.name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -310,7 +319,7 @@ def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
     or on a control arm unitary or the identity."""
     n = dims[0]
     lam = np.sort(draw_spectrum(rng, spec, n))
-    p = draw_hermitian(rng, lam)  # its words come before X's
+    p = draw_hermitian(rng, lam)  # its Gaussians come before X's
     if control == "identity":
         x = np.eye(n, dtype=np.complex128)
     elif control == "unitary":
@@ -568,10 +577,10 @@ class _DrawnTrial(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the trial's complex128 Gaussians and of the arrays it drew
-        outright."""
-        return (sum(16 * n * l for d in self.draws for n, l in d.shapes)
-                + sum(v.nbytes for v in self.drawn if isinstance(v, np.ndarray)))
+        """Bytes of every array the trial holds: its draws' Gaussians and the
+        arrays it drew outright."""
+        arrays = [a for v in self.drawn for a in (v.gaussians if isinstance(v, Draw) else (v,))]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
 def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> _DrawnTrial:
@@ -592,8 +601,8 @@ def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
     a failed outcome for a trial whose matrices raise.  The Haar factors of
     every draw in the chunk come from one stacked QR per matrix shape.
 
-    Takes the trials out of ``chunk`` one at a time, so each trial's words
-    and Haar factors are let go as soon as its matrices are built.
+    Takes the trials out of ``chunk`` one at a time, so each trial's
+    Gaussians and Haar factors are let go as soon as its matrices are built.
     """
     factors = haar_factors([d for trial in chunk for d in trial.draws])[::-1]
     chunk.reverse()

@@ -84,24 +84,11 @@ def _words(state: int, count: int) -> np.ndarray:
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
-    """One standard normal per consecutive word pair along the last axis,
-    ``u1`` first."""
+    """One standard normal per consecutive word pair, ``u1`` first."""
     bits = words >> _U11
-    u1 = (bits[..., 0::2].astype(np.float64) + 1.0) / _TWO53
-    u2 = bits[..., 1::2].astype(np.float64) / _TWO53
+    u1 = (bits[0::2].astype(np.float64) + 1.0) / _TWO53
+    u2 = bits[1::2].astype(np.float64) / _TWO53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-def complex_normals_from(words: np.ndarray, shape) -> np.ndarray:
-    """The complex array of the tuple ``shape`` that
-    :meth:`SplitMix64.complex_normals` makes of its ``4 * prod(shape)`` words.
-
-    Each row of a 2-D ``words`` gives one array of a stack, equal to the
-    array made of that row alone: Box-Muller works on each word pair apart.
-    """
-    count = math.prod(shape)
-    z = _box_muller(words)
-    return (z[..., :count] + 1j * z[..., count:]).reshape(words.shape[:-1] + tuple(shape))
 
 
 def mix64(z: int) -> int:
@@ -167,7 +154,9 @@ class SplitMix64:
         order, as ``count`` real-part normals followed by ``count``
         imaginary-part normals.
         """
-        return complex_normals_from(self.uint64s(4 * math.prod(shape)), shape)
+        count = math.prod(shape)
+        z = _box_muller(self.uint64s(4 * count))
+        return (z[:count] + 1j * z[count:]).reshape(shape)
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on the inclusive range [lo, hi] (modulo method)."""

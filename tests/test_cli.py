@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -197,6 +198,79 @@ def test_exit_two_on_malformed_value(tmp_path, capsys, section, line):
     assert main(["--config", str(path), "--suite", "subsumption", "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and line.split()[0] in err and "bad.ini" in err
+
+
+def _no_trials(config):
+    raise AssertionError("trials ran despite a config error")
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--tol-interlace", "nan"], "interlace"),
+    (["--tol-interlace", "inf"], "interlace"),
+    (["--tol-interlace", "-1"], "interlace"),
+    (["--tol-rank", "-1"], "rank"),
+    (["--tol-rank", "0"], "rank"),
+])
+def test_exit_two_on_unusable_tolerance_flag(capsys, monkeypatch, flags, field):
+    # a NaN or infinite gate passes every trial, a non-positive one fails
+    # every trial: both are config errors, caught before any trial runs
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    assert main(["--suite", "interlace-inflated", "--trials", "3"] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: tolerance {field} must be finite and > 0")
+
+
+@pytest.mark.parametrize("line", ["realness = nan", "route = inf", "zero = 0", "mp = -1e-8",
+                                  "oracle = -inf"])
+def test_exit_two_on_unusable_tolerance_key(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    path = tmp_path / "tols.ini"
+    path.write_text(f"[tolerances]\n{line}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "subsumption", "--trials", "3"]) == 2
+    field = line.split()[0]
+    assert capsys.readouterr().err.startswith(f"error: tolerance {field} must be finite and > 0")
+
+
+@pytest.mark.parametrize("text, section, key", [
+    ("[ensemble]\ncondition_capp = 1e8\n", "ensemble", "condition_capp"),
+    ("[run]\ntrails = 3\n", "run", "trails"),
+    ("[tolerances]\nrealnes = 1e-3\n", "tolerances", "realnes"),
+    ("[output]\nformats = csv\n", "output", "formats"),
+    ("[run]\ntrials = 3\n[ensembel]\nseed = 3\n", "ensembel", None),
+    ("[DEFAULT]\nseed = 3\n[ensemble]\nn = 4\n", "DEFAULT", None),
+])
+def test_exit_two_on_unknown_ini_key(tmp_path, capsys, monkeypatch, text, section, key):
+    # a misspelled section or key is an error in every section, not a run on
+    # the defaults
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    path = tmp_path / "typo.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "subsumption"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown") and "typo.ini" in err and f"[{section}]" in err
+    assert key is None or repr(key) in err
+
+
+def test_every_ini_key_is_read(tmp_path):
+    # the 22 keys the file format has, each set away from its default
+    path = tmp_path / "full.ini"
+    path.write_text(
+        "[run]\nsuites = mp-axioms\ntrials = 4\n"
+        "[ensemble]\nseed = 5\nn = 6\nk = 5\nl = 3\nspectrum_law = prescribed\n"
+        "spectrum_values = 1 2 3 4 5 6\nspectrum_gap = 0.2\nspectrum_bound = 3\n"
+        "condition_cap = 50\nnonunitarity_floor = 4\n"
+        "[tolerances]\ninterlace = 1e-6\nrank = 1e-9\nzero = 1e-6\nrealness = 1e-7\n"
+        "mp = 1e-7\nunitary_pinv = 1e-9\nroute = 1e-8\noracle = 1e-5\n"
+        "[output]\npath = report.csv\nformat = csv\n",
+        encoding="utf-8")
+    config = build_config(load_config_file(str(path)), _parse([]))
+    assert (config.suites, config.trials, config.out, config.format) == (
+        ("mp-axioms",), 4, "report.csv", "csv")
+    ens = config.ensemble
+    assert (ens.seed, ens.n, ens.k, ens.l, ens.spectrum_law, ens.spectrum_values) == (
+        5, 6, 5, 3, "prescribed", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    assert (ens.spectrum_gap, ens.spectrum_bound, ens.condition_cap, ens.nonunitarity_floor) == (
+        0.2, 3.0, 50.0, 4.0)
+    assert dataclasses.astuple(config.tolerances) == (1e-6, 1e-9, 1e-6, 1e-7, 1e-7, 1e-9, 1e-8, 1e-5)
 
 
 @pytest.mark.parametrize("pinned, suite", [

@@ -23,7 +23,7 @@ from pseudosim.ensembles import (
 from pseudosim.errors import ContractViolation, DimensionError
 from pseudosim.interlace import classify_real
 from pseudosim.linalg import is_hermitian, numerical_rank, penrose_residuals, pseudo_inverse, svd
-from pseudosim.rng import SplitMix64, complex_normals_from
+from pseudosim.rng import SplitMix64
 
 
 def test_unitary_1x1_unit_modulus():
@@ -222,10 +222,10 @@ def test_haar_factors_keep_draw_order_across_shapes():
     draws = [draw_unitary(rng, 5, 2), draw_full_column_rank(rng, 5, 2), draw_unitary(rng, 3, 3),
              draw_rank_l(rng, 4, 7, 2), draw_hermitian(rng, [1.0, -2.0, 0.5])]
     factors = haar_factors(draws)
-    assert [len(f) for f in factors] == [len(d.shapes) for d in draws]
+    assert [len(f) for f in factors] == [len(d.gaussians) for d in draws]
     for d, f in zip(draws, factors):
-        for shape, words, q in zip(d.shapes, d.words, f):
-            assert np.array_equal(q, _haar_reference(complex_normals_from(words, shape)))
+        for g, q in zip(d.gaussians, f):
+            assert np.array_equal(q, _haar_reference(g))
 
 
 def test_generators_are_their_draws_assembled():
@@ -243,19 +243,19 @@ def test_generators_are_their_draws_assembled():
 
 
 def test_single_draw_group_is_a_view_of_its_words(monkeypatch):
-    # a shape that only one draw of the batch has is made from that draw's
-    # own words, not from a second copy of them
+    # a shape that only one draw of the batch has is factored from that
+    # draw's own Gaussian, not from a second copy of it
     seen = []
-    complex_normals = ensembles.complex_normals_from
+    haar_columns = ensembles._haar_columns
 
-    def recorded(words, shape):
-        seen.append(words)
-        return complex_normals(words, shape)
+    def recorded(stack):
+        seen.append(stack)
+        return haar_columns(stack)
 
-    monkeypatch.setattr(ensembles, "complex_normals_from", recorded)
+    monkeypatch.setattr(ensembles, "_haar_columns", recorded)
     rng = SplitMix64(3)
     alone, first, second = draw_unitary(rng, 5, 2), draw_unitary(rng, 4, 3), draw_unitary(rng, 4, 3)
     haar_factors([alone, first, second])
     assert len(seen) == 2
-    assert np.shares_memory(seen[0], alone.words[0])
-    assert not any(np.shares_memory(seen[1], d.words[0]) for d in (first, second))
+    assert np.shares_memory(seen[0], alone.gaussians[0])
+    assert not any(np.shares_memory(seen[1], d.gaussians[0]) for d in (first, second))

@@ -1,14 +1,12 @@
 import dataclasses
 import hashlib
-import os
-import subprocess
-import sys
 import weakref
 
 import numpy as np
 import pytest
 
 import pseudosim.experiments as experiments
+from pseudosim.cli import main
 from pseudosim.eigen import eigvals_general, match_distance, spectral_scale
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation, NumericalError
@@ -287,22 +285,22 @@ def test_failed_draws_stay_inside_their_trial(small_chunks, monkeypatch):
 
 
 def test_chunk_frees_words_before_its_check(monkeypatch):
-    # once a chunk's Haar factors are made, its draws' words are gone: the
-    # check runs without them
+    # once a chunk's Haar factors are made, its draws' Gaussians are gone:
+    # the check runs without them
     suite = "interlace-rank-deficient"
     spec = EnsembleSpec(seed=42)
     chunk = [experiments._draw_trial(spec, suite, i) for i in range(4)]
-    words = [weakref.ref(w) for trial in chunk for d in trial.draws for w in d.words]
+    gaussians = [weakref.ref(g) for trial in chunk for d in trial.draws for g in d.gaussians]
     alive = []
     dims, draw, check = experiments._SUITE_TABLE[suite]
 
     def counted(spec, trials, tolerances):
-        alive.append(sum(ref() is not None for ref in words))
+        alive.append(sum(ref() is not None for ref in gaussians))
         return check(spec, trials, tolerances)
 
     monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted))
     outcomes = experiments._check_chunk(spec, suite, chunk, Tolerances())
-    assert len(words) == 16 and alive == [0] and chunk == []
+    assert len(gaussians) == 16 and alive == [0] and chunk == []
     assert all(outcome.passed for outcome in outcomes)
 
 
@@ -387,13 +385,11 @@ def test_failed_oracle_records_carry_the_drawn_k(monkeypatch):
                                        (9, "56d41e5a57a0755ead699865bbc2fdf6")])
 def test_solver_oracle_csv_digest(tmp_path, seed, md5):
     # 1000 trials through the stacked checks give the CSV of the one trial
-    # at a time check, byte for byte (single-threaded BLAS, numpy 2.4.6)
+    # at a time check, byte for byte (numpy 2.4.6; the digest does not depend
+    # on the BLAS thread count)
     out = tmp_path / "oracle.csv"
-    subprocess.run(
-        [sys.executable, "-m", "pseudosim.cli", "--suite", ORACLE, "--trials", "1000",
-         "--seed", str(seed), "--format", "csv", "--out", str(out)],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=300, check=True,
-    )
+    assert main(["--suite", ORACLE, "--trials", "1000", "--seed", str(seed),
+                 "--format", "csv", "--out", str(out)]) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == md5
 
 
@@ -412,14 +408,12 @@ OBLIQUE_DIGESTS = [
 
 @pytest.mark.parametrize("ensemble, md5", OBLIQUE_DIGESTS, ids=["rejected-then-found", "documented", "none"])
 def test_oblique_search_csv_digest(tmp_path, ensemble, md5):
-    # the search's record, byte for byte (single-threaded BLAS, numpy 2.4.6)
+    # the search's record, byte for byte (numpy 2.4.6; the digest does not
+    # depend on the BLAS thread count)
     config, out = tmp_path / "oblique.ini", tmp_path / "oblique.csv"
     config.write_text("[ensemble]\n" + ensemble, encoding="utf-8")
-    subprocess.run(
-        [sys.executable, "-m", "pseudosim.cli", "--config", str(config),
-         "--suite", "oblique-counterexample", "--trials", "1000", "--format", "csv", "--out", str(out)],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=300, check=True,
-    )
+    assert main(["--config", str(config), "--suite", "oblique-counterexample", "--trials", "1000",
+                 "--format", "csv", "--out", str(out)]) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == md5
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudosim.rng import GOLDEN, SplitMix64, complex_normals_from, derive_seed, mix64
+from pseudosim.rng import GOLDEN, SplitMix64, derive_seed, mix64
 
 
 # Reference outputs of the standard splitmix64 stream, cross-checked against
@@ -71,19 +71,6 @@ def test_complex_normals_layout():
     assert z.dtype == np.complex128
     var = np.var(SplitMix64(15).complex_normals((200, 200)))
     assert abs(var - 2.0) < 0.1  # unit variance per component
-
-
-def test_complex_normals_from_stacked_words():
-    # a stack of word rows makes the same arrays as each row alone, and as
-    # the stream's own complex draw of those words
-    g = SplitMix64(18)
-    rows = [g.uint64s(4 * 15) for _ in range(5)]
-    stacked = complex_normals_from(np.stack(rows), (5, 3))
-    ref = SplitMix64(18)
-    assert stacked.shape == (5, 5, 3)
-    for row, z in zip(rows, stacked):
-        assert np.array_equal(z, complex_normals_from(row, (5, 3)))
-        assert np.array_equal(z, ref.complex_normals((5, 3)))
 
 
 # Derived draws at one seed, pinned bit for bit: a change to how words become
