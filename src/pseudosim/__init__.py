@@ -23,7 +23,6 @@ from .ensembles import (
     random_invertible_nonunitary,
     random_rank_l,
     random_unitary,
-    selection_matrix,
 )
 from .errors import (
     ClassificationError,
@@ -50,15 +49,12 @@ from .interlace import (
     extract_nonzero,
 )
 from .linalg import (
-    QrFactors,
     SvdFactors,
     adjoint,
     is_hermitian,
     numerical_rank,
     penrose_residuals,
     pseudo_inverse,
-    pseudo_inverse_qr,
-    qr_economy_pivoted,
     svd,
 )
 from .oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
@@ -83,7 +79,6 @@ __all__ = [
     "ExperimentConfig",
     "InterlacingReport",
     "NumericalError",
-    "QrFactors",
     "RealnessViolation",
     "SUITES",
     "SplitMix64",
@@ -115,9 +110,7 @@ __all__ = [
     "penrose_residuals",
     "polynomial_roots",
     "pseudo_inverse",
-    "pseudo_inverse_qr",
     "pseudo_similarity",
-    "qr_economy_pivoted",
     "random_full_column_rank",
     "random_invertible_nonunitary",
     "random_rank_l",
@@ -125,7 +118,6 @@ __all__ = [
     "render",
     "run_suite",
     "run_trial",
-    "selection_matrix",
     "sort_eigenvalues",
     "spectral_scale",
     "svd",

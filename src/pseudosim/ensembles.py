@@ -17,6 +17,7 @@ draw.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
@@ -78,10 +79,17 @@ class EnsembleSpec:
                 raise ContractViolation(
                     f"prescribed spectrum has length {len(self.spectrum_values)}, n = {self.n}"
                 )
-        if not (0.0 < self.spectrum_gap <= self.spectrum_bound):
-            raise ContractViolation("need 0 < spectrum_gap <= spectrum_bound")
-        if self.condition_cap < 1.0:
-            raise ContractViolation("condition_cap must be >= 1")
+        if self.spectrum_values is not None and not all(map(math.isfinite, self.spectrum_values)):
+            raise ContractViolation(f"spectrum_values must be finite, got {self.spectrum_values}")
+        # each comparison fails on NaN, so a NaN field is rejected with the rest
+        if not (0.0 < self.spectrum_gap <= self.spectrum_bound < math.inf):
+            raise ContractViolation("need 0 < spectrum_gap <= spectrum_bound < inf, got "
+                                    f"{self.spectrum_gap}, {self.spectrum_bound}")
+        if not 1.0 <= self.condition_cap < math.inf:
+            raise ContractViolation(f"condition_cap must be finite and >= 1, got {self.condition_cap}")
+        if not 1.0 < self.nonunitarity_floor < math.inf:
+            raise ContractViolation(
+                f"nonunitarity_floor must be finite and > 1, got {self.nonunitarity_floor}")
         dims = (self.n, self.k, self.l)
         if any(d is not None and d < 1 for d in dims):
             raise ContractViolation(
@@ -198,22 +206,6 @@ def draw_hermitian(rng: SplitMix64, lam) -> Draw:
 def hermitian_with_spectrum(rng: SplitMix64, lam) -> np.ndarray:
     """U diag(lam) U^H for a Haar-like U; exactly Hermitian by symmetrization."""
     return _built(draw_hermitian(rng, lam))
-
-
-def selection_matrix(indices, n: int) -> np.ndarray:
-    """n x L 0/1 matrix whose columns are the standard basis vectors at
-    ``indices`` (0-based, distinct)."""
-    sel = [int(i) for i in indices]
-    if not sel:
-        raise ContractViolation("selection must not be empty")
-    if len(set(sel)) != len(sel):
-        raise ContractViolation(f"selection indices must be distinct: {sel}")
-    if any(i < 0 or i >= n for i in sel):
-        raise ContractViolation(f"selection indices out of range(0, {n}): {sel}")
-    m = np.zeros((n, len(sel)), dtype=np.complex128)
-    for col, row in enumerate(sel):
-        m[row, col] = 1.0
-    return m
 
 
 def _log_uniform(rng: SplitMix64, count: int, lo: float, hi: float) -> np.ndarray:

@@ -115,6 +115,9 @@ class ExperimentConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ContractViolation(f"unknown suite tag(s) {unknown}; valid: {list(SUITES)}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ContractViolation(f"suite tag(s) {repeated} selected more than once")
         if self.trials < 1:
             raise ContractViolation(f"trials must be >= 1, got {self.trials}")
         if self.format not in FORMATS:
@@ -310,6 +313,10 @@ def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int):
     if n < 2:
         raise ContractViolation(f"oblique-counterexample draws 1 <= l <= n - 1, so it needs n >= 2; "
                                 f"got n = {n}")
+    if spec.nonunitarity_floor > spec.condition_cap:
+        raise ContractViolation(f"oblique-counterexample draws cond(X) from [nonunitarity_floor, "
+                                f"condition_cap]; got nonunitarity_floor = {spec.nonunitarity_floor} "
+                                f"> condition_cap = {spec.condition_cap}")
     return n, 0, 0
 
 

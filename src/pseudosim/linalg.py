@@ -1,6 +1,6 @@
-"""Dense complex matrix core: adjoints, rank-revealing factorizations, and
-the Moore-Penrose pseudo-inverse, in numpy alone: the SVD is the production
-route, and a column-pivoted Gram-Schmidt QR written here cross-checks it.
+"""Dense complex matrix core: adjoints, hermiticity, and the thin SVD that
+gives both the numerical rank and the Moore-Penrose pseudo-inverse, in numpy
+alone.  The SVD is the one factorization here.
 
 Matrices are plain two-dimensional complex128 ``numpy`` arrays.  Every public
 routine validates its input through :func:`as_matrix`, which rejects NaN/Inf
@@ -55,7 +55,7 @@ def _as_square_stack(a) -> np.ndarray:
 
 def default_rank_tol(shape) -> float:
     """Relative rank threshold max(rows, cols) * eps; multiplied by the
-    largest singular value (or pivot magnitude) at the point of use."""
+    largest singular value at the point of use."""
     return max(shape) * EPS
 
 
@@ -94,66 +94,6 @@ def _hermitian_each(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = default_hermiticity_tol(m)
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= tol
-
-
-@dataclass
-class QrFactors:
-    """Economy column-pivoted QR truncated to the detected numerical rank.
-
-    ``m[:, perm] ~= q @ r`` with ``q`` of orthonormal columns (rows x rank),
-    ``r`` upper-trapezoidal (rank x cols) with real non-negative diagonal of
-    non-increasing magnitude (pivot order).
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    perm: np.ndarray
-    rank: int
-
-
-def qr_economy_pivoted(m, rank_tol: float | None = None) -> QrFactors:
-    """Rank-revealing economy QR with column pivoting (Businger-Golub).
-
-    Column-pivoted modified Gram-Schmidt: each step pivots in the remaining
-    column of largest residual norm, reorthogonalizes it once against the Q
-    columns so far, and projects the new Q column out of the columns still
-    to come.  It stops at a pivot norm at or below ``rank_tol`` times the
-    first pivot norm, or exactly 0; the steps taken are the numerical rank,
-    and Q and R are truncated to it.  R's diagonal holds each pivot's norm
-    after reorthogonalization, so it is real and non-negative by construction.
-
-    An all-zero matrix yields rank 0 with empty factors.
-    """
-    m = as_matrix(m)
-    rows, cols = m.shape
-    if cols < 1:
-        raise DimensionError("input must have at least one column")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m.shape)
-    if rank_tol <= 0:
-        raise ContractViolation("rank_tol must be positive")
-
-    a = m.copy()  # residual columns, in pivot order
-    perm = np.arange(cols)
-    q = np.zeros((rows, min(rows, cols)), dtype=np.complex128)
-    r = np.zeros((min(rows, cols), cols), dtype=np.complex128)
-    first = float(np.linalg.norm(m, axis=0).max())
-    rank = 0
-    for j in range(min(rows, cols)):
-        norms = np.linalg.norm(a[:, j:], axis=0)
-        p = j + int(np.argmax(norms))
-        if norms[p - j] == 0.0 or norms[p - j] <= rank_tol * first:
-            break
-        a[:, [j, p]], r[:j, [j, p]], perm[[j, p]] = a[:, [p, j]], r[:j, [p, j]], perm[[p, j]]
-        c = q[:, :j].conj().T @ a[:, j]  # reorthogonalization pass
-        r[:j, j] += c
-        v = a[:, j] - q[:, :j] @ c
-        r[j, j] = np.linalg.norm(v)
-        q[:, j] = v / r[j, j].real
-        r[j, j + 1:] = q[:, j].conj() @ a[:, j + 1:]
-        a[:, j + 1:] -= np.outer(q[:, j], r[j, j + 1:])
-        rank = j + 1
-    return QrFactors(q=q[:, :rank].copy(), r=r[:rank, :].copy(), perm=perm, rank=rank)
 
 
 @dataclass
@@ -215,29 +155,9 @@ def pseudo_inverse(m, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the SVD over the detected rank.
 
     Satisfies the four Penrose conditions to rounding; a rank-0 input yields
-    the zero matrix of transposed shape.  For full-column-rank input this
-    agrees with the triangular route of :func:`pseudo_inverse_qr`.
+    the zero matrix of transposed shape.
     """
     return svd(m, rank_tol).pseudo_inverse()
-
-
-def pseudo_inverse_qr(m, rank_tol: float | None = None) -> np.ndarray:
-    """Pseudo-inverse of a full-column-rank matrix as R^-1 Q^H.
-
-    Cross-check route only; the production path is :func:`pseudo_inverse`.
-    Raises :class:`ContractViolation` when the detected rank is below the
-    column count, where the triangular inverse does not exist.
-    """
-    m = as_matrix(m)
-    f = qr_economy_pivoted(m, rank_tol)
-    if f.rank < m.shape[1]:
-        raise ContractViolation(
-            f"triangular pseudo-inverse needs full column rank, detected {f.rank} < {m.shape[1]}"
-        )
-    inv_permuted = np.linalg.solve(f.r, f.q.conj().T)  # r is square at full column rank
-    out = np.empty_like(inv_permuted)
-    out[f.perm, :] = inv_permuted  # undo column pivoting
-    return out
 
 
 def penrose_residuals(m, pinv) -> tuple[float, float, float, float]:

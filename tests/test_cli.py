@@ -230,6 +230,52 @@ def test_exit_two_on_unusable_tolerance_key(tmp_path, capsys, monkeypatch, line)
     assert capsys.readouterr().err.startswith(f"error: tolerance {field} must be finite and > 0")
 
 
+@pytest.mark.parametrize("lines, fields", [
+    ("condition_cap = nan", ["condition_cap"]),
+    ("condition_cap = inf", ["condition_cap"]),
+    ("spectrum_bound = inf", ["spectrum_bound"]),
+    ("spectrum_gap = inf\nspectrum_bound = inf", ["spectrum_gap", "spectrum_bound"]),
+    ("n = 3\nspectrum_law = prescribed\nspectrum_values = 1 nan 2", ["spectrum_values"]),
+    ("nonunitarity_floor = nan", ["nonunitarity_floor"]),
+    ("nonunitarity_floor = 1", ["nonunitarity_floor"]),
+], ids=["cap-nan", "cap-inf", "bound-inf", "gap-and-bound-inf", "values-nan", "floor-nan", "floor-1"])
+def test_exit_two_on_unusable_ensemble_value(tmp_path, capsys, monkeypatch, lines, fields):
+    # a non-finite or out-of-range ensemble value would fail every trial as
+    # if the theorem had failed: a config error, caught before any trial runs
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    path = tmp_path / "ensemble.ini"
+    path.write_text(f"[ensemble]\n{lines}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "interlace-full-rank", "--trials", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(field in err for field in fields)
+
+
+@pytest.mark.parametrize("floor", ["nan", "0.5", "5000"])
+def test_oblique_search_rejects_unusable_floor(tmp_path, capsys, floor):
+    # the search draws cond(X) from [floor, cap]; a floor outside (1, cap]
+    # makes every draw raise, which would read as "no witness" with exit 0
+    path = tmp_path / "floor.ini"
+    path.write_text(f"[ensemble]\nnonunitarity_floor = {floor}\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "oblique-counterexample", "--trials", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonunitarity_floor" in err
+
+
+@pytest.mark.parametrize("flags, text, tag", [
+    (["--suite", "interlace-full-rank,interlace-full-rank"], "", "interlace-full-rank"),
+    (["--suite", "mp-axioms", "--suite", "subsumption", "--suite", "mp-axioms"], "", "mp-axioms"),
+    ([], "[run]\nsuites = subsumption, solver-oracle, subsumption\n", "subsumption"),
+], ids=["comma-separated-flag", "repeated-flag", "ini"])
+def test_exit_two_on_repeated_suite(tmp_path, capsys, monkeypatch, flags, text, tag):
+    # a repeated tag would run its suite twice with the same seeds
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--config", str(path), "--trials", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "more than once" in err and tag in err
+
+
 @pytest.mark.parametrize("text, section, key", [
     ("[ensemble]\ncondition_capp = 1e8\n", "ensemble", "condition_capp"),
     ("[run]\ntrails = 3\n", "run", "trails"),

@@ -18,7 +18,6 @@ from pseudosim.ensembles import (
     random_invertible_nonunitary,
     random_rank_l,
     random_unitary,
-    selection_matrix,
 )
 from pseudosim.errors import ContractViolation, DimensionError
 from pseudosim.interlace import classify_real
@@ -77,26 +76,6 @@ def test_hermitian_spectrum_validation():
         hermitian_with_spectrum(SplitMix64(66), [])
     with pytest.raises(ContractViolation):
         hermitian_with_spectrum(SplitMix64(66), [1.0, np.inf])
-
-
-def test_selection_matrix():
-    assert_allclose(selection_matrix([0, 1], 3),
-                    np.array([[1, 0], [0, 1], [0, 0]], dtype=complex))
-    assert_allclose(selection_matrix([2], 3), np.array([[0], [0], [1]], dtype=complex))
-    # principal submatrix extraction is exact
-    p = SplitMix64(67).complex_normals((4, 4))
-    s = selection_matrix([1, 3], 4)
-    extracted = s.conj().T @ p @ s
-    assert (extracted == p[np.ix_([1, 3], [1, 3])]).all()
-
-
-def test_selection_matrix_contracts():
-    with pytest.raises(ContractViolation):
-        selection_matrix([0, 0], 3)
-    with pytest.raises(ContractViolation):
-        selection_matrix([3], 3)
-    with pytest.raises(ContractViolation):
-        selection_matrix([], 3)
 
 
 def test_full_column_rank_basic():
@@ -193,6 +172,15 @@ def test_ensemble_spec_validation():
         EnsembleSpec(seed=1, spectrum_law="prescribed")
     with pytest.raises(ContractViolation):
         EnsembleSpec(seed=1, condition_cap=0.5)
+    for bad in ({"condition_cap": np.nan}, {"condition_cap": np.inf},
+                {"spectrum_bound": np.inf}, {"spectrum_gap": np.inf, "spectrum_bound": np.inf},
+                {"spectrum_law": "prescribed", "spectrum_values": (1.0, np.nan, 2.0)},
+                {"nonunitarity_floor": np.nan}, {"nonunitarity_floor": np.inf},
+                {"nonunitarity_floor": 1.0}):
+        with pytest.raises(ContractViolation, match=next(iter(bad.keys() - {"spectrum_law"}))):
+            EnsembleSpec(seed=1, **bad)
+    # the floor only bounds the oblique draw, so it may exceed the cap here
+    assert EnsembleSpec(seed=1, condition_cap=1.0).nonunitarity_floor == 2.0
     spec = EnsembleSpec(seed=2**65 + 5)
     assert spec.seed == 5  # wrapped to 64 bits
 
