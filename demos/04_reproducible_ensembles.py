@@ -49,7 +49,7 @@ row = records[3]
 suite_seed = derive_seed(master, SUITES.index("interlace-full-rank"))
 assert row.seed == derive_seed(suite_seed, 3)
 replay = run_trial(config.ensemble, "interlace-full-rank", 3)
-assert replay.record("interlace-full-rank", 3, row.seed) == row, "replay must match the row"
+assert replay == row, "replay must match the row"
 print(f"replayed trial 3 from bare seed {row.seed}: (n, k, l) = "
       f"({replay.n}, {replay.k}, {replay.l}) as recorded, cond(H) = {replay.cond_h:.1f}")
 

@@ -35,7 +35,6 @@ from .experiments import (
     SUITES,
     ExperimentConfig,
     Tolerances,
-    TrialOutcome,
     TrialRecord,
     counterexample_search,
     run_suite,
@@ -85,7 +84,6 @@ __all__ = [
     "SvdFactors",
     "Tolerances",
     "TransformResult",
-    "TrialOutcome",
     "TrialRecord",
     "adjoint",
     "build_rank_deficient",

@@ -85,8 +85,7 @@ class EnsembleSpec:
         if not (0.0 < self.spectrum_gap <= self.spectrum_bound < math.inf):
             raise ContractViolation("need 0 < spectrum_gap <= spectrum_bound < inf, got "
                                     f"{self.spectrum_gap}, {self.spectrum_bound}")
-        if not 1.0 <= self.condition_cap < math.inf:
-            raise ContractViolation(f"condition_cap must be finite and >= 1, got {self.condition_cap}")
+        _require_cap(self.condition_cap)
         if not 1.0 < self.nonunitarity_floor < math.inf:
             raise ContractViolation(
                 f"nonunitarity_floor must be finite and > 1, got {self.nonunitarity_floor}")
@@ -100,6 +99,12 @@ class EnsembleSpec:
                 raise ContractViolation(
                     f"need 1 <= l <= min(n, k), got n={self.n} k={self.k} l={self.l}"
                 )
+
+
+def _require_cap(condition_cap: float) -> None:
+    # a NaN cap fails the comparison too
+    if not 1.0 <= condition_cap < math.inf:
+        raise ContractViolation(f"condition_cap must be finite and >= 1, got {condition_cap}")
 
 
 def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
@@ -217,8 +222,7 @@ def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
     """The draw of :func:`random_full_column_rank`."""
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
-    if condition_cap < 1.0:
-        raise ContractViolation("condition_cap must be >= 1")
+    _require_cap(condition_cap)
     gaussians = _gaussians(rng, (n, l), (l, l))
     s = np.empty(l)
     s[0] = 1.0
@@ -261,7 +265,8 @@ def draw_invertible_nonunitary(rng: SplitMix64, n: int,
     """The draw of :func:`random_invertible_nonunitary`."""
     if n < 2:
         raise DimensionError("need n >= 2 to separate sigma_max from sigma_min")
-    if not (1.0 < nonunitarity_floor <= condition_cap):
+    _require_cap(condition_cap)
+    if not 1.0 < nonunitarity_floor <= condition_cap:
         raise ContractViolation(
             f"need 1 < nonunitarity_floor <= condition_cap, got {nonunitarity_floor}, {condition_cap}"
         )

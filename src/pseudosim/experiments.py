@@ -18,9 +18,10 @@ contiguous slice of trials per usable CPU: slice 0 runs in the calling
 process, each other slice in a forked child that sends its records back
 through a pipe;
 :func:`run_trial` runs one trial as a chunk of one and returns its
-:class:`TrialOutcome`, so the runner, replay and the acceptance tests share
-one path.  So does :func:`counterexample_search`: it runs the oblique
-suite's trials one at a time and stops at the first re-verified violation.
+:class:`TrialRecord`, the runner's row for that trial, so the runner, replay
+and the acceptance tests share one path.  So does
+:func:`counterexample_search`: it runs the oblique suite's trials one at a
+time and stops at the first re-verified violation.
 
 Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
@@ -124,12 +125,15 @@ class ExperimentConfig:
             raise ContractViolation(f"unknown format {self.format!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     """One verification trial, flat so csv and json-lines share field names.
 
-    A failed record carries (suite, trial_index, seed, n, k, l), which is
-    everything needed to regenerate the trial standalone.
+    A record carries (suite, trial_index, seed, n, k, l), which is everything
+    needed to regenerate the trial standalone.  The fields up to ``notes``
+    are its report columns, :data:`RECORD_FIELDS`.  The rest are interlacing
+    diagnostics, which no report writes and no comparison reads; suites that
+    do not measure them, and trials that raised, leave the defaults.
     """
 
     suite: str
@@ -139,42 +143,20 @@ class TrialRecord:
     k: int
     l: int
     passed: bool
-    min_lower_margin: float
-    min_upper_margin: float
-    worst_residual: float
-    notes: str = ""
-
-
-RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
-
-
-@dataclass
-class TrialOutcome:
-    """Everything one trial found.
-
-    The fields up to ``notes`` are the verdict columns of the trial's
-    :class:`TrialRecord`.  The rest are interlacing diagnostics; suites that
-    do not measure them, and trials that raised, leave the defaults.
-    """
-
-    n: int
-    k: int
-    l: int
-    passed: bool
     min_lower_margin: float = 0.0
     min_upper_margin: float = 0.0
     worst_residual: float = 0.0
     notes: str = ""
-    rel_imag: float = float("nan")    # max |imag| / spectral scale of the transform's spectrum
-    route_dev: float = 0.0            # deviation between the two inflation routes
-    zeros: int = 0                    # structural zeros split off the spectrum
-    hermitian: bool = False           # transform Hermitian within tolerance
-    cond_h: float = float("nan")      # sigma_max / sigma_min of the map
+    rel_imag: float = field(default=math.nan, compare=False)  # max |imag| / scale of spec(T)
+    route_dev: float = field(default=0.0, compare=False)      # gap between the inflation routes
+    zeros: int = field(default=0, compare=False)              # structural zeros split off spec(T)
+    hermitian: bool = field(default=False, compare=False)     # T Hermitian within tolerance
+    cond_h: float = field(default=math.nan, compare=False)    # sigma_max / sigma_min of the map
 
-    def record(self, suite: str, trial_index: int, seed: int) -> TrialRecord:
-        """The trial's record, given the three columns an outcome does not hold."""
-        return TrialRecord(suite, trial_index, seed,
-                           **{name: getattr(self, name) for name in RECORD_FIELDS[3:]})
+
+#: the report columns of a record, in order
+RECORD_FIELDS = ("suite", "trial_index", "seed", "n", "k", "l", "passed",
+                 "min_lower_margin", "min_upper_margin", "worst_residual", "notes")
 
 
 #: exceptions a trial may raise without halting the suite
@@ -250,9 +232,9 @@ def _interlace_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
             draw_unitary(rng, k, l) if inflate else None)
 
 
-def _interlace_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerances) -> TrialOutcome:
-    n, k, l = dims
-    lam, p, h, v = drawn
+def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
+    l = trial.dims[2]
+    lam, p, h, v = trial.drawn
     if v is not None:
         result = inflate_transform(p, h, v, tols.rank)
     else:
@@ -272,12 +254,12 @@ def _interlace_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: To
     if not report.passed:
         notes.append(f"interlacing violated (tol {report.tol_used:.3e})")
     sigma = result.sigma
-    return TrialOutcome(n, k, l, passed=report.passed and not notes,
+    return trial.record(passed=report.passed and not notes,
                         min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
                         worst_residual=max(rel_imag, route_dev), notes="; ".join(notes),
                         rel_imag=rel_imag, route_dev=route_dev, zeros=zero_count,
                         hermitian=result.hermitian,
-                        cond_h=float(sigma[0] / sigma[-1]) if sigma.size else float("inf"))
+                        cond_h=float(sigma[0] / sigma[-1]) if sigma.size else math.inf)
 
 
 def _subsumption_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
@@ -286,10 +268,8 @@ def _subsumption_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dim
     return draw_hermitian(rng, lam), draw_unitary(rng, n, l)
 
 
-def _subsumption_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
-                       tols: Tolerances) -> TrialOutcome:
-    n, k, l = dims
-    p, q = drawn
+def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
+    p, q = trial.drawn
 
     classical = unitary_compression(p, q)
     general = pseudo_similarity(p, q, tols.rank)
@@ -301,7 +281,7 @@ def _subsumption_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
         notes.append(f"pinv(q) deviates from adjoint by {pinv_dev:.3e}")
     if route_dev > tols.route:
         notes.append(f"compression routes deviate by {route_dev:.3e}")
-    return TrialOutcome(n, k, l, passed=not notes, worst_residual=max(pinv_dev, route_dev),
+    return trial.record(passed=not notes, worst_residual=max(pinv_dev, route_dev),
                         notes="; ".join(notes))
 
 
@@ -337,14 +317,13 @@ def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
     return lam, p, x, sorted(rng.choose_distinct(l, n))
 
 
-def _oblique_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
-                   tols: Tolerances) -> TrialOutcome:
+def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     """How far one oblique compression lands past interlacing, as
     ``worst_residual``: positive when its spectrum is complex or breaches a
     margin, zero otherwise.  A breach of a block with at most 6 rows counts
     only if the characteristic-polynomial roots confirm its spectrum.  The
-    outcome passes either way: a breach is what the search looks for."""
-    lam, p, x, sel = drawn
+    record passes either way: a breach is what the search looks for."""
+    lam, p, x, sel = trial.drawn
     t = oblique_transform(p, x, sel).transformed
     spectrum, scale = eigvals_general(t), spectral_scale(lam)
     try:
@@ -361,8 +340,9 @@ def _oblique_check(spec: EnsembleSpec, trial_index: int, dims, drawn,
         oracle_dev = match_distance(spectrum, charpoly_eigenvalues(t))
         if oracle_dev > tols.oracle * scale:
             magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
-    return TrialOutcome(lam.size, len(sel), len(sel), passed=True, min_lower_margin=_finite(lo),
-                        min_upper_margin=_finite(hi), worst_residual=magnitude, notes=note)
+    return trial._replace(dims=(lam.size, len(sel), len(sel))).record(
+        passed=True, min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
+        worst_residual=magnitude, notes=note)
 
 
 _MP_SHAPES = ("tall-full", "wide-full", "square-full", "tall-deficient",
@@ -397,10 +377,10 @@ def _mp_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     return (draw_full_column_rank(rng, max(rows, cols), min(rows, cols), spec.condition_cap),)
 
 
-def _mp_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerances) -> TrialOutcome:
+def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     """Penrose conditions on one matrix of the drawn shape and rank."""
-    rows, cols, rank_target = dims
-    m, = drawn
+    rows, cols, rank_target = trial.dims
+    m, = trial.drawn
     if m.shape != (rows, cols):
         m = adjoint(m)
 
@@ -414,8 +394,7 @@ def _mp_check(spec: EnsembleSpec, trial_index: int, dims, drawn, tols: Tolerance
         labels = ("m p m = m", "p m p = p", "(m p)^H = m p", "(p m)^H = p m")
         bad = [lab for lab, r in zip(labels, residuals) if r > tols.mp]
         notes.append(f"Penrose residual {worst:.3e} > {tols.mp:.1e} ({'; '.join(bad)})")
-    return TrialOutcome(rows, cols, rank_target, passed=not notes, worst_residual=worst,
-                        notes="; ".join(notes))
+    return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
 
 
 def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
@@ -433,24 +412,24 @@ def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     return g, rng.complex_normals((n_td, n_td))
 
 
-def _oracle_check(spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialOutcome]:
+def _oracle_check(spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialRecord]:
     """LAPACK-backed solvers against the characteristic-polynomial oracle
     (n <= 4) plus trace/determinant identities (n <= 6), for a chunk of
     trials at once.
 
     Each part runs on one stack per matrix size; a trial that raises fails
-    alone.  Every outcome, a failed one too, carries the side of its
+    alone.  Every record, a failed one too, carries the side of its
     trace/determinant matrix as k.
     """
     charpoly = _per_size(_charpoly_deviations, [trial.drawn[0] for trial in trials])
     trace_det = _per_size(_trace_det_deviations, [trial.drawn[1] for trial in trials])
-    outcomes = []
+    records = []
     for trial, devs, identities in zip(trials, charpoly, trace_det):
         n = trial.dims[0]
-        dims = (n, trial.drawn[1].shape[0], n)
+        trial = trial._replace(dims=(n, trial.drawn[1].shape[0], n))
         error = next((part for part in (devs, identities) if isinstance(part, Exception)), None)
         if error is not None:
-            outcomes.append(_failed(dims, error))
+            records.append(_failed(trial, error))
             continue
         trace_dev, det_dev = identities
         worst = 0.0
@@ -464,9 +443,8 @@ def _oracle_check(spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialOut
             notes.append(f"trace identity off by {trace_dev:.3e}")
         if det_dev > tols.oracle:
             notes.append(f"determinant identity off by {det_dev:.3e}")
-        outcomes.append(TrialOutcome(*dims, passed=not notes, worst_residual=worst,
-                                     notes="; ".join(notes)))
-    return outcomes
+        records.append(trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes)))
+    return records
 
 
 def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
@@ -513,23 +491,23 @@ def _per_size(part, matrices) -> list:
     return results
 
 
-def _each_trial(check, spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialOutcome]:
-    """A chunk check made of a per-trial one: ``check``'s outcome for each
-    trial, or a failed outcome for a trial that raises."""
-    outcomes = []
+def _each_trial(check, spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialRecord]:
+    """A chunk check made of a per-trial one: ``check``'s record of each
+    trial, or a failed record for a trial that raises."""
+    records = []
     for trial in trials:
         try:
-            outcomes.append(check(spec, trial.trial_index, trial.dims, trial.drawn, tols))
+            records.append(check(trial, tols))
         except _TRIAL_ERRORS as exc:
-            outcomes.append(_failed(trial.dims, exc))
-    return outcomes
+            records.append(_failed(trial, exc))
+    return records
 
 
 #: suite -> (dimension rule, draw, check), in canonical order: a suite's
 #: position indexes its seed derivation.  The draw takes every random number
 #: of a trial and returns its drawn values; a :class:`Draw` among them reaches
 #: the check as the matrix it builds.  The check takes a chunk's trials and
-#: returns their outcomes, in order.  The oblique search's trials reduce to
+#: returns their records, in order.  The oblique search's trials reduce to
 #: one record: see :func:`counterexample_search`.
 _SUITE_TABLE = {
     "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
@@ -567,16 +545,22 @@ def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
     return derive_seed(derive_seed(master_seed, SUITES.index(suite)), trial_index)
 
 
-def _failed(dims, exc: Exception) -> TrialOutcome:
-    return TrialOutcome(*dims, passed=False, notes=f"{type(exc).__name__}: {exc}")
+def _failed(trial: _DrawnTrial, exc: Exception) -> TrialRecord:
+    return trial.record(passed=False, notes=f"{type(exc).__name__}: {exc}")
 
 
 class _DrawnTrial(NamedTuple):
+    suite: str
     trial_index: int
+    seed: int
     dims: tuple[int, int, int]
     drawn: tuple                         # the draw's values, empty if it raised;
                                          # a check gets them built
-    failed: TrialOutcome | None = None   # the outcome of a draw that raised
+    failed: TrialRecord | None = None    # the record of a draw that raised
+
+    def record(self, **verdict) -> TrialRecord:
+        """The trial's record: its identity and dimensions, and ``verdict``."""
+        return TrialRecord(self.suite, self.trial_index, self.seed, *self.dims, **verdict)
 
     @property
     def draws(self) -> list[Draw]:
@@ -595,17 +579,18 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> 
     draw or by ``draw`` in its place.  A dimension rule's ContractViolation
     is a configuration error and propagates."""
     draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
-    rng = SplitMix64(trial_seed(spec.seed, suite, trial_index))
-    dims = draw_dims(rng, spec, trial_index)
+    seed = trial_seed(spec.seed, suite, trial_index)
+    rng = SplitMix64(seed)
+    trial = _DrawnTrial(suite, trial_index, seed, draw_dims(rng, spec, trial_index), ())
     try:
-        return _DrawnTrial(trial_index, dims, (draw or suite_draw)(rng, spec, trial_index, dims))
+        return trial._replace(drawn=(draw or suite_draw)(rng, spec, trial_index, trial.dims))
     except _TRIAL_ERRORS as exc:
-        return _DrawnTrial(trial_index, dims, (), _failed(dims, exc))
+        return trial._replace(failed=_failed(trial, exc))
 
 
 def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
     """The chunk's trials with each :class:`Draw` built into its matrix, and
-    a failed outcome for a trial whose matrices raise.  The Haar factors of
+    a failed record for a trial whose matrices raise.  The Haar factors of
     every draw in the chunk come from one stacked QR per matrix shape.
 
     Takes the trials out of ``chunk`` one at a time, so each trial's
@@ -622,14 +607,14 @@ def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
                 trial = trial._replace(drawn=tuple(v.assemble(q) if q is not None else v
                                                    for v, q in zip(trial.drawn, mine)))
             except _TRIAL_ERRORS as exc:
-                trial = trial._replace(drawn=(), failed=_failed(trial.dims, exc))
+                trial = trial._replace(drawn=(), failed=_failed(trial, exc))
         built.append(trial)
     return built
 
 
 def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
-                 tolerances: Tolerances) -> list[TrialOutcome]:
-    """Outcomes of drawn trials, in order, emptying ``chunk``.  The suite's
+                 tolerances: Tolerances) -> list[TrialRecord]:
+    """Records of drawn trials, in order, emptying ``chunk``.  The suite's
     check takes the built trials at once; a trial that raises while its
     matrices are built or checked fails alone."""
     check = _SUITE_TABLE[suite][2]
@@ -639,7 +624,7 @@ def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
 
 
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):
-    """Outcomes of the given trials of a suite, in order, checked in chunks
+    """Records of the given trials of a suite, in order, checked in chunks
     that close once their draws reach CHUNK_BYTES; ``draw``, if given,
     replaces the suite's draw."""
     chunk: list[_DrawnTrial] = []
@@ -657,12 +642,13 @@ def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Toler
 
 
 def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
-              tolerances: Tolerances = Tolerances()) -> TrialOutcome:
-    """Trial ``trial_index`` of a theorem suite, regenerated from its seed:
-    the runner's path, as a chunk of one trial.
+              tolerances: Tolerances = Tolerances()) -> TrialRecord:
+    """The record of trial ``trial_index`` of a theorem suite, regenerated
+    from its seed: the runner's path, as a chunk of one trial, so it equals
+    the runner's row for the trial.
 
     A trial that raises a contract or numerical error yields a failed
-    outcome that carries the dimensions it drew and the error as its notes.
+    record that carries the dimensions it drew and the error as its notes.
     """
     if suite not in THEOREM_SUITES:
         raise ContractViolation(f"{suite!r} reduces its trials to one search record; "
@@ -687,16 +673,15 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
                      realness=WITNESS_TIGHTEN * tols.realness)
     draw = partial(_oblique_draw, control=control)
 
-    def outcome(trial_index: int, tolerances: Tolerances) -> TrialOutcome:
+    def record(trial_index: int, tolerances: Tolerances) -> TrialRecord:
         return next(_run_trials(spec, suite, (trial_index,), tolerances, draw))
 
     for trial_index in range(config.trials):
-        if outcome(trial_index, tols).worst_residual <= 0.0:
+        if record(trial_index, tols).worst_residual <= 0.0:
             continue
-        witness = outcome(trial_index, strict)
+        witness = record(trial_index, strict)
         if witness.worst_residual > 0.0:
-            record = witness.record(suite, trial_index, trial_seed(spec.seed, suite, trial_index))
-            return replace(record, notes=f"witness: {record.notes}")
+            return replace(witness, notes=f"witness: {witness.notes}")
     return None
 
 
@@ -713,10 +698,9 @@ def _search_record(config: ExperimentConfig) -> TrialRecord:
     """The oblique search's one record: its witness, or a not-found record
     for the whole budget."""
     spec = config.ensemble
-    not_found = TrialOutcome(_oblique_dims(None, spec, 0)[0], 0, 0, passed=True,
-                             notes=f"no witness in {config.trials} draws")
-    return (counterexample_search(config)
-            or not_found.record("oblique-counterexample", config.trials - 1, spec.seed))
+    return counterexample_search(config) or TrialRecord(
+        "oblique-counterexample", config.trials - 1, spec.seed, _oblique_dims(None, spec, 0)[0], 0, 0,
+        passed=True, notes=f"no witness in {config.trials} draws")
 
 
 def _run_slice(config: ExperimentConfig, part: int, workers: int):
@@ -734,9 +718,7 @@ def _run_slice(config: ExperimentConfig, part: int, workers: int):
     for position, suite in enumerate(config.suites):
         try:
             if suite in THEOREM_SUITES:
-                outcomes = _run_trials(spec, suite, indices, config.tolerances)
-                records.append([outcome.record(suite, i, trial_seed(spec.seed, suite, i))
-                                for i, outcome in zip(indices, outcomes)])
+                records.append(list(_run_trials(spec, suite, indices, config.tolerances)))
             else:
                 records.append([_search_record(config)] if part == 0 else [])
         except ContractViolation as exc:
@@ -777,7 +759,7 @@ def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
     Each theorem suite's trials are cut into one contiguous slice per CPU
     (see :func:`_cpus`); a run without a theorem suite stays in one process.
     Slice 0 runs here, the others each in a forked child; a child that dies
-    before sending its whole result has its slice run here instead.  A trial's outcome depends only on its seed, so the
+    before sending its whole result has its slice run here instead.  A trial's record depends only on its seed, so the
     records do not depend on the number of slices.
 
     Output order is (suite as configured, trial index), so a fixed config

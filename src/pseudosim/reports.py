@@ -97,14 +97,18 @@ EMITTERS = {"table": emit_table, "csv": emit_csv, "json-lines": emit_json_lines}
 FORMATS = tuple(EMITTERS)
 
 
+def _emitter(format: str):
+    if format not in EMITTERS:
+        raise ContractViolation(f"unknown format {format!r}, expected one of {FORMATS}")
+    return EMITTERS[format]
+
+
 def emit_report(records, format: str, path=None) -> None:
     """Write records to ``path`` (or stdout when None) in the given format."""
     records = list(records)
     if not records:
         raise ContractViolation("refusing to emit a report with no records")
-    if format not in FORMATS:
-        raise ContractViolation(f"unknown format {format!r}, expected one of {FORMATS}")
-    emit = EMITTERS[format]
+    emit = _emitter(format)
     if path is None:
         emit(records, sys.stdout)
         return
@@ -117,5 +121,5 @@ def emit_report(records, format: str, path=None) -> None:
 
 def render(records, format: str) -> str:
     buffer = io.StringIO()
-    EMITTERS[format](records, buffer)
+    _emitter(format)(records, buffer)
     return buffer.getvalue()

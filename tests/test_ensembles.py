@@ -146,6 +146,25 @@ def test_invertible_nonunitary_contracts():
         random_invertible_nonunitary(rng, 1)
 
 
+@pytest.mark.parametrize("generate", [
+    lambda cap: random_full_column_rank(SplitMix64(1), 3, 2, cap),
+    lambda cap: random_rank_l(SplitMix64(1), 3, 4, 2, cap),
+    lambda cap: random_invertible_nonunitary(SplitMix64(1), 3, condition_cap=cap),
+], ids=["full-column-rank", "rank-l", "invertible-nonunitary"])
+@pytest.mark.parametrize("cap", [np.nan, np.inf, 0.5])
+def test_generators_reject_unusable_cap(generate, cap):
+    # a NaN cap passes a lone `cap < 1` test and gives a NaN matrix; an
+    # infinite one reaches log(0) in the singular-value draw
+    with pytest.raises(ContractViolation, match="condition_cap"):
+        generate(cap)
+
+
+@pytest.mark.parametrize("floor", [np.nan, np.inf, 1.0, 200.0])
+def test_invertible_nonunitary_rejects_unusable_floor(floor):
+    with pytest.raises(ContractViolation, match="nonunitarity_floor"):
+        random_invertible_nonunitary(SplitMix64(1), 3, condition_cap=100.0, nonunitarity_floor=floor)
+
+
 def test_spectrum_laws():
     rng = SplitMix64(74)
     spec = EnsembleSpec(seed=1, spectrum_law="signed-uniform", spectrum_gap=0.1, spectrum_bound=2.0)

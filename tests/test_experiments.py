@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import weakref
 
 import numpy as np
@@ -24,7 +25,6 @@ from pseudosim.experiments import (
     failed_theorem_records,
     run_suite,
     run_trial,
-    trial_seed,
 )
 from pseudosim.oracles import charpoly_eigenvalues
 from pseudosim.rng import derive_seed
@@ -125,13 +125,13 @@ def test_failed_records_keep_drawn_dimensions():
             assert (record.n, record.k, record.l) == (expected.n, expected.k, expected.l)
 
 
-def test_run_trial_replays_records():
+def test_run_trial_replays_records(monkeypatch):
     spec = EnsembleSpec(seed=42)
-    for suite in sorted(THEOREM_SUITES):
+    for workers, suite in itertools.product((1, 2), sorted(THEOREM_SUITES)):
+        monkeypatch.setattr(experiments, "_cpus", lambda: workers)
         records = run_suite(_config(suites=(suite,), trials=6))
         for index in (0, 2, 5):
-            outcome = run_trial(spec, suite, index)
-            assert outcome.record(suite, index, trial_seed(42, suite, index)) == records[index]
+            assert run_trial(spec, suite, index) == records[index], (workers, suite, index)
     with pytest.raises(ContractViolation):
         run_trial(spec, "oblique-counterexample", 0)
 
@@ -215,8 +215,7 @@ def test_chunked_run_equals_single_trials(small_chunks, suite):
     assert len(small_chunks) >= 3 and max(map(len, small_chunks)) >= 2, small_chunks
     assert [i for chunk in small_chunks for i in chunk] == list(range(40))
     for index, record in enumerate(records):
-        outcome = run_trial(EnsembleSpec(seed=42), suite, index)
-        assert outcome.record(suite, index, trial_seed(42, suite, index)) == record
+        assert run_trial(EnsembleSpec(seed=42), suite, index) == record
 
 
 def test_default_chunk_bound(monkeypatch):

@@ -1,18 +1,21 @@
 """run_suite cut into one slice of trials per CPU: the records, the errors and
 the processes left behind do not depend on how many slices there are."""
+import dataclasses
 import os
 import signal
 import threading
 
 import pytest
+from numpy.testing import assert_equal
 
 import pseudosim.experiments as experiments
 from pseudosim.cli import main
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation
-from pseudosim.experiments import SUITES, ExperimentConfig, run_suite
+from pseudosim.experiments import RECORD_FIELDS, SUITES, ExperimentConfig, TrialRecord, run_suite
 
 WORKERS = (1, 2, 3)
+DIAGNOSTICS = [f.name for f in dataclasses.fields(TrialRecord) if f.name not in RECORD_FIELDS]
 
 
 def _no_child_left():
@@ -58,7 +61,15 @@ def test_records_do_not_depend_on_the_slices(monkeypatch, kwargs):
     serial = _run(monkeypatch, 1, **kwargs)
     assert len(serial) == (kwargs["trials"] if "suites" in kwargs else 6 * kwargs["trials"] + 1)
     for workers in WORKERS[1:]:
-        assert _run(monkeypatch, workers, **kwargs) == serial, workers
+        records = _run(monkeypatch, workers, **kwargs)
+        assert records == serial, workers
+        # records compare without their diagnostics; those must match too,
+        # NaN for NaN
+        assert_equal(_diagnostics(records), _diagnostics(serial), str(workers))
+
+
+def _diagnostics(records):
+    return [[getattr(record, name) for name in DIAGNOSTICS] for record in records]
 
 
 def _config_error(monkeypatch, workers, **kwargs):

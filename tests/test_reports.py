@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from pseudosim.cli import main
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation
-from pseudosim.experiments import ExperimentConfig, TrialRecord, run_suite
+from pseudosim.experiments import RECORD_FIELDS, ExperimentConfig, TrialRecord, run_suite
 from pseudosim.reports import (
     emit_report,
     format_float,
@@ -60,6 +63,26 @@ def test_json_lines_round_trip():
                              "min_lower_margin", "min_upper_margin", "worst_residual", "notes"]
 
 
+def test_diagnostics_are_neither_reported_nor_compared():
+    # the interlacing diagnostics ride on the record, outside every report
+    diagnosed = dataclasses.replace(RECORD, rel_imag=1e-3, route_dev=2.0, zeros=4, hermitian=True,
+                                    cond_h=7.0)
+    assert diagnosed == RECORD
+    for format in ("csv", "json-lines", "table"):
+        assert render([diagnosed], format) == render([RECORD], format)
+    assert [f.name for f in dataclasses.fields(TrialRecord)][:len(RECORD_FIELDS)] == list(RECORD_FIELDS)
+
+
+@pytest.mark.parametrize("format, md5", [("json-lines", "6015fb29b853e0a8d95f091da0bed39a"),
+                                         ("table", "5f68a007bc6100399c1fd182b7775b09")])
+def test_report_digest(tmp_path, format, md5):
+    # every suite's first 20 trials at seed 42, byte for byte (numpy 2.4.6;
+    # the digest does not depend on the BLAS thread count)
+    out = tmp_path / "report.txt"
+    assert main(["--trials", "20", "--format", format, "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == md5
+
+
 def test_json_lines_one_object_per_record():
     records = _sample_records()
     assert len(render(records, "json-lines").strip().split("\n")) == len(records)
@@ -81,6 +104,8 @@ def test_empty_records_rejected():
 def test_unknown_format_rejected():
     with pytest.raises(ContractViolation):
         emit_report([RECORD], "xml", None)
+    with pytest.raises(ContractViolation, match="unknown format 'xml'"):
+        render([RECORD], "xml")
 
 
 def test_emit_to_path(tmp_path):
