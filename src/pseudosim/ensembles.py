@@ -68,6 +68,10 @@ class EnsembleSpec:
 
     def __post_init__(self):
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
+        for name in ("n", "k", "l"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):  # a bool is no int here
+                raise ContractViolation(f"pinned dimension {name} must be an int >= 1, got {value!r}")
         if self.spectrum_law not in SPECTRUM_LAWS:
             raise ContractViolation(
                 f"unknown spectrum_law {self.spectrum_law!r}, expected one of {SPECTRUM_LAWS}"
@@ -89,12 +93,7 @@ class EnsembleSpec:
         if not 1.0 < self.nonunitarity_floor < math.inf:
             raise ContractViolation(
                 f"nonunitarity_floor must be finite and > 1, got {self.nonunitarity_floor}")
-        dims = (self.n, self.k, self.l)
-        if any(d is not None and d < 1 for d in dims):
-            raise ContractViolation(
-                f"pinned dimensions must be >= 1, got n={self.n} k={self.k} l={self.l}"
-            )
-        if all(d is not None for d in dims):
+        if all(d is not None for d in (self.n, self.k, self.l)):
             if not 1 <= self.l <= min(self.n, self.k):
                 raise ContractViolation(
                     f"need 1 <= l <= min(n, k), got n={self.n} k={self.k} l={self.l}"

@@ -7,7 +7,9 @@ eigensolver output against characteristic-polynomial oracles, or (the one
 negative result) that oblique compressions do violate interlacing.
 
 A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
-check.  Trials run in chunks: each trial of a chunk is drawn from its own
+check.  :class:`ExperimentConfig` runs each suite's dimension rule at the
+ends of its draw ranges, so a config error is raised before any trial is
+drawn.  Trials run in chunks: each trial of a chunk is drawn from its own
 stream, then the Haar factors of all the chunk's draws come from one stacked
 QR per matrix shape, then each trial builds its matrices and the suite's
 check takes the chunk's trials at once.  Most checks take them one at a time;
@@ -39,6 +41,7 @@ import signal
 import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -119,10 +122,12 @@ class ExperimentConfig:
         repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if repeated:
             raise ContractViolation(f"suite tag(s) {repeated} selected more than once")
-        if self.trials < 1:
-            raise ContractViolation(f"trials must be >= 1, got {self.trials}")
+        if type(self.trials) is not int or self.trials < 1:  # a bool is no int here
+            raise ContractViolation(f"trials must be an int >= 1, got {self.trials!r}")
         if self.format not in FORMATS:
             raise ContractViolation(f"unknown format {self.format!r}")
+        for suite in self.suites:
+            _require_fits(self.ensemble, suite)
 
 
 @dataclass(slots=True)
@@ -173,6 +178,14 @@ def _pick(pinned: int | None, rng: SplitMix64, lo: int, hi: int) -> int:
     return pinned if pinned is not None else rng.randint(lo, hi)
 
 
+def _got(spec: EnsembleSpec, **dims: int) -> str:
+    """``dims`` for a dimension rule's message: the pinned ones as got, the
+    others as what a trial may draw."""
+    pinned = ", ".join(f"{d} = {v}" for d, v in dims.items() if getattr(spec, d) is not None)
+    drawn = ", ".join(f"{d} = {v}" for d, v in dims.items() if getattr(spec, d) is None)
+    return " and ".join(filter(None, (pinned and f"got {pinned}", drawn and f"may draw {drawn}")))
+
+
 def _prescribed_fits(spec: EnsembleSpec, suite: str, n: int | None):
     """Raise unless a prescribed spectrum fits the n the suite uses, where
     None stands for an n drawn per trial."""
@@ -191,7 +204,7 @@ def _compression_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, sui
                                 f"got k = {spec.k}, l = {spec.l}")
     n = _pick(spec.n, rng, *DEFAULT_N_RANGE)
     if spec.l is not None and spec.l > n:
-        raise ContractViolation(f"{suite} needs l <= n; got n = {n}, l = {spec.l}")
+        raise ContractViolation(f"{suite} needs l <= n; {_got(spec, n=n, l=spec.l)}")
     l = _pick(spec.l, rng, 1, n)
     return n, l, l
 
@@ -213,14 +226,14 @@ def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite
                                 f"so it needs {'n <= 23' if inflated else 'n >= 2'}; got n = {n}")
     if spec.k is not None and (spec.k <= n) == inflated:
         raise ContractViolation(f"{suite} needs {'k > n' if inflated else 'k <= n'}; "
-                                f"got n = {n}, k = {spec.k}")
+                                f"{_got(spec, n=n, k=spec.k)}")
     k = _pick(spec.k, rng, k_lo, k_hi)
     if spec.l is None and min(n, k) < 2:
         raise ContractViolation(f"{suite} draws 1 <= l < min(n, k), so it needs n >= 2 and k >= 2; "
-                                f"got n = {n}, k = {k}")
+                                f"{_got(spec, n=n, k=k)}")
     if spec.l is not None and spec.l > (n if inflated else k - 1):
         raise ContractViolation(f"{suite} needs {'l <= n' if inflated else 'l < k'}; "
-                                f"got n = {n}, k = {k}, l = {spec.l}")
+                                f"{_got(spec, n=n, k=k, l=spec.l)}")
     l = _pick(spec.l, rng, 1, min(n, k) - 1)
     return n, k, l
 
@@ -529,6 +542,17 @@ _SUITE_TABLE = {
 #: canonical suite order; positions index the per-suite seed derivation
 SUITES = tuple(_SUITE_TABLE)
 
+
+def _require_fits(spec: EnsembleSpec, suite: str) -> None:
+    """Raise the configuration error the suite's dimension rule would raise
+    on some trial of ``spec``.  Every rule compares a pinned dimension with a
+    drawn one or a fixed bound, and draws only by ``randint``, so a spec that
+    fits draws at the low ends of their ranges and at the high ends fits all."""
+    draw_dims = _SUITE_TABLE[suite][0]
+    for end in (min, max):
+        draw_dims(SimpleNamespace(randint=end), spec, 0)
+
+
 #: suites whose failures flip the process exit status: all but the oblique
 #: search, which reports not-found as a warning instead
 THEOREM_SUITES = frozenset(SUITES) - {"oblique-counterexample"}
@@ -576,8 +600,7 @@ class _DrawnTrial(NamedTuple):
 
 def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> _DrawnTrial:
     """One trial's dimensions and draws, from its own stream, by the suite's
-    draw or by ``draw`` in its place.  A dimension rule's ContractViolation
-    is a configuration error and propagates."""
+    draw or by ``draw`` in its place."""
     draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
     seed = trial_seed(spec.seed, suite, trial_index)
     rng = SplitMix64(seed)
@@ -647,12 +670,14 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     from its seed: the runner's path, as a chunk of one trial, so it equals
     the runner's row for the trial.
 
-    A trial that raises a contract or numerical error yields a failed
-    record that carries the dimensions it drew and the error as its notes.
+    A spec the suite cannot draw raises ContractViolation.  A trial that
+    raises a contract or numerical error yields a failed record that carries
+    the dimensions it drew and the error as its notes.
     """
     if suite not in THEOREM_SUITES:
         raise ContractViolation(f"{suite!r} reduces its trials to one search record; "
                                 f"valid: {sorted(THEOREM_SUITES)}")
+    _require_fits(spec, suite)
     return next(_run_trials(spec, suite, (trial_index,), tolerances))
 
 
@@ -708,22 +733,11 @@ def _run_slice(config: ExperimentConfig, part: int, workers: int):
     the ``part``-th of ``workers`` contiguous runs of each theorem suite's
     trials, one list per configured suite.  The oblique search's record goes
     with slice 0.
-
-    Returns the lists and None, or, when a dimension rule raises, the lists
-    of the suites before it and (the suite's position, the error).
     """
     spec, trials = config.ensemble, config.trials
     indices = range(part * trials // workers, (part + 1) * trials // workers)
-    records: list[list[TrialRecord]] = []
-    for position, suite in enumerate(config.suites):
-        try:
-            if suite in THEOREM_SUITES:
-                records.append(list(_run_trials(spec, suite, indices, config.tolerances)))
-            else:
-                records.append([_search_record(config)] if part == 0 else [])
-        except ContractViolation as exc:
-            return records, (position, exc)
-    return records, None
+    return [list(_run_trials(spec, suite, indices, config.tolerances)) if suite in THEOREM_SUITES
+            else ([_search_record(config)] if part == 0 else []) for suite in config.suites]
 
 
 def _fork_slice(config: ExperimentConfig, part: int, workers: int):
@@ -753,14 +767,14 @@ def _fork_slice(config: ExperimentConfig, part: int, workers: int):
 
 def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
     """Execute every configured suite.  A failed trial is recorded, not
-    raised; a configuration error (a dimension rule's ContractViolation)
-    propagates, the first in (suite, trial) order, as a serial run raises it.
+    raised; a config error was raised when :class:`ExperimentConfig` was made.
 
     Each theorem suite's trials are cut into one contiguous slice per CPU
     (see :func:`_cpus`); a run without a theorem suite stays in one process.
     Slice 0 runs here, the others each in a forked child; a child that dies
-    before sending its whole result has its slice run here instead.  A trial's record depends only on its seed, so the
-    records do not depend on the number of slices.
+    before sending its whole result has its slice run here instead.  A
+    trial's record depends only on its seed, so the records do not depend
+    on the number of slices.
 
     Output order is (suite as configured, trial index), so a fixed config
     yields an identical record list on every run.  The oblique search gives
@@ -789,11 +803,7 @@ def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
             stream.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    errors = [(error[0], part, error[1]) for part, (_, error) in enumerate(slices) if error]
-    if errors:
-        raise min(errors, key=lambda error: error[:2])[2]
-    return [record for lists in zip(*(records for records, _ in slices))
-            for part in lists for record in part]
+    return [record for lists in zip(*slices) for part in lists for record in part]
 
 
 def failed_theorem_records(records) -> list[TrialRecord]:

@@ -83,7 +83,7 @@ def summarize(records) -> list[str]:
 def emit_table(records, stream) -> None:
     headers = list(RECORD_FIELDS)
     rows = [_record_cells(r) for r in records]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     stream.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
     for row in rows:
         stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")

@@ -34,7 +34,6 @@ class TransformResult:
     transformed: np.ndarray
     input_rank: int
     hermitian: bool
-    construction: str
     route_deviation: float | None = None  # filled by dual-route transforms
     sigma: np.ndarray | None = None  # retained singular values of h, pseudo-inverse routes
     pinv: np.ndarray | None = None  # pseudo-inverse of h, pseudo-inverse routes
@@ -85,12 +84,11 @@ def _require_embedding(h, v) -> tuple[np.ndarray, np.ndarray, SvdFactors]:
     return h, v, factors
 
 
-def _result(t, rank, construction, sigma=None, pinv=None):
+def _result(t, rank, sigma=None, pinv=None):
     return TransformResult(
         transformed=t,
         input_rank=int(rank),
         hermitian=_is_hermitian(t),
-        construction=construction,
         sigma=sigma,
         pinv=pinv,
     )
@@ -99,7 +97,7 @@ def _result(t, rank, construction, sigma=None, pinv=None):
 def _similarity(p, h, factors: SvdFactors) -> TransformResult:
     """:func:`pseudo_similarity` of validated p and h, given the SVD of h."""
     pinv = factors.pseudo_inverse()
-    return _result(pinv @ p @ h, factors.rank, "pseudo_similarity", factors.sigma, pinv)
+    return _result(pinv @ p @ h, factors.rank, factors.sigma, pinv)
 
 
 def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
@@ -128,7 +126,7 @@ def unitary_compression(p, q) -> TransformResult:
     if q.shape[0] != p.shape[0]:
         raise DimensionError(f"q has {q.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
     t = q.conj().T @ p @ q
-    return _result(t, q.shape[1], "unitary_compression")
+    return _result(t, q.shape[1])
 
 
 def build_rank_deficient(h, v) -> np.ndarray:
@@ -173,7 +171,7 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
         err.route_a = route_a.transformed
         err.route_b = route_b
         raise err
-    return replace(route_a, construction="inflate_transform", route_deviation=dev)
+    return replace(route_a, route_deviation=dev)
 
 
 def oblique_transform(p, x, selection) -> TransformResult:
@@ -200,4 +198,4 @@ def oblique_transform(p, x, selection) -> TransformResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"x is singular to working precision: {exc}") from exc
     t = similar[np.ix_(sel, sel)]
-    return _result(t, len(sel), "oblique_transform")
+    return _result(t, len(sel))

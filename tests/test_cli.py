@@ -120,8 +120,9 @@ def test_output_failure_precedes_trials(tmp_path, monkeypatch):
 
 
 def test_config_error_leaves_the_output_path_as_it_was(tmp_path, capsys):
-    # the output probe runs before the trials that find the config error: it
-    # must neither empty an existing report nor leave a new empty one behind
+    # the output probe runs only once the config is known to be valid, so a
+    # config error must neither empty an existing report nor leave a new
+    # empty one behind
     path = tmp_path / "pinned.ini"
     path.write_text("[ensemble]\nl = 5\n", encoding="utf-8")
     existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"

@@ -204,6 +204,14 @@ def test_ensemble_spec_validation():
     assert spec.seed == 5  # wrapped to 64 bits
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, 0])
+@pytest.mark.parametrize("dim", ["n", "k", "l"])
+def test_pinned_dimensions_are_ints(dim, value):
+    # a float or a bool would be accepted here and fail later, inside a trial
+    with pytest.raises(ContractViolation, match=f"pinned dimension {dim} must be an int"):
+        EnsembleSpec(seed=1, **{dim: value})
+
+
 def _haar_reference(a):
     """One QR call for one Gaussian, then the rephasing, as a generator
     computed it per matrix."""

@@ -49,6 +49,13 @@ def test_config_validation():
         _config(suites=())
 
 
+@pytest.mark.parametrize("trials", [2.5, 2.0, "3", True])
+def test_trials_is_an_int(trials):
+    # a float or a bool would be accepted here and fail later, or run 1 trial
+    with pytest.raises(ContractViolation, match="trials must be an int"):
+        _config(trials=trials)
+
+
 def test_all_suites_pass_smoke():
     records = run_suite(_config(trials=15))
     assert failed_theorem_records(records) == []

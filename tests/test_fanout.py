@@ -1,5 +1,6 @@
-"""run_suite cut into one slice of trials per CPU: the records, the errors and
-the processes left behind do not depend on how many slices there are."""
+"""run_suite cut into one slice of trials per CPU: the records and the
+processes left behind do not depend on how many slices there are, and a
+config error is raised before any slice runs."""
 import dataclasses
 import os
 import signal
@@ -12,7 +13,14 @@ import pseudosim.experiments as experiments
 from pseudosim.cli import main
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation
-from pseudosim.experiments import RECORD_FIELDS, SUITES, ExperimentConfig, TrialRecord, run_suite
+from pseudosim.experiments import (
+    RECORD_FIELDS,
+    SUITES,
+    ExperimentConfig,
+    TrialRecord,
+    run_suite,
+    run_trial,
+)
 
 WORKERS = (1, 2, 3)
 DIAGNOSTICS = [f.name for f in dataclasses.fields(TrialRecord) if f.name not in RECORD_FIELDS]
@@ -32,6 +40,14 @@ def _run(monkeypatch, workers, **kwargs):
         return run_suite(ExperimentConfig(**kwargs))
     finally:
         _no_child_left()
+
+
+@pytest.fixture(scope="module")
+def serial_40():
+    """The serial records of 40 trials of every suite, made before any test
+    patches the runner."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run(monkeypatch, 1, trials=40)
 
 
 def test_cpus_is_the_affinity_mask():
@@ -57,8 +73,9 @@ def test_cpus_is_one_while_another_thread_runs():
     {"suites": ("interlace-inflated",), "trials": 6,
      "ensemble": EnsembleSpec(seed=1, n=64, k=128, l=48)},
 ], ids=["all-suites-40", "one-trial", "two-trials", "64-128-48"])
-def test_records_do_not_depend_on_the_slices(monkeypatch, kwargs):
-    serial = _run(monkeypatch, 1, **kwargs)
+def test_records_do_not_depend_on_the_slices(monkeypatch, request, kwargs):
+    serial = (request.getfixturevalue("serial_40") if kwargs == {"trials": 40}
+              else _run(monkeypatch, 1, **kwargs))
     assert len(serial) == (kwargs["trials"] if "suites" in kwargs else 6 * kwargs["trials"] + 1)
     for workers in WORKERS[1:]:
         records = _run(monkeypatch, workers, **kwargs)
@@ -72,39 +89,38 @@ def _diagnostics(records):
     return [[getattr(record, name) for name in DIAGNOSTICS] for record in records]
 
 
-def _config_error(monkeypatch, workers, **kwargs):
+CONFIG_ERROR = "interlace-full-rank needs l <= n; got l = 4 and may draw n = 2"
+
+
+@pytest.mark.parametrize("seed, trials", [(134, 1), (134, 25), (134, 26), (134, 40),
+                                          (1, 10), (2, 10), (3, 10), (134, 10)])
+def test_config_errors_do_not_depend_on_the_draws(seed, trials):
+    # some of these runs draw n >= 4 on every trial, some draw n < 4 first on
+    # a child's slice; the config is wrong for all of them alike
+    spec = EnsembleSpec(seed=seed, l=4)
     with pytest.raises(ContractViolation) as raised:
-        _run(monkeypatch, workers, **kwargs)
-    return str(raised.value)
+        ExperimentConfig(suites=("interlace-full-rank",), trials=trials, ensemble=spec)
+    assert str(raised.value) == CONFIG_ERROR
+    with pytest.raises(ContractViolation) as raised:
+        run_trial(spec, "interlace-full-rank", trials - 1)
+    assert str(raised.value) == CONFIG_ERROR
 
 
-@pytest.mark.parametrize("seed, suites, message", [
-    # trial 25 alone cannot draw n >= 4: it lies in a child's slice
-    (134, ("interlace-full-rank",), "interlace-full-rank needs l <= n; got n = 2, l = 4"),
-    # trials 10 and 27 cannot: the first slice's error comes first
-    (41, ("interlace-full-rank",), "interlace-full-rank needs l <= n; got n = 3, l = 4"),
-    # the first suite's error comes first, though a later suite's (subsumption
-    # trial 1) lies in the first slice
-    (134, ("mp-axioms", "interlace-full-rank", "subsumption"),
-     "interlace-full-rank needs l <= n; got n = 2, l = 4"),
-])
-def test_config_errors_keep_their_serial_order(monkeypatch, seed, suites, message):
-    kwargs = {"suites": suites, "trials": 40, "ensemble": EnsembleSpec(seed=seed, l=4)}
-    for workers in WORKERS:
-        assert _config_error(monkeypatch, workers, **kwargs) == message, workers
-
-
-def test_config_error_in_a_child_exits_two_with_the_serial_message(tmp_path, monkeypatch, capsys):
+def test_config_error_exits_two_before_any_trial(tmp_path, monkeypatch, capsys):
     path = tmp_path / "pinned.ini"
     path.write_text("[ensemble]\nseed = 134\nl = 4\n", encoding="utf-8")
-    argv = ["--config", str(path), "--suite", "interlace-full-rank", "--trials", "40"]
-    errors = []
+
+    def no_trials(*args):
+        raise AssertionError("ran trials of a config it should reject")
+
+    monkeypatch.setattr(experiments, "_run_slice", no_trials)
     for workers in WORKERS:
         monkeypatch.setattr(experiments, "_cpus", lambda: workers)
-        assert main(argv) == 2
-        errors.append(capsys.readouterr().err)
-        _no_child_left()
-    assert errors == ["error: interlace-full-rank needs l <= n; got n = 2, l = 4\n"] * 3
+        for trials in ("1", "25", "26", "40"):
+            argv = ["--config", str(path), "--suite", "interlace-full-rank", "--trials", trials]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {CONFIG_ERROR}\n", (workers, trials)
+    _no_child_left()
 
 
 def _exit_three():
@@ -120,8 +136,7 @@ def _raises():
 
 
 @pytest.mark.parametrize("die", [_exit_three, _killed, _raises])
-def test_a_child_that_dies_costs_time_not_records(monkeypatch, die):
-    serial = _run(monkeypatch, 1, trials=40)
+def test_a_child_that_dies_costs_time_not_records(monkeypatch, serial_40, die):
     parent, check_chunk = os.getpid(), experiments._check_chunk
 
     def dies_in_a_child(spec, suite, chunk, tolerances):
@@ -131,7 +146,7 @@ def test_a_child_that_dies_costs_time_not_records(monkeypatch, die):
 
     monkeypatch.setattr(experiments, "_check_chunk", dies_in_a_child)
     for workers in WORKERS[1:]:
-        assert _run(monkeypatch, workers, trials=40) == serial, workers
+        assert _run(monkeypatch, workers, trials=40) == serial_40, workers
 
 
 def test_a_slice_without_a_process_runs_here(monkeypatch):

@@ -101,6 +101,14 @@ def test_empty_records_rejected():
         emit_report([], "csv", None)
 
 
+def test_render_of_no_records_is_the_header_alone():
+    # emit_report refuses an empty report, but each emitter takes one
+    header = "  ".join(RECORD_FIELDS)
+    assert render([], "table") == f"{header}\n\ntotal: 0/0 passed\n"
+    assert render([], "csv") == ",".join(RECORD_FIELDS) + "\n"
+    assert render([], "json-lines") == ""
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ContractViolation):
         emit_report([RECORD], "xml", None)

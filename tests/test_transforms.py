@@ -32,7 +32,6 @@ def test_pseudo_similarity_selection():
     assert_allclose(res.transformed, np.diag([1.0, 2.0]), atol=1e-14)
     assert res.input_rank == 2
     assert res.hermitian
-    assert res.construction == "pseudo_similarity"
 
 
 def test_pseudo_similarity_1x1():
