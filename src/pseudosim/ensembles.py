@@ -9,18 +9,17 @@ every draw.
 A generator that needs Haar-like unitaries runs in three steps.  Its
 ``draw_*`` function takes every random number from the stream, in a fixed
 order, and returns a :class:`Draw` that holds the complex Gaussian matrices
-it drew; :func:`haar_factors` turns those Gaussians into orthonormal columns,
-for many draws at once with one QR call per matrix shape;
-:meth:`Draw.assemble` builds the member from them.
-``random_*`` and :func:`hermitian_with_spectrum` run the three steps for one
-draw.
+it drew; :func:`haar_columns` turns a stack of Gaussians into orthonormal
+columns, each matrix's bit for bit as on its own; the draw's ``build`` makes
+the member from them.  ``random_*`` and :func:`hermitian_with_spectrum` run
+the three steps for one draw, a Gaussian at a time; the runner stacks the
+Gaussians of many draws (see :mod:`pseudosim.experiments`).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -67,7 +66,9 @@ class EnsembleSpec:
     nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR
 
     def __post_init__(self):
-        self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
+        if type(self.seed) is not int:  # a bool is no int here, and a float would be truncated
+            raise ContractViolation(f"seed must be an int, got {self.seed!r}")
+        self.seed &= 0xFFFFFFFFFFFFFFFF
         for name in ("n", "k", "l"):
             value = getattr(self, name)
             if value is not None and (type(value) is not int or value < 1):  # a bool is no int here
@@ -128,16 +129,11 @@ class Draw:
 
     ``gaussians`` holds the complex standard normal matrices whose Haar-like
     factors the member needs; ``build`` makes the member from those factors,
-    taken in the same order.  :func:`haar_factors` serves many draws at once,
-    with one QR call per matrix shape.
+    given as its arguments in the same order.
     """
 
     gaussians: tuple[np.ndarray, ...]
     build: Callable[..., np.ndarray]
-
-    def assemble(self, unitaries) -> np.ndarray:
-        """The member, from the Haar factors of its Gaussians."""
-        return self.build(*unitaries)
 
 
 def _gaussians(rng: SplitMix64, *shapes) -> tuple[np.ndarray, ...]:
@@ -145,8 +141,9 @@ def _gaussians(rng: SplitMix64, *shapes) -> tuple[np.ndarray, ...]:
     return tuple(rng.complex_normals(shape) for shape in shapes)
 
 
-def _haar_columns(a: np.ndarray) -> np.ndarray:
-    """Orthonormal columns of each matrix of the stack ``a``, Haar-like.
+def haar_columns(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of the matrix ``a``, or of each matrix of the
+    stack ``a``, Haar-like.
 
     QR of each i.i.d. complex standard normal matrix, with the Q columns
     rephased so the R diagonal is real and positive.  Without that fix the
@@ -159,26 +156,8 @@ def _haar_columns(a: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-def haar_factors(draws) -> list[tuple[np.ndarray, ...]]:
-    """The Haar factors of each draw's Gaussians: one stack of Gaussians and
-    one stacked QR per shape."""
-    gaussians = [g for d in draws for g in d.gaussians]
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, g in enumerate(gaussians):
-        by_shape.setdefault(g.shape, []).append(i)
-    factors = [None] * len(gaussians)
-    for indices in by_shape.values():
-        # a group of one factors the draw's own array, not a copy of it
-        stack = (np.stack([gaussians[i] for i in indices]) if len(indices) > 1
-                 else gaussians[indices[0]][np.newaxis])
-        for i, q in zip(indices, _haar_columns(stack)):
-            factors[i] = q
-    in_order = iter(factors)
-    return [tuple(islice(in_order, len(d.gaussians))) for d in draws]
-
-
 def _built(draw: Draw) -> np.ndarray:
-    return draw.assemble(haar_factors([draw])[0])
+    return draw.build(*map(haar_columns, draw.gaussians))
 
 
 def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:

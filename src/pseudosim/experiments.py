@@ -10,10 +10,11 @@ A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
 check.  :class:`ExperimentConfig` runs each suite's dimension rule at the
 ends of its draw ranges, so a config error is raised before any trial is
 drawn.  Trials run in chunks: each trial of a chunk is drawn from its own
-stream, then the Haar factors of all the chunk's draws come from one stacked
-QR per matrix shape, then each trial builds its matrices and the suite's
-check takes the chunk's trials at once.  Most checks take them one at a time;
-solver-oracle runs each of its stages on one stack per matrix size.
+stream, then the Haar factors of all the chunk's Gaussians come from one
+stacked QR per matrix shape, then each trial builds its matrices and the
+suite's check takes the chunk's trials at once.  Most checks take them one at
+a time; solver-oracle runs each of its stages on one stack per matrix shape.
+The QRs and those stages stack by one rule, :func:`_per_shape`.
 :func:`run_suite` runs a suite's trials in chunks that close once their
 draws reach ``CHUNK_BYTES``, each checked before the next draw, cut into one
 contiguous slice of trials per usable CPU: slice 0 runs in the calling
@@ -56,7 +57,7 @@ from .ensembles import (
     draw_rank_l,
     draw_spectrum,
     draw_unitary,
-    haar_factors,
+    haar_columns,
 )
 from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
 from .errors import ContractViolation, NumericalError, RealnessViolation
@@ -80,8 +81,9 @@ class Tolerances:
     All values are relative factors multiplied by the spectral or entry
     scale of the quantity under test, except ``rank``, which replaces the
     rank-detection threshold factor directly; None keeps the per-matrix
-    default, max(rows, cols) * eps.  Every value is finite and positive: a
-    NaN or infinite gate would pass anything, a non-positive one nothing.
+    default, max(rows, cols) * eps.  Every value is a finite positive
+    number: a NaN or infinite gate would pass anything, a non-positive one
+    nothing, and a bool is no number here (True would read as a gate of 1).
     """
 
     interlace: float = INTERLACE_REL_TOL
@@ -97,7 +99,8 @@ class Tolerances:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (value is None and f.name == "rank"
-                    or isinstance(value, (int, float)) and 0.0 < value < math.inf):
+                    or isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and 0.0 < value < math.inf):
                 raise ContractViolation(f"tolerance {f.name} must be finite and > 0, got {value!r}")
 
 
@@ -425,26 +428,26 @@ def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     return g, rng.complex_normals((n_td, n_td))
 
 
-def _oracle_check(spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialRecord]:
+def _oracle_check(trials, tols: Tolerances) -> list[TrialRecord]:
     """LAPACK-backed solvers against the characteristic-polynomial oracle
     (n <= 4) plus trace/determinant identities (n <= 6), for a chunk of
     trials at once.
 
-    Each part runs on one stack per matrix size; a trial that raises fails
+    Each part runs on one stack per matrix shape; a trial that raises fails
     alone.  Every record, a failed one too, carries the side of its
     trace/determinant matrix as k.
     """
-    charpoly = _per_size(_charpoly_deviations, [trial.drawn[0] for trial in trials])
-    trace_det = _per_size(_trace_det_deviations, [trial.drawn[1] for trial in trials])
+    charpoly = _per_shape(_charpoly_deviations, [trial.drawn[0] for trial in trials])
+    trace_det = _per_shape(_trace_det_deviations, [trial.drawn[1] for trial in trials])
     records = []
     for trial, devs, identities in zip(trials, charpoly, trace_det):
         n = trial.dims[0]
         trial = trial._replace(dims=(n, trial.drawn[1].shape[0], n))
-        error = next((part for part in (devs, identities) if isinstance(part, Exception)), None)
-        if error is not None:
-            records.append(_failed(trial, error))
+        try:
+            devs, (trace_dev, det_dev) = map(_result, (devs, identities))
+        except _TRIAL_ERRORS as exc:
+            records.append(_failed(trial, exc))
             continue
-        trace_dev, det_dev = identities
         worst = 0.0
         notes = []
         for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
@@ -480,31 +483,40 @@ def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
             for total, trace, prod, det in zip(w.sum(axis=1), traces, w.prod(axis=1), dets)]
 
 
-def _per_size(part, matrices) -> list:
-    """``part`` of each square matrix, run on one stack per size.  A stack
-    that raises is redone a matrix at a time, and a matrix that raises alone
-    gets its error in place of its result."""
-    results: list = [None] * len(matrices)
-    by_size: dict[int, list[int]] = {}
-    for i, m in enumerate(matrices):
-        by_size.setdefault(m.shape[0], []).append(i)
-    for rows in by_size.values():
-        stack = np.stack([matrices[i] for i in rows])
+def _per_shape(part, arrays) -> list:
+    """``part`` of each array, in order, run on one stack per shape; a shape
+    that one array alone has runs on a view of that array, not a copy.  A
+    stack that raises is redone an array at a time, and an array that raises
+    alone gets its error in place of its result."""
+    results: list = [None] * len(arrays)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, a in enumerate(arrays):
+        by_shape.setdefault(a.shape, []).append(i)
+    for indices in by_shape.values():
+        stack = (np.stack([arrays[i] for i in indices]) if len(indices) > 1
+                 else arrays[indices[0]][np.newaxis])
         try:
             values = part(stack)
         except _TRIAL_ERRORS:
             values = []
-            for i in range(len(rows)):
+            for i in range(len(indices)):
                 try:
                     values.extend(part(stack[i:i + 1]))
                 except _TRIAL_ERRORS as exc:
                     values.append(exc)
-        for i, value in zip(rows, values):
+        for i, value in zip(indices, values):
             results[i] = value
     return results
 
 
-def _each_trial(check, spec: EnsembleSpec, trials, tols: Tolerances) -> list[TrialRecord]:
+def _result(value):
+    """A result of :func:`_per_shape`, or the error held in its place, raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _each_trial(check, trials, tols: Tolerances) -> list[TrialRecord]:
     """A chunk check made of a per-trial one: ``check``'s record of each
     trial, or a failed record for a trial that raises."""
     records = []
@@ -614,20 +626,24 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> 
 def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
     """The chunk's trials with each :class:`Draw` built into its matrix, and
     a failed record for a trial whose matrices raise.  The Haar factors of
-    every draw in the chunk come from one stacked QR per matrix shape.
+    every Gaussian in the chunk come from one stacked QR per matrix shape.
 
     Takes the trials out of ``chunk`` one at a time, so each trial's
     Gaussians and Haar factors are let go as soon as its matrices are built.
+    A trial takes all its factors before any of its builds can raise, so a
+    trial that fails leaves its neighbours' factors to them.
     """
-    factors = haar_factors([d for trial in chunk for d in trial.draws])[::-1]
+    factors = _per_shape(haar_columns, [g for trial in chunk for d in trial.draws for g in d.gaussians])
+    factors.reverse()
     chunk.reverse()
     built = []
     while chunk:
         trial = chunk.pop()
         if trial.failed is None:
-            mine = [factors.pop() if isinstance(v, Draw) else None for v in trial.drawn]
+            mine = [[factors.pop() for _ in v.gaussians] if isinstance(v, Draw) else None
+                    for v in trial.drawn]
             try:
-                trial = trial._replace(drawn=tuple(v.assemble(q) if q is not None else v
+                trial = trial._replace(drawn=tuple(v.build(*map(_result, q)) if q is not None else v
                                                    for v, q in zip(trial.drawn, mine)))
             except _TRIAL_ERRORS as exc:
                 trial = trial._replace(drawn=(), failed=_failed(trial, exc))
@@ -635,14 +651,13 @@ def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
     return built
 
 
-def _check_chunk(spec: EnsembleSpec, suite: str, chunk: list[_DrawnTrial],
-                 tolerances: Tolerances) -> list[TrialRecord]:
+def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -> list[TrialRecord]:
     """Records of drawn trials, in order, emptying ``chunk``.  The suite's
     check takes the built trials at once; a trial that raises while its
     matrices are built or checked fails alone."""
     check = _SUITE_TABLE[suite][2]
     trials = _built(chunk)
-    checked = iter(check(spec, [trial for trial in trials if trial.failed is None], tolerances))
+    checked = iter(check([trial for trial in trials if trial.failed is None], tolerances))
     return [trial.failed if trial.failed is not None else next(checked) for trial in trials]
 
 
@@ -658,10 +673,10 @@ def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Toler
         chunk.append(trial)
         del trial  # the chunk holds the only reference, which checking it drops
         if size >= CHUNK_BYTES:
-            yield from _check_chunk(spec, suite, chunk, tolerances)
+            yield from _check_chunk(suite, chunk, tolerances)
             size = 0
     if chunk:
-        yield from _check_chunk(spec, suite, chunk, tolerances)
+        yield from _check_chunk(suite, chunk, tolerances)
 
 
 def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
@@ -670,10 +685,13 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     from its seed: the runner's path, as a chunk of one trial, so it equals
     the runner's row for the trial.
 
-    A spec the suite cannot draw raises ContractViolation.  A trial that
-    raises a contract or numerical error yields a failed record that carries
-    the dimensions it drew and the error as its notes.
+    A spec the suite cannot draw, or a ``trial_index`` that is not an int
+    >= 0, raises ContractViolation.  A trial that raises a contract or
+    numerical error yields a failed record that carries the dimensions it
+    drew and the error as its notes.
     """
+    if type(trial_index) is not int or trial_index < 0:  # a bool is no int here
+        raise ContractViolation(f"trial_index must be an int >= 0, got {trial_index!r}")
     if suite not in THEOREM_SUITES:
         raise ContractViolation(f"{suite!r} reduces its trials to one search record; "
                                 f"valid: {sorted(THEOREM_SUITES)}")

@@ -143,7 +143,7 @@ def build_rank_deficient(h, v) -> np.ndarray:
 def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult:
     """Pseudo-similarity by the rank-deficient ``h @ v^H``, computed two ways.
 
-    Route (a) applies :func:`pseudo_similarity` to the assembled matrix;
+    Route (a) applies :func:`pseudo_similarity` to the product h @ v^H;
     route (b) conjugates the L x L core transform by v.  Both must agree to
     within ``1e-8 * max(1, entry scale)`` per entry or a
     :class:`NumericalError` carrying both matrices is raised.  Route (a) is

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import pseudosim.ensembles as ensembles
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
 from pseudosim.ensembles import (
     EnsembleSpec,
-    _haar_columns,
     draw_full_column_rank,
     draw_hermitian,
     draw_rank_l,
     draw_spectrum,
     draw_unitary,
-    haar_factors,
+    haar_columns,
     hermitian_with_spectrum,
     random_full_column_rank,
     random_invertible_nonunitary,
@@ -20,6 +18,7 @@ from pseudosim.ensembles import (
     random_unitary,
 )
 from pseudosim.errors import ContractViolation, DimensionError
+from pseudosim.experiments import _per_shape
 from pseudosim.interlace import classify_real
 from pseudosim.linalg import is_hermitian, numerical_rank, penrose_residuals, pseudo_inverse, svd
 from pseudosim.rng import SplitMix64
@@ -212,6 +211,19 @@ def test_pinned_dimensions_are_ints(dim, value):
         EnsembleSpec(seed=1, **{dim: value})
 
 
+@pytest.mark.parametrize("seed", [2.7, True, "12", None])
+def test_seed_is_an_int(seed):
+    # a float, bool or string would be truncated or parsed into another
+    # seed's run
+    with pytest.raises(ContractViolation, match="seed must be an int"):
+        EnsembleSpec(seed=seed)
+
+
+@pytest.mark.parametrize("seed, masked", [(-1, 2**64 - 1), (2**64 + 3, 3)])
+def test_seed_wraps_to_64_bits(seed, masked):
+    assert EnsembleSpec(seed=seed).seed == masked
+
+
 def _haar_reference(a):
     """One QR call for one Gaussian, then the rephasing, as a generator
     computed it per matrix."""
@@ -226,7 +238,7 @@ def _haar_reference(a):
 def test_stacked_haar_factor_is_bitwise_per_matrix(n, l, count):
     rng = SplitMix64(1000 * n + l)
     gaussians = [rng.complex_normals((n, l)) for _ in range(count)]
-    stacked = _haar_columns(np.stack(gaussians))
+    stacked = haar_columns(np.stack(gaussians))
     assert stacked.shape == (count, n, l)
     for g, q in zip(gaussians, stacked):
         assert np.array_equal(q, _haar_reference(g))
@@ -236,11 +248,11 @@ def test_haar_factors_keep_draw_order_across_shapes():
     rng = SplitMix64(63)
     draws = [draw_unitary(rng, 5, 2), draw_full_column_rank(rng, 5, 2), draw_unitary(rng, 3, 3),
              draw_rank_l(rng, 4, 7, 2), draw_hermitian(rng, [1.0, -2.0, 0.5])]
-    factors = haar_factors(draws)
-    assert [len(f) for f in factors] == [len(d.gaussians) for d in draws]
-    for d, f in zip(draws, factors):
-        for g, q in zip(d.gaussians, f):
-            assert np.array_equal(q, _haar_reference(g))
+    gaussians = [g for d in draws for g in d.gaussians]
+    factors = _per_shape(haar_columns, gaussians)
+    assert len(factors) == len(gaussians) == 8
+    for g, q in zip(gaussians, factors):
+        assert np.array_equal(q, _haar_reference(g))
 
 
 def test_generators_are_their_draws_assembled():
@@ -249,7 +261,8 @@ def test_generators_are_their_draws_assembled():
         return [draw_hermitian(rng, [0.5, -1.0, 2.0, 1.5]), draw_full_column_rank(rng, 6, 3, 1e2),
                 draw_rank_l(rng, 5, 8, 2), draw_unitary(rng, 4, 4)]
     batch = draws(SplitMix64(64))
-    built = [d.assemble(f) for d, f in zip(batch, haar_factors(batch))]
+    factors = iter(_per_shape(haar_columns, [g for d in batch for g in d.gaussians]))
+    built = [d.build(*(next(factors) for _ in d.gaussians)) for d in batch]
     rng = SplitMix64(64)
     direct = [hermitian_with_spectrum(rng, [0.5, -1.0, 2.0, 1.5]), random_full_column_rank(rng, 6, 3, 1e2),
               random_rank_l(rng, 5, 8, 2), random_unitary(rng, 4, 4)]
@@ -257,20 +270,18 @@ def test_generators_are_their_draws_assembled():
         assert np.array_equal(a, b)
 
 
-def test_single_draw_group_is_a_view_of_its_words(monkeypatch):
+def test_single_draw_group_is_a_view_of_its_words():
     # a shape that only one draw of the batch has is factored from that
     # draw's own Gaussian, not from a second copy of it
     seen = []
-    haar_columns = ensembles._haar_columns
 
     def recorded(stack):
         seen.append(stack)
         return haar_columns(stack)
 
-    monkeypatch.setattr(ensembles, "_haar_columns", recorded)
     rng = SplitMix64(3)
     alone, first, second = draw_unitary(rng, 5, 2), draw_unitary(rng, 4, 3), draw_unitary(rng, 4, 3)
-    haar_factors([alone, first, second])
+    _per_shape(recorded, [d.gaussians[0] for d in (alone, first, second)])
     assert len(seen) == 2
     assert np.shares_memory(seen[0], alone.gaussians[0])
     assert not any(np.shares_memory(seen[1], d.gaussians[0]) for d in (first, second))

@@ -143,6 +143,21 @@ def test_run_trial_replays_records(monkeypatch):
         run_trial(spec, "oblique-counterexample", 0)
 
 
+@pytest.mark.parametrize("trial_index", [True, 2.5, -1])
+def test_run_trial_index_is_an_int_from_zero(trial_index):
+    # True would replay trial 1 under the index True, and -1 has no seed
+    with pytest.raises(ContractViolation, match="trial_index must be an int >= 0"):
+        run_trial(EnsembleSpec(seed=42), "subsumption", trial_index)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+def test_tolerances_reject_bools(field, value):
+    # True would read as a gate of 1.0
+    with pytest.raises(ContractViolation, match=f"tolerance {field} must be finite and > 0"):
+        Tolerances(**{field: value})
+
+
 def test_oblique_witness_default_budget():
     config = ExperimentConfig(
         suites=("oblique-counterexample",),
@@ -206,9 +221,9 @@ def small_chunks(monkeypatch):
     chunks = []
     check_chunk = experiments._check_chunk
 
-    def recorded(spec, suite, chunk, tolerances):
+    def recorded(suite, chunk, tolerances):
         chunks.append([trial.trial_index for trial in chunk])
-        return check_chunk(spec, suite, chunk, tolerances)
+        return check_chunk(suite, chunk, tolerances)
 
     monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 8 * 1024)
@@ -239,9 +254,9 @@ def test_default_chunk_bound(monkeypatch):
         events.append("draw")
         return draw_trial(*args)
 
-    def logged_check(spec, suite, chunk, tolerances):
+    def logged_check(suite, chunk, tolerances):
         events.append("check")
-        return check_chunk(spec, suite, chunk, tolerances)
+        return check_chunk(suite, chunk, tolerances)
 
     monkeypatch.setattr(experiments, "_draw_trial", logged_draw)
     monkeypatch.setattr(experiments, "_check_chunk", logged_check)
@@ -290,6 +305,28 @@ def test_failed_draws_stay_inside_their_trial(small_chunks, monkeypatch):
             assert record == expected
 
 
+def test_failed_haar_factor_stays_inside_its_trial(small_chunks, monkeypatch):
+    # a QR that raises fails the trial whose Gaussian it factors; the other
+    # trials of its chunk keep their factors and their records
+    suite = "interlace-rank-deficient"
+    default = run_suite(_config(suites=(suite,), trials=30))
+    unlucky = experiments._draw_trial(EnsembleSpec(seed=42), suite, 7).draws[1].gaussians[0]
+    haar_columns = experiments.haar_columns
+
+    def fails_on_one(stack):
+        if any(np.array_equal(g, unlucky) for g in stack):
+            raise np.linalg.LinAlgError("no QR")
+        return haar_columns(stack)
+
+    monkeypatch.setattr(experiments, "haar_columns", fails_on_one)
+    small_chunks.clear()
+    forced = run_suite(_config(suites=(suite,), trials=30))
+    assert any(7 in chunk and len(chunk) > 1 for chunk in small_chunks), small_chunks
+    assert [record.trial_index for record in forced if not record.passed] == [7]
+    assert forced[7].notes == "LinAlgError: no QR"
+    assert forced[:7] + forced[8:] == default[:7] + default[8:]
+
+
 def test_chunk_frees_words_before_its_check(monkeypatch):
     # once a chunk's Haar factors are made, its draws' Gaussians are gone:
     # the check runs without them
@@ -300,14 +337,24 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
     alive = []
     dims, draw, check = experiments._SUITE_TABLE[suite]
 
-    def counted(spec, trials, tolerances):
+    def counted(trials, tolerances):
         alive.append(sum(ref() is not None for ref in gaussians))
-        return check(spec, trials, tolerances)
+        return check(trials, tolerances)
 
     monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted))
-    outcomes = experiments._check_chunk(spec, suite, chunk, Tolerances())
+    outcomes = experiments._check_chunk(suite, chunk, Tolerances())
     assert len(gaussians) == 16 and alive == [0] and chunk == []
     assert all(outcome.passed for outcome in outcomes)
+
+
+def test_chunks_factor_their_gaussians_one_qr_per_shape(monkeypatch, qr_calls):
+    # every suite at 40 trials draws 625 Gaussians, which the chunks factor
+    # as stacks, one per shape: one QR call per Gaussian would make 625
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    run_suite(_config(trials=40))
+    assert all(len(shape) == 3 for shape in qr_calls)
+    assert sum(shape[0] for shape in qr_calls) == 625
+    assert len(qr_calls) == 251
 
 
 ORACLE = "solver-oracle"

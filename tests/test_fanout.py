@@ -139,10 +139,10 @@ def _raises():
 def test_a_child_that_dies_costs_time_not_records(monkeypatch, serial_40, die):
     parent, check_chunk = os.getpid(), experiments._check_chunk
 
-    def dies_in_a_child(spec, suite, chunk, tolerances):
+    def dies_in_a_child(suite, chunk, tolerances):
         if os.getpid() != parent and suite == "interlace-inflated":
             die()
-        return check_chunk(spec, suite, chunk, tolerances)
+        return check_chunk(suite, chunk, tolerances)
 
     monkeypatch.setattr(experiments, "_check_chunk", dies_in_a_child)
     for workers in WORKERS[1:]:
