@@ -44,8 +44,8 @@ print("compressed spectrum:", np.round(eta, 6))
 
 report = check_interlacing(lam, eta)
 print("interlacing holds:", report.passed)
-shift = report.n - report.l
-for i in range(report.l):
+shift = lam.size - eta.size
+for i in range(eta.size):
     print(f"  lam[{i}] = {lam[i]:+.4f} <= eta = {eta[i]:+.4f} <= lam[{i + shift}] = "
           f"{lam[i + shift]:+.4f}   margins {report.lower_margins[i]:.4f}, "
           f"{report.upper_margins[i]:.4f}")

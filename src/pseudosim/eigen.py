@@ -40,16 +40,16 @@ def sort_eigenvalues(values) -> np.ndarray:
     return np.take_along_axis(values, order, axis=-1)
 
 
-def eigvals_hermitian(m, tol: float | None = None) -> np.ndarray:
+def eigvals_hermitian(m) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, sorted non-decreasing; a row per
     matrix of a stack.
 
-    `tol` is the hermiticity tolerance for the precondition check (default
-    scale-relative, per matrix); a non-Hermitian input is a contract
-    violation, never silently symmetrized.
+    Each matrix must be Hermitian within its own scale-relative default
+    tolerance; a non-Hermitian input is a contract violation, never silently
+    symmetrized.
     """
     m = _as_square_stack(m)
-    if not _hermitian_each(m, tol).all():
+    if not _hermitian_each(m).all():
         raise ContractViolation("input is not Hermitian within tolerance")
     try:
         return np.linalg.eigvalsh(m)

@@ -46,7 +46,8 @@ class EnsembleSpec:
     constraints of the consuming suite).  ``spectrum_law`` selects how eigenvalues of
     the Hermitian input are drawn:
 
-    * ``prescribed``: use ``spectrum_values`` verbatim (length must be n),
+    * ``prescribed``: use ``spectrum_values`` verbatim (length must be n;
+      no other law takes ``spectrum_values``),
     * ``uniform``: uniform in [spectrum_gap, spectrum_bound],
     * ``signed-uniform``: uniform magnitude in [spectrum_gap,
       spectrum_bound] with a random sign, so the open interval
@@ -84,6 +85,9 @@ class EnsembleSpec:
                 raise ContractViolation(
                     f"prescribed spectrum has length {len(self.spectrum_values)}, n = {self.n}"
                 )
+        elif self.spectrum_values is not None:  # no other law reads them
+            raise ContractViolation(f"spectrum_values needs spectrum_law = prescribed, "
+                                    f"got {self.spectrum_law!r}")
         if self.spectrum_values is not None and not all(map(math.isfinite, self.spectrum_values)):
             raise ContractViolation(f"spectrum_values must be finite, got {self.spectrum_values}")
         # each comparison fails on NaN, so a NaN field is rejected with the rest

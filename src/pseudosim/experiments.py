@@ -68,9 +68,6 @@ from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
 OBLIQUE_DEFAULT_N = 3
-OBLIQUE_DEFAULT_SEED = 7
-OBLIQUE_DEFAULT_CAP = 100.0
-OBLIQUE_DEFAULT_BUDGET = 1000
 WITNESS_TIGHTEN = 10.0            # re-verification factor for oblique witnesses
 
 
@@ -269,7 +266,7 @@ def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
         notes.append(f"rank {result.input_rank} != target {l} ({zero_count} zeros)")
     if not report.passed:
         notes.append(f"interlacing violated (tol {report.tol_used:.3e})")
-    sigma = result.sigma
+    sigma = result.factors.sigma
     return trial.record(passed=report.passed and not notes,
                         min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
                         worst_residual=max(rel_imag, route_dev), notes="; ".join(notes),
@@ -289,8 +286,8 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 
     classical = unitary_compression(p, q)
     general = pseudo_similarity(p, q, tols.rank)
-    pinv_dev = float(np.abs(general.pinv - adjoint(q)).max())
-    route_dev = float(np.abs(classical.transformed - general.transformed).max())
+    pinv_dev = float(np.abs(general.factors.pseudo_inverse() - adjoint(q)).max())
+    route_dev = float(np.abs(classical - general.transformed).max())
 
     notes = []
     if pinv_dev > tols.unitary_pinv:
@@ -340,7 +337,7 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     only if the characteristic-polynomial roots confirm its spectrum.  The
     record passes either way: a breach is what the search looks for."""
     lam, p, x, sel = trial.drawn
-    t = oblique_transform(p, x, sel).transformed
+    t = oblique_transform(p, x, sel)
     spectrum, scale = eigvals_general(t), spectral_scale(lam)
     try:
         eta = classify_real(spectrum, tols.realness)
@@ -444,7 +441,7 @@ def _oracle_check(trials, tols: Tolerances) -> list[TrialRecord]:
         n = trial.dims[0]
         trial = trial._replace(dims=(n, trial.drawn[1].shape[0], n))
         try:
-            devs, (trace_dev, det_dev) = map(_result, (devs, identities))
+            devs, (trace_dev, det_dev) = map(_unheld, (devs, identities))
         except _TRIAL_ERRORS as exc:
             records.append(_failed(trial, exc))
             continue
@@ -509,7 +506,7 @@ def _per_shape(part, arrays) -> list:
     return results
 
 
-def _result(value):
+def _unheld(value):
     """A result of :func:`_per_shape`, or the error held in its place, raised."""
     if isinstance(value, Exception):
         raise value
@@ -643,7 +640,7 @@ def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
             mine = [[factors.pop() for _ in v.gaussians] if isinstance(v, Draw) else None
                     for v in trial.drawn]
             try:
-                trial = trial._replace(drawn=tuple(v.build(*map(_result, q)) if q is not None else v
+                trial = trial._replace(drawn=tuple(v.build(*map(_unheld, q)) if q is not None else v
                                                    for v, q in zip(trial.drawn, mine)))
             except _TRIAL_ERRORS as exc:
                 trial = trial._replace(drawn=(), failed=_failed(trial, exc))

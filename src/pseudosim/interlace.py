@@ -14,6 +14,7 @@ when the separation is ambiguous.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +34,26 @@ ZERO_REL_TOL = 1e-7
 
 @dataclass
 class InterlacingReport:
-    n: int
-    l: int
-    lam: np.ndarray
-    eta: np.ndarray
     lower_margins: np.ndarray  # eta - lam[:l], one per index
     upper_margins: np.ndarray  # lam[n - l:] - eta, one per index
     passed: bool
     tol_used: float
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:  # eta was empty: nothing to interlace
+        return self.lower_margins.size == 0
 
     def min_margins(self) -> tuple[float, float]:
         """Smallest (lower, upper) margins over all indices; +inf when vacuous."""
         if self.vacuous:
             return float("inf"), float("inf")
         return float(self.lower_margins.min()), float(self.upper_margins.min())
+
+
+def _require_gate(value, name):
+    if not 0.0 <= value < math.inf:  # a NaN or infinite gate would pass anything
+        raise ContractViolation(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _require_sorted(values, name):
@@ -69,15 +75,12 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     n, l = lam.size, eta.size
     if l > n:
         raise DimensionError(f"compressed spectrum longer than reference: {l} > {n}")
-    if tol is None:
-        tol = INTERLACE_REL_TOL * spectral_scale(lam)
+    tol = INTERLACE_REL_TOL * spectral_scale(lam) if tol is None else _require_gate(tol, "tol")
 
     lower, upper = eta - lam[:l], lam[n - l:] - eta
-    return InterlacingReport(
-        n=n, l=l, lam=lam, eta=eta, lower_margins=lower, upper_margins=upper,
-        passed=not ((lower < -tol).any() or (upper < -tol).any()),
-        tol_used=float(tol), vacuous=(l == 0),
-    )
+    passed = not ((lower < -tol).any() or (upper < -tol).any())
+    return InterlacingReport(lower_margins=lower, upper_margins=upper, passed=passed,
+                             tol_used=float(tol))
 
 
 def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
@@ -87,6 +90,7 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     listing the offending eigenvalues when any imaginary part exceeds
     ``realness_tol * max(1, max |value|)``.
     """
+    _require_gate(realness_tol, "realness_tol")
     values = np.asarray(spectrum, dtype=np.complex128).ravel()
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
@@ -113,6 +117,7 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     """
     if np.iscomplexobj(spectrum):
         raise ContractViolation("extract_nonzero takes real values; pass the spectrum through classify_real")
+    _require_gate(zero_tol, "zero_tol")
     values = np.asarray(spectrum, dtype=np.float64).ravel()
     k = values.size
     if not 0 <= expected_l <= k:

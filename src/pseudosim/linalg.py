@@ -9,6 +9,7 @@ pure; nothing is modified in place.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +120,14 @@ class SvdFactors:
         Equal to :func:`svd` of the same matrix at ``rank_tol`` when these
         factors are untruncated, as at full rank.
         """
-        if rank_tol <= 0:
-            raise ContractViolation("rank_tol must be positive")
-        rank = _detected_rank(self.sigma, rank_tol)
+        rank = _detected_rank(self.sigma, _require_rank_tol(rank_tol))
         return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
+
+
+def _require_rank_tol(rank_tol: float) -> float:
+    if not 0.0 < rank_tol < math.inf:  # a NaN or infinite one reads every matrix as rank 0
+        raise ContractViolation(f"rank_tol must be finite and positive, got {rank_tol!r}")
+    return rank_tol
 
 
 def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
@@ -134,10 +139,7 @@ def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
 def svd(m, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD with rank detection (singular values above rank_tol * sigma_max)."""
     m = as_matrix(m)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m.shape)
-    if rank_tol <= 0:
-        raise ContractViolation("rank_tol must be positive")
+    rank_tol = default_rank_tol(m.shape) if rank_tol is None else _require_rank_tol(rank_tol)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:

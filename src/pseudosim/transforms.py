@@ -3,11 +3,13 @@
 The central operation is :func:`pseudo_similarity`: ``pinv(H) @ P @ H`` for a
 general N x K matrix H of rank L.  Its K x K result is generally
 non-Hermitian and may have more rows than P (K > N), yet its L nonzero
-eigenvalues still interlace the spectrum of P.  The other routes here are the
-classical unitary compression ``Q^H P Q`` (the special case where H has
-orthonormal columns), the rank-deficient construction ``H V^H`` used to
-exercise deflation and inflation, and the oblique compression for which the
-interlacing guarantee demonstrably fails.
+eigenvalues still interlace the spectrum of P.  It returns, as does
+:func:`inflate_transform` for the rank-deficient construction ``H V^H`` used
+to exercise deflation and inflation, a :class:`TransformResult` that carries
+the SVD of the map.  The classical unitary compression ``Q^H P Q`` (the
+special case where H has orthonormal columns) and the oblique compression,
+for which the interlacing guarantee demonstrably fails, invert no map and
+return the compressed matrix itself.
 """
 from __future__ import annotations
 
@@ -31,12 +33,20 @@ CROSS_REL_TOL = 1e-8
 
 @dataclass
 class TransformResult:
+    """``transformed = factors.pseudo_inverse() @ p @ map``, where ``factors``
+    is the thin SVD of the map truncated at its detected rank."""
+
     transformed: np.ndarray
-    input_rank: int
-    hermitian: bool
-    route_deviation: float | None = None  # filled by dual-route transforms
-    sigma: np.ndarray | None = None  # retained singular values of h, pseudo-inverse routes
-    pinv: np.ndarray | None = None  # pseudo-inverse of h, pseudo-inverse routes
+    factors: SvdFactors
+    route_deviation: float | None = None  # filled by inflate_transform
+
+    @property
+    def input_rank(self) -> int:
+        return self.factors.rank
+
+    @property
+    def hermitian(self) -> bool:  # within the scale-relative default tolerance
+        return _is_hermitian(self.transformed)
 
 
 # The public transforms validate their arguments once; the private bodies
@@ -84,20 +94,9 @@ def _require_embedding(h, v) -> tuple[np.ndarray, np.ndarray, SvdFactors]:
     return h, v, factors
 
 
-def _result(t, rank, sigma=None, pinv=None):
-    return TransformResult(
-        transformed=t,
-        input_rank=int(rank),
-        hermitian=_is_hermitian(t),
-        sigma=sigma,
-        pinv=pinv,
-    )
-
-
 def _similarity(p, h, factors: SvdFactors) -> TransformResult:
     """:func:`pseudo_similarity` of validated p and h, given the SVD of h."""
-    pinv = factors.pseudo_inverse()
-    return _result(pinv @ p @ h, factors.rank, factors.sigma, pinv)
+    return TransformResult(factors.pseudo_inverse() @ p @ h, factors)
 
 
 def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
@@ -106,15 +105,15 @@ def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
     Any rank and any K are accepted, including K > N.  A rank-0 h yields the
     K x K zero matrix (every later interlacing check on it is vacuous and is
     flagged as such in reports).  Non-Hermitian p is rejected, not repaired.
-    The result carries the pseudo-inverse and the retained singular values
-    of h, from the one SVD that gives both the pseudo-inverse and the rank.
+    The result carries the one SVD of h that gives both the pseudo-inverse
+    and the rank.
     """
     p = _require_hermitian(p)
     h = _require_map(p, as_matrix(h, "h"))
     return _similarity(p, h, svd(h, rank_tol))
 
 
-def unitary_compression(p, q) -> TransformResult:
+def unitary_compression(p, q) -> np.ndarray:
     """``q^H p q`` for column-unitary q: the classical compression.
 
     Because the pseudo-inverse of a column-unitary matrix is its adjoint,
@@ -125,8 +124,7 @@ def unitary_compression(p, q) -> TransformResult:
     q = _require_orthonormal_columns(q, "q")
     if q.shape[0] != p.shape[0]:
         raise DimensionError(f"q has {q.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
-    t = q.conj().T @ p @ q
-    return _result(t, q.shape[1])
+    return q.conj().T @ p @ q
 
 
 def build_rank_deficient(h, v) -> np.ndarray:
@@ -147,7 +145,7 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
     route (b) conjugates the L x L core transform by v.  Both must agree to
     within ``1e-8 * max(1, entry scale)`` per entry or a
     :class:`NumericalError` carrying both matrices is raised.  Route (a) is
-    returned, with the observed deviation recorded.
+    returned, with the SVD of h @ v^H and the observed deviation recorded.
 
     One SVD of h serves both the full-column-rank contract of
     :func:`build_rank_deficient`, at the default threshold, and route (b),
@@ -174,7 +172,7 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
     return replace(route_a, route_deviation=dev)
 
 
-def oblique_transform(p, x, selection) -> TransformResult:
+def oblique_transform(p, x, selection) -> np.ndarray:
     """Principal submatrix of ``x^-1 p x`` at the selected indices.
 
     This is the compression through the oblique (non-orthogonal) projector
@@ -197,5 +195,4 @@ def oblique_transform(p, x, selection) -> TransformResult:
         similar = np.linalg.solve(x, p @ x)  # x^-1 (p x)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"x is singular to working precision: {exc}") from exc
-    t = similar[np.ix_(sel, sel)]
-    return _result(t, len(sel))
+    return similar[np.ix_(sel, sel)]

@@ -12,10 +12,7 @@ import pytest
 
 from pseudosim import EnsembleSpec
 from pseudosim.experiments import (
-    OBLIQUE_DEFAULT_BUDGET,
-    OBLIQUE_DEFAULT_CAP,
     OBLIQUE_DEFAULT_N,
-    OBLIQUE_DEFAULT_SEED,
     SUITES,
     ExperimentConfig,
     Tolerances,
@@ -31,6 +28,11 @@ DEFICIENT_TRIALS = 250  # per deficient/inflated arm; 500 combined
 #: the shipped tolerances the corpus is judged at, pinned here so the gate
 #: does not move with the runner's defaults
 GATE_TOLERANCES = Tolerances(interlace=1e-7, zero=1e-7, realness=1e-8)
+
+#: the documented oblique search: seed, condition cap of X and trial budget
+OBLIQUE_DEFAULT_SEED = 7
+OBLIQUE_DEFAULT_CAP = 100.0
+OBLIQUE_DEFAULT_BUDGET = 1000
 
 
 @pytest.fixture(scope="session")

@@ -251,6 +251,17 @@ def test_exit_two_on_unusable_ensemble_value(tmp_path, capsys, monkeypatch, line
     assert err.startswith("error:") and all(field in err for field in fields)
 
 
+def test_exit_two_on_spectrum_values_without_prescribed_law(tmp_path, capsys, monkeypatch):
+    # without spectrum_law = prescribed the run would draw the default law
+    # and never read the values
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    path = tmp_path / "values.ini"
+    path.write_text("[ensemble]\nn = 3\nspectrum_values = 1 2 3\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "interlace-full-rank", "--trials", "3"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: spectrum_values needs spectrum_law = prescribed, got 'signed-uniform'")
+
+
 @pytest.mark.parametrize("floor", ["nan", "0.5", "5000"])
 def test_oblique_search_rejects_unusable_floor(tmp_path, capsys, floor):
     # the search draws cond(X) from [floor, cap]; a floor outside (1, cap]

@@ -203,6 +203,13 @@ def test_ensemble_spec_validation():
     assert spec.seed == 5  # wrapped to 64 bits
 
 
+@pytest.mark.parametrize("law", ["uniform", "signed-uniform"])
+def test_spectrum_values_need_the_prescribed_law(law):
+    # no other law reads them, so they would be silently ignored
+    with pytest.raises(ContractViolation, match="spectrum_values needs spectrum_law = prescribed"):
+        EnsembleSpec(seed=1, spectrum_law=law, spectrum_values=(1.0, 2.0, 3.0))
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, True, 0])
 @pytest.mark.parametrize("dim", ["n", "k", "l"])
 def test_pinned_dimensions_are_ints(dim, value):

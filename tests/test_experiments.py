@@ -12,10 +12,7 @@ from pseudosim.eigen import eigvals_general, match_distance, spectral_scale
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation, NumericalError
 from pseudosim.experiments import (
-    OBLIQUE_DEFAULT_BUDGET,
-    OBLIQUE_DEFAULT_CAP,
     OBLIQUE_DEFAULT_N,
-    OBLIQUE_DEFAULT_SEED,
     SUITES,
     THEOREM_SUITES,
     ExperimentConfig,
@@ -29,6 +26,11 @@ from pseudosim.experiments import (
 from pseudosim.oracles import charpoly_eigenvalues
 from pseudosim.rng import derive_seed
 from pseudosim.transforms import oblique_transform
+
+#: the documented oblique search: seed, condition cap of X and trial budget
+OBLIQUE_DEFAULT_SEED = 7
+OBLIQUE_DEFAULT_CAP = 100.0
+OBLIQUE_DEFAULT_BUDGET = 1000
 
 
 def _config(**kwargs):
@@ -478,7 +480,7 @@ def test_clustered_oblique_block_settles_loosely():
     spec = EnsembleSpec(seed=298, n=4, condition_cap=2.5)
     trial, = experiments._built([experiments._draw_trial(spec, "oblique-counterexample", 0)])
     lam, p, x, sel = trial.drawn
-    t = oblique_transform(p, x, sel).transformed
+    t = oblique_transform(p, x, sel)
     assert t.shape == (3, 3)
     roots = charpoly_eigenvalues(t)
     assert match_distance(eigvals_general(t), roots) <= Tolerances().oracle * spectral_scale(lam)

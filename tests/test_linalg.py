@@ -138,3 +138,12 @@ def test_rank_consistency_qr_vs_svd():
             for m in (random_rank_l(rng, n, k, l, cap),
                       random_full_column_rank(rng, max(n, k), l, cap)):
                 assert svd(m).rank == l
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+def test_rank_tol_must_be_finite_and_positive(bad):
+    # an infinite or NaN threshold would read every matrix as rank 0
+    with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
+        svd(np.eye(3), bad)
+    with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
+        svd(np.eye(3)).truncated(bad)

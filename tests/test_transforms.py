@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
-from pseudosim.ensembles import random_full_column_rank, random_unitary
+from pseudosim.ensembles import random_full_column_rank, random_rank_l, random_unitary
 from pseudosim.errors import ContractViolation, DimensionError, NumericalError
 from pseudosim.interlace import check_interlacing, classify_real
 from pseudosim.linalg import numerical_rank, pseudo_inverse, svd
@@ -81,20 +81,20 @@ def test_unitary_compression_identity():
     rng = SplitMix64(42)
     p = _hermitian(rng, 3)
     res = unitary_compression(p, np.eye(3, dtype=complex))
-    assert_allclose(res.transformed, p, atol=1e-14)
+    assert_allclose(res, p, atol=1e-14)
 
 
 def test_unitary_compression_selection():
     p = np.diag([1.0, 2.0, 3.0]).astype(complex)
     q = np.eye(3)[:, [0, 2]]
-    assert_allclose(unitary_compression(p, q).transformed, np.diag([1.0, 3.0]), atol=1e-15)
+    assert_allclose(unitary_compression(p, q), np.diag([1.0, 3.0]), atol=1e-15)
 
 
 def test_unitary_compression_rayleigh():
     p = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     q = np.array([[1.0], [1.0]]) / SQ2
     res = unitary_compression(p, q)
-    assert_allclose(res.transformed, [[3.0]], atol=1e-14)  # the top eigenvalue
+    assert_allclose(res, [[3.0]], atol=1e-14)  # the top eigenvalue
 
 
 def test_unitary_compression_rejects_oblique_frame():
@@ -110,7 +110,7 @@ def test_subsumption_routes_agree():
         l = rng.randint(1, n)
         p = _hermitian(rng, n)
         q = random_unitary(rng, n, l)
-        a = unitary_compression(p, q).transformed
+        a = unitary_compression(p, q)
         b = pseudo_similarity(p, q).transformed
         assert np.abs(a - b).max() <= 1e-9
 
@@ -218,9 +218,9 @@ def test_inflate_route_disagreement_raises():
 def test_oblique_identity_is_selection():
     p = np.diag([1.0, 2.0, 3.0]).astype(complex)
     res = oblique_transform(p, np.eye(3, dtype=complex), [0, 2])
-    assert_allclose(res.transformed, np.diag([1.0, 3.0]), atol=1e-14)
+    assert_allclose(res, np.diag([1.0, 3.0]), atol=1e-14)
     lam = classify_real(eigvals_hermitian(p))
-    eta = classify_real(eigvals_general(res.transformed))
+    eta = classify_real(eigvals_general(res))
     assert check_interlacing(lam, eta).passed
 
 
@@ -234,7 +234,7 @@ def test_oblique_unitary_interlaces():
         sel = sorted(rng.choose_distinct(l, n))
         res = oblique_transform(p, x, sel)
         lam = classify_real(eigvals_hermitian(p))
-        eta = classify_real(eigvals_general(res.transformed), 1e-8)
+        eta = classify_real(eigvals_general(res), 1e-8)
         assert check_interlacing(lam, eta).passed
 
 
@@ -243,8 +243,8 @@ def test_oblique_hand_case():
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5.0, 0.0, 1.0]], dtype=complex)
     res = oblique_transform(p, x, [0])
     # x^-1 p x = [[1,0,0],[0,2,0],[10,0,3]]; top-left entry 1 sits inside [1, 3]
-    assert_allclose(res.transformed, [[1.0]], atol=1e-12)
-    assert_allclose(charpoly_eigenvalues(res.transformed), [1.0], atol=1e-12)
+    assert_allclose(res, [[1.0]], atol=1e-12)
+    assert_allclose(charpoly_eigenvalues(res), [1.0], atol=1e-12)
     assert check_interlacing([1.0, 2.0, 3.0], [1.0]).passed
 
 
@@ -273,7 +273,7 @@ def test_similarity_consistency_with_compression():
         h = random_full_column_rank(rng, n, l)
         q = np.linalg.qr(h)[0]
         t = pseudo_similarity(p, h).transformed
-        compressed = unitary_compression(p, q).transformed
+        compressed = unitary_compression(p, q)
         dev = match_distance(eigvals_general(t),
                              eigvals_hermitian(compressed))
         assert dev <= 1e-7
@@ -315,9 +315,35 @@ def test_rank_deficient_h_rejected(rank_tol):
 
 
 def test_pseudo_similarity_carries_pinv():
+    # the result carries the map's SVD truncated at its rank, and T is its
+    # pseudo-inverse times p times the map, bit for bit; the second map is
+    # 5 x 7 of rank 2
     rng = SplitMix64(54)
     p = _hermitian(rng, 5)
-    h = random_full_column_rank(rng, 5, 3)
-    res = pseudo_similarity(p, h)
-    assert_array_equal(res.pinv, pseudo_inverse(h))
-    assert_array_equal(res.transformed, res.pinv @ p @ h)
+    for h in (random_full_column_rank(rng, 5, 3), random_rank_l(rng, 5, 7, 2)):
+        res = pseudo_similarity(p, h)
+        rank = numerical_rank(h)
+        assert_array_equal(res.factors.pseudo_inverse(), pseudo_inverse(h))
+        assert_array_equal(res.transformed, res.factors.pseudo_inverse() @ p @ h)
+        assert res.factors.u.shape == (5, rank) and res.factors.v.shape == (h.shape[1], rank)
+        assert res.input_rank == res.factors.rank == rank
+
+
+def test_inflate_carries_factors_of_the_product():
+    # route (a)'s SVD is that of h v^H: N x L and K x L factors of rank L
+    rng = SplitMix64(55)
+    p = _hermitian(rng, 4)
+    h = random_full_column_rank(rng, 4, 2)
+    v = random_unitary(rng, 6, 2)
+    res = inflate_transform(p, h, v)
+    hv = h @ v.conj().T
+    assert_array_equal(res.transformed, res.factors.pseudo_inverse() @ p @ hv)
+    assert res.factors.u.shape == (4, 2) and res.factors.v.shape == (6, 2)
+    assert res.input_rank == res.factors.rank == 2
+
+
+def test_compressions_return_matrices():
+    # neither compression inverts a map, so each returns the matrix itself
+    p = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    assert type(unitary_compression(p, np.eye(3)[:, :2])) is np.ndarray
+    assert type(oblique_transform(p, np.eye(3), [0, 2])) is np.ndarray
