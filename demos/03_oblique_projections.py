@@ -14,6 +14,7 @@ import numpy as np
 from pseudosim import (
     EnsembleSpec,
     ExperimentConfig,
+    RealnessViolation,
     SplitMix64,
     check_interlacing,
     classify_real,
@@ -48,11 +49,12 @@ x = np.array([[1.0, 0.0, 0.0],
 block = oblique_transform(p, x, (0, 1))
 vals = np.linalg.eigvals(block)
 print("sheared 2 x 2 block eigenvalues:", np.round(np.sort_complex(vals), 5))
-if np.abs(vals.imag).max() > 1e-8:
+try:
+    eta = classify_real(vals, 1e-8)  # the runner's realness tolerance
+except RealnessViolation:
     print("  -> complex spectrum: interlacing is not even well posed")
 else:
-    report = check_interlacing(lam, np.sort(vals.real))
-    print("  -> real spectrum, interlacing holds:", report.passed)
+    print("  -> real spectrum, interlacing holds:", check_interlacing(lam, eta).passed)
 
 # undo the shear and the same selection behaves
 block_id = oblique_transform(p, np.eye(3), (0, 1))

@@ -82,11 +82,16 @@ def load_config_file(path: str) -> dict:
     return sections
 
 
-def build_config(file_values: dict | None, args: argparse.Namespace) -> ExperimentConfig:
-    """The run's configuration: the flags in ``args`` over ``file_values``,
-    as :func:`load_config_file` reads them, over the defaults."""
+def build_config(file_values: dict | None, args: argparse.Namespace,
+                 ) -> tuple[ExperimentConfig, str | None, str]:
+    """The run's configuration, output path (None for stdout) and report
+    format: the flags in ``args`` over ``file_values``, as
+    :func:`load_config_file` reads them, over the defaults."""
     sections = file_values or {}
     run, output = sections.get("run", {}), sections.get("output", {})
+    report_format = args.format if args.format is not None else output.get("format", "table")
+    if report_format not in FORMATS:
+        raise ContractViolation(f"unknown format {report_format!r}, expected one of {FORMATS}")
     ensemble_kwargs = {"seed": DEFAULT_SEED, **sections.get("ensemble", {})}
     tolerance_kwargs = dict(sections.get("tolerances", {}))
     if args.seed is not None:
@@ -97,14 +102,13 @@ def build_config(file_values: dict | None, args: argparse.Namespace) -> Experime
         tolerance_kwargs["rank"] = args.tol_rank
     suites = ([suite for chunk in args.suite for suite in _parse_suites(chunk)] if args.suite
               else run.get("suites", SUITES))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         suites=tuple(suites),
         ensemble=EnsembleSpec(**ensemble_kwargs),
         trials=args.trials if args.trials is not None else run.get("trials", DEFAULT_TRIALS),
         tolerances=Tolerances(**tolerance_kwargs),
-        out=args.out if args.out is not None else output.get("path"),
-        format=args.format if args.format is not None else output.get("format", "table"),
     )
+    return config, args.out if args.out is not None else output.get("path"), report_format
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -122,7 +126,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=FORMATS, help="report format (default table)")
     parser.add_argument("--tol-interlace", type=float, metavar="REL",
-                        help="interlacing tolerance per spectral scale (default 1e-7)")
+                        help="interlacing tolerance per spectral scale "
+                             f"(default {Tolerances.interlace:g})")
     parser.add_argument("--tol-rank", type=float, metavar="REL",
                         help="rank-detection threshold per largest singular value "
                              "(default max(rows, cols) * eps)")
@@ -133,31 +138,31 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else None
-        config = build_config(file_values, args)
+        config, out, report_format = build_config(file_values, args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if config.out is not None:
+    if out is not None:
         try:  # fail before running any trial, not after, and leave the path as it was
-            existed = os.path.lexists(config.out)
-            with open(config.out, "a", encoding="utf-8"):
+            existed = os.path.lexists(out)
+            with open(out, "a", encoding="utf-8"):
                 pass
             if not existed:
-                os.remove(config.out)
+                os.remove(out)
         except OSError as exc:
-            print(f"error: cannot write to {config.out!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write to {out!r}: {exc}", file=sys.stderr)
             return 3
 
     records = run_suite(config)
 
     try:
-        emit_report(records, config.format, config.out)
+        emit_report(records, report_format, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if config.out is not None:
+    if out is not None:
         for line in summarize(records):
             print(line)
 

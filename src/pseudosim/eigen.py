@@ -21,9 +21,10 @@ from .linalg import _as_square_stack, _hermitian_each
 
 
 def spectral_scale(values) -> float:
-    """max(1, largest magnitude): the scale realness/zero tolerances multiply."""
+    """max(1, largest magnitude): the scale realness/zero tolerances multiply.
+    NaN if a value is NaN, so every tolerance it scales fails."""
     values = np.asarray(values)
-    return max(1.0, float(np.abs(values).max())) if values.size else 1.0
+    return float(np.maximum(1.0, np.abs(values).max())) if values.size else 1.0
 
 
 def relative_imag(values) -> float:
@@ -88,5 +89,5 @@ def match_distance(a, b) -> float | np.ndarray:
         dist = np.where(used, np.inf, np.abs(b - a[..., i:i + 1]))
         j = np.argmin(dist, axis=-1)[..., np.newaxis]
         np.put_along_axis(used, j, True, axis=-1)
-        worst = np.fmax(worst, np.take_along_axis(dist, j, axis=-1)[..., 0])
+        worst = np.maximum(worst, np.take_along_axis(dist, j, axis=-1)[..., 0])  # keeps a NaN
     return worst[()]

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ContractViolation, DimensionError
 from .rng import SplitMix64
-from .transforms import build_rank_deficient
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
 DEFAULT_N_RANGE = (2, 16)
@@ -42,12 +41,14 @@ class EnsembleSpec:
     """Everything needed to regenerate an ensemble bit for bit.
 
     ``n``, ``k`` and ``l`` may be left as None, in which case each trial
-    draws them from the default ranges above (subject to the structural
-    constraints of the consuming suite).  ``spectrum_law`` selects how eigenvalues of
-    the Hermitian input are drawn:
+    draws them from the default ranges above.  Whether pinned dimensions and
+    a prescribed spectrum's length fit is each suite's dimension rule's to
+    decide (see :mod:`pseudosim.experiments`).  ``spectrum_law`` selects how
+    eigenvalues of the Hermitian input are drawn:
 
-    * ``prescribed``: use ``spectrum_values`` verbatim (length must be n;
-      no other law takes ``spectrum_values``),
+    * ``prescribed``: use ``spectrum_values`` verbatim (their count must be
+      the n of every suite that draws a spectrum; no other law takes
+      ``spectrum_values``),
     * ``uniform``: uniform in [spectrum_gap, spectrum_bound],
     * ``signed-uniform``: uniform magnitude in [spectrum_gap,
       spectrum_bound] with a random sign, so the open interval
@@ -81,10 +82,6 @@ class EnsembleSpec:
         if self.spectrum_law == "prescribed":
             if not self.spectrum_values:
                 raise ContractViolation("prescribed law requires spectrum_values")
-            if self.n is not None and len(self.spectrum_values) != self.n:
-                raise ContractViolation(
-                    f"prescribed spectrum has length {len(self.spectrum_values)}, n = {self.n}"
-                )
         elif self.spectrum_values is not None:  # no other law reads them
             raise ContractViolation(f"spectrum_values needs spectrum_law = prescribed, "
                                     f"got {self.spectrum_law!r}")
@@ -98,11 +95,6 @@ class EnsembleSpec:
         if not 1.0 < self.nonunitarity_floor < math.inf:
             raise ContractViolation(
                 f"nonunitarity_floor must be finite and > 1, got {self.nonunitarity_floor}")
-        if all(d is not None for d in (self.n, self.k, self.l)):
-            if not 1 <= self.l <= min(self.n, self.k):
-                raise ContractViolation(
-                    f"need 1 <= l <= min(n, k), got n={self.n} k={self.k} l={self.l}"
-                )
 
 
 def _require_cap(condition_cap: float) -> None:
@@ -218,7 +210,9 @@ def random_full_column_rank(rng: SplitMix64, n: int, l: int,
     """n x l of full column rank with sigma_max/sigma_min <= condition_cap.
 
     U diag(s) V^H with fixed sigma_max = 1 and the remaining singular values
-    log-uniform in [1/condition_cap, 1].
+    log-uniform in [1/condition_cap, 1].  Full column rank holds only while
+    condition_cap is well below 1/(n * eps): past that the smallest singular
+    values fall under the rank-detection threshold.
     """
     return _built(draw_full_column_rank(rng, n, l, condition_cap))
 
@@ -229,14 +223,17 @@ def draw_rank_l(rng: SplitMix64, n: int, k: int, l: int,
     if not 1 <= l <= min(n, k):
         raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
     core = draw_full_column_rank(rng, n, l, condition_cap)
-    build_core = core.build  # not core, whose Gaussians the build must not hold
     return Draw(core.gaussians + _gaussians(rng, (k, l)),
-                lambda u, w, v: build_rank_deficient(build_core(u, w), v))
+                lambda u, w, v: core.build(u, w) @ v.conj().T)
 
 
 def random_rank_l(rng: SplitMix64, n: int, k: int, l: int,
                   condition_cap: float = DEFAULT_CONDITION_CAP) -> np.ndarray:
-    """n x k of numerical rank exactly l, where k may exceed n (inflation)."""
+    """n x k of numerical rank exactly l, where k may exceed n (inflation):
+    :func:`random_full_column_rank`'s n x l times the adjoint of k x l
+    orthonormal columns.  Rank l holds only while condition_cap is well
+    below 1/(max(n, k) * eps); past that it comes out below l, unchecked.
+    """
     return _built(draw_rank_l(rng, n, k, l, condition_cap))
 
 

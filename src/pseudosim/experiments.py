@@ -75,10 +75,12 @@ WITNESS_TIGHTEN = 10.0            # re-verification factor for oblique witnesses
 class Tolerances:
     """The runner's tolerance table.
 
-    All values are relative factors multiplied by the spectral or entry
-    scale of the quantity under test, except ``rank``, which replaces the
-    rank-detection threshold factor directly; None keeps the per-matrix
-    default, max(rows, cols) * eps.  Every value is a finite positive
+    ``interlace``, ``zero`` and ``realness`` are factors of the spectral
+    scale of the quantity under test; ``mp`` and ``oracle`` bound relative
+    residuals; ``unitary_pinv`` and ``route`` are absolute bounds on the
+    largest entry of a deviation; ``rank`` replaces the rank-detection
+    threshold factor directly, and None keeps the per-matrix default,
+    max(rows, cols) * eps.  Every value is a finite positive
     number: a NaN or infinite gate would pass anything, a non-positive one
     nothing, and a bool is no number here (True would read as a gate of 1).
     """
@@ -107,12 +109,8 @@ class ExperimentConfig:
     ensemble: EnsembleSpec
     trials: int = 200
     tolerances: Tolerances = field(default_factory=Tolerances)
-    out: str | None = None
-    format: str = "table"
 
     def __post_init__(self):
-        from .reports import FORMATS  # reports imports this module
-
         self.suites = tuple(self.suites)
         if not self.suites:
             raise ContractViolation("at least one suite must be selected")
@@ -124,8 +122,6 @@ class ExperimentConfig:
             raise ContractViolation(f"suite tag(s) {repeated} selected more than once")
         if type(self.trials) is not int or self.trials < 1:  # a bool is no int here
             raise ContractViolation(f"trials must be an int >= 1, got {self.trials!r}")
-        if self.format not in FORMATS:
-            raise ContractViolation(f"unknown format {self.format!r}")
         for suite in self.suites:
             _require_fits(self.ensemble, suite)
 
@@ -290,9 +286,9 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     route_dev = float(np.abs(classical - general.transformed).max())
 
     notes = []
-    if pinv_dev > tols.unitary_pinv:
+    if not pinv_dev <= tols.unitary_pinv:
         notes.append(f"pinv(q) deviates from adjoint by {pinv_dev:.3e}")
-    if route_dev > tols.route:
+    if not route_dev <= tols.route:
         notes.append(f"compression routes deviate by {route_dev:.3e}")
     return trial.record(passed=not notes, worst_residual=max(pinv_dev, route_dev),
                         notes="; ".join(notes))
@@ -351,7 +347,7 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
         note = "" if report.passed else f"interlacing violated (worst margin {min(lo, hi):.3e})"
     if magnitude > 0.0 and t.shape[0] <= 6:
         oracle_dev = match_distance(spectrum, charpoly_eigenvalues(t))
-        if oracle_dev > tols.oracle * scale:
+        if not oracle_dev <= tols.oracle * scale:
             magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
     return trial._replace(dims=(lam.size, len(sel), len(sel))).record(
         passed=True, min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
@@ -403,9 +399,9 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     notes = []
     if factors.rank != rank_target:
         notes.append(f"rank {factors.rank} != target {rank_target}")
-    if worst > tols.mp:
-        labels = ("m p m = m", "p m p = p", "(m p)^H = m p", "(p m)^H = p m")
-        bad = [lab for lab, r in zip(labels, residuals) if r > tols.mp]
+    labels = ("m p m = m", "p m p = p", "(m p)^H = m p", "(p m)^H = p m")
+    bad = [lab for lab, r in zip(labels, residuals) if not r <= tols.mp]
+    if bad:
         notes.append(f"Penrose residual {worst:.3e} > {tols.mp:.1e} ({'; '.join(bad)})")
     return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
 
@@ -449,12 +445,12 @@ def _oracle_check(trials, tols: Tolerances) -> list[TrialRecord]:
         notes = []
         for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
             worst = max(worst, dev)
-            if dev > tols.oracle:
+            if not dev <= tols.oracle:
                 notes.append(f"{solver} deviates from charpoly roots by {dev:.3e}")
         worst = max(worst, trace_dev, det_dev)
-        if trace_dev > tols.oracle:
+        if not trace_dev <= tols.oracle:
             notes.append(f"trace identity off by {trace_dev:.3e}")
-        if det_dev > tols.oracle:
+        if not det_dev <= tols.oracle:
             notes.append(f"determinant identity off by {det_dev:.3e}")
         records.append(trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes)))
     return records
@@ -625,19 +621,16 @@ def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
     a failed record for a trial whose matrices raise.  The Haar factors of
     every Gaussian in the chunk come from one stacked QR per matrix shape.
 
-    Takes the trials out of ``chunk`` one at a time, so each trial's
-    Gaussians and Haar factors are let go as soon as its matrices are built.
-    A trial takes all its factors before any of its builds can raise, so a
-    trial that fails leaves its neighbours' factors to them.
+    Empties ``chunk``, so its draws' Gaussians are let go once the chunk is
+    built.  A trial takes all its factors before any of its builds can
+    raise, so a trial that fails leaves its neighbours' factors to them.
     """
-    factors = _per_shape(haar_columns, [g for trial in chunk for d in trial.draws for g in d.gaussians])
-    factors.reverse()
-    chunk.reverse()
+    factors = iter(_per_shape(haar_columns,
+                              [g for trial in chunk for d in trial.draws for g in d.gaussians]))
     built = []
-    while chunk:
-        trial = chunk.pop()
+    for trial in chunk:
         if trial.failed is None:
-            mine = [[factors.pop() for _ in v.gaussians] if isinstance(v, Draw) else None
+            mine = [[next(factors) for _ in v.gaussians] if isinstance(v, Draw) else None
                     for v in trial.drawn]
             try:
                 trial = trial._replace(drawn=tuple(v.build(*map(_unheld, q)) if q is not None else v
@@ -645,6 +638,7 @@ def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
             except _TRIAL_ERRORS as exc:
                 trial = trial._replace(drawn=(), failed=_failed(trial, exc))
         built.append(trial)
+    chunk.clear()
     return built
 
 

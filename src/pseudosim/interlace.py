@@ -78,7 +78,7 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     tol = INTERLACE_REL_TOL * spectral_scale(lam) if tol is None else _require_gate(tol, "tol")
 
     lower, upper = eta - lam[:l], lam[n - l:] - eta
-    passed = not ((lower < -tol).any() or (upper < -tol).any())
+    passed = bool((lower >= -tol).all() and (upper >= -tol).all())  # a NaN margin fails
     return InterlacingReport(lower_margins=lower, upper_margins=upper, passed=passed,
                              tol_used=float(tol))
 
@@ -95,7 +95,7 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
     tol = realness_tol * spectral_scale(values)
-    bad = np.abs(values.imag) > tol
+    bad = ~(np.abs(values.imag) <= tol)  # a NaN part is not real
     if bad.any():
         raise RealnessViolation(
             f"{int(bad.sum())} eigenvalue(s) exceed realness tolerance {tol:.3e} "
@@ -127,7 +127,7 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     zeros = values[order[:n_zero]]
     nonzero = values[order[n_zero:]]
     threshold = zero_tol * spectral_scale(values)
-    if zeros.size and float(np.abs(zeros).max()) > threshold:
+    if zeros.size and not float(np.abs(zeros).max()) <= threshold:
         raise ClassificationError(
             f"counted structural zeros are not below {threshold:.3e}: {np.sort(zeros)}"
         )

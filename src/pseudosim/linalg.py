@@ -78,7 +78,10 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float | None = None) -> bool:
-    """True iff max |m - m^H| <= tol.  `tol=None` uses the scale-relative default."""
+    """True iff max |m - m^H| <= tol.  `tol=None` uses the scale-relative
+    default; any other must be finite and >= 0."""
+    if tol is not None and not 0.0 <= tol < math.inf:  # an infinite one passes any matrix
+        raise ContractViolation(f"tol must be finite and >= 0, got {tol!r}")
     return _is_hermitian(as_matrix(m), tol)
 
 

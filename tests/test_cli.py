@@ -33,13 +33,13 @@ def _parse(argv):
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(CONFIG_TEXT, encoding="utf-8")
-    config = build_config(load_config_file(str(path)), _parse([]))
+    config, out, report_format = build_config(load_config_file(str(path)), _parse([]))
     assert config.suites == ("subsumption", "solver-oracle")
     assert config.trials == 6
     assert config.ensemble.seed == 99
     assert config.ensemble.condition_cap == 500.0
     assert config.tolerances.interlace == 2e-7
-    assert config.format == "csv"
+    assert (out, report_format) == (None, "csv")
 
 
 def test_flags_override_file(tmp_path):
@@ -47,17 +47,18 @@ def test_flags_override_file(tmp_path):
     path.write_text(CONFIG_TEXT, encoding="utf-8")
     args = _parse(["--trials", "2", "--seed", "7", "--suite", "mp-axioms",
                    "--format", "table", "--tol-interlace", "5e-7", "--tol-rank", "1e-12"])
-    config = build_config(load_config_file(str(path)), args)
+    config, _, report_format = build_config(load_config_file(str(path)), args)
     assert config.trials == 2
     assert config.ensemble.seed == 7
     assert config.suites == ("mp-axioms",)
-    assert config.format == "table"
+    assert report_format == "table"
     assert config.tolerances.interlace == 5e-7
     assert config.tolerances.rank == 1e-12
 
 
 def test_defaults_without_config():
-    config = build_config(None, _parse([]))
+    config, out, report_format = build_config(None, _parse([]))
+    assert (out, report_format) == (None, "table")
     assert config.ensemble.seed == 42
     assert config.trials == 200
     assert len(config.suites) == 7
@@ -320,8 +321,8 @@ def test_every_ini_key_is_read(tmp_path):
         "mp = 1e-7\nunitary_pinv = 1e-9\nroute = 1e-8\noracle = 1e-5\n"
         "[output]\npath = report.csv\nformat = csv\n",
         encoding="utf-8")
-    config = build_config(load_config_file(str(path)), _parse([]))
-    assert (config.suites, config.trials, config.out, config.format) == (
+    config, out, report_format = build_config(load_config_file(str(path)), _parse([]))
+    assert (config.suites, config.trials, out, report_format) == (
         ("mp-axioms",), 4, "report.csv", "csv")
     ens = config.ensemble
     assert (ens.seed, ens.n, ens.k, ens.l, ens.spectrum_law, ens.spectrum_values) == (
@@ -416,3 +417,34 @@ def test_pinned_k_equal_to_l_runs(tmp_path, capsys, suite):
                  "--format", "csv", "--out", str(out)]) == 0
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [row.split(",")[3:6] for row in rows] == [["12", "5", "5"]] * 3
+
+
+@pytest.mark.parametrize("ensemble, runs, refuses", [
+    # k and l are pinned, but neither suite that runs draws them
+    ("n = 3\nk = 2\nl = 3", ("mp-axioms", "oblique-counterexample"),
+     {"interlace-full-rank": "pinned k", "interlace-inflated": "needs k > n"}),
+    # a prescribed spectrum fits only the suites that draw one
+    ("n = 5\nspectrum_law = prescribed\nspectrum_values = 1 2 3", ("solver-oracle", "mp-axioms"),
+     {"subsumption": "needs n = 3", "oblique-counterexample": "needs n = 3"}),
+])
+def test_each_suite_judges_its_own_dimensions(tmp_path, capsys, ensemble, runs, refuses):
+    # the shape a pinned spec must have is the suite's: a spec one suite
+    # refuses runs on a suite that ignores the dimensions it pins
+    path = tmp_path / "pinned.ini"
+    path.write_text(f"[ensemble]\n{ensemble}\n", encoding="utf-8")
+    for suite in runs:
+        assert main(["--config", str(path), "--suite", suite, "--trials", "2", "--format", "csv"]) == 0
+    capsys.readouterr()
+    for suite, message in refuses.items():
+        assert main(["--config", str(path), "--suite", suite, "--trials", "2", "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {suite}") and message in err
+
+
+def test_exit_two_on_unknown_format_in_file(tmp_path, capsys, monkeypatch):
+    # the report format is the CLI's to check, before any trial runs
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    path = tmp_path / "format.ini"
+    path.write_text("[output]\nformat = yaml\n", encoding="utf-8")
+    assert main(["--config", str(path), "--suite", "subsumption", "--trials", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown format 'yaml'")

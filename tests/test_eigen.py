@@ -116,3 +116,9 @@ def test_stacked_solvers_are_bitwise_per_matrix(n):
     assert np.array_equal(sort_eigenvalues(perturbed), [sort_eigenvalues(w) for w in perturbed])
     with pytest.raises(ContractViolation):
         eigvals_hermitian(np.concatenate([hermitian[:3], general[:1]]))
+
+
+def test_match_distance_keeps_nan():
+    # a NaN distance is no match, not a distance of zero
+    assert np.isnan(match_distance([1.0, 2.0], [1.0, np.nan]))
+    assert np.isnan(match_distance([[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [np.nan, 2.0]])[1])

@@ -185,8 +185,6 @@ def test_ensemble_spec_validation():
     with pytest.raises(ContractViolation):
         EnsembleSpec(seed=1, spectrum_law="cauchy")
     with pytest.raises(ContractViolation):
-        EnsembleSpec(seed=1, n=2, k=3, l=3)
-    with pytest.raises(ContractViolation):
         EnsembleSpec(seed=1, spectrum_law="prescribed")
     with pytest.raises(ContractViolation):
         EnsembleSpec(seed=1, condition_cap=0.5)
@@ -197,6 +195,10 @@ def test_ensemble_spec_validation():
                 {"nonunitarity_floor": 1.0}):
         with pytest.raises(ContractViolation, match=next(iter(bad.keys() - {"spectrum_law"}))):
             EnsembleSpec(seed=1, **bad)
+    # whether pinned dimensions, or a prescribed spectrum's length, fit is
+    # each suite's to decide (tests/test_cli.py), not the spec's
+    assert EnsembleSpec(seed=1, n=2, k=3, l=3).l == 3
+    assert EnsembleSpec(seed=1, n=5, spectrum_law="prescribed", spectrum_values=(1.0, 2.0)).n == 5
     # the floor only bounds the oblique draw, so it may exceed the cap here
     assert EnsembleSpec(seed=1, condition_cap=1.0).nonunitarity_floor == 2.0
     spec = EnsembleSpec(seed=2**65 + 5)

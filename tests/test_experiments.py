@@ -46,9 +46,10 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         _config(trials=0)
     with pytest.raises(ContractViolation):
-        _config(format="yaml")
-    with pytest.raises(ContractViolation):
         _config(suites=())
+    # the spec takes any pinned shape; a suite that draws k and l judges it
+    with pytest.raises(ContractViolation, match="interlace-inflated needs l <= n"):
+        _config(suites=("interlace-inflated",), ensemble=EnsembleSpec(seed=1, n=2, k=3, l=3))
 
 
 @pytest.mark.parametrize("trials", [2.5, 2.0, "3", True])
@@ -503,3 +504,19 @@ def test_oblique_rejections_are_reverified_failures():
     config = ExperimentConfig(suites=("oblique-counterexample",), ensemble=spec, trials=1000,
                               tolerances=loose)
     assert counterexample_search(config).trial_index == 43
+
+
+def test_nan_root_fails_a_solver_oracle_trial(monkeypatch):
+    # a NaN root matches nothing: its trial fails, not passes by a distance
+    # that dropped it
+    roots = experiments.polynomial_roots
+
+    def with_nan(coefficients):
+        found = roots(coefficients).copy()
+        found[..., 0] = np.nan
+        return found
+
+    monkeypatch.setattr(experiments, "polynomial_roots", with_nan)
+    records = run_suite(_config(suites=(ORACLE,), trials=3))
+    assert [r.passed for r in records] == [False] * 3
+    assert all("deviates from charpoly roots by nan" in r.notes for r in records)

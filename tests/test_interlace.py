@@ -139,3 +139,18 @@ def test_verdict_gates_reject_unusable_tolerance(gate, name, bad):
     # a NaN or infinite gate would pass anything, a negative one nothing
     with pytest.raises(ContractViolation, match=f"{name} must be finite and >= 0"):
         gate(bad)
+
+
+@pytest.mark.parametrize("lam, eta", [([1.0, 2.0], [np.nan]), ([np.nan, 2.0], [1.5]),
+                                      ([1.0, np.nan], [1.5])])
+def test_nan_fails_interlacing(lam, eta):
+    # a NaN margin is no margin: every comparison with it is false
+    assert not check_interlacing(lam, eta).passed
+    assert not check_interlacing(lam, eta, tol=1e-7).passed
+
+
+def test_nan_is_neither_real_nor_zero():
+    with pytest.raises(RealnessViolation):
+        classify_real([1.0, complex(2.0, np.nan)])
+    with pytest.raises(ClassificationError):
+        extract_nonzero([0.0, np.nan, 1.0], 2)

@@ -147,3 +147,16 @@ def test_rank_tol_must_be_finite_and_positive(bad):
         svd(np.eye(3), bad)
     with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
         svd(np.eye(3)).truncated(bad)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+def test_is_hermitian_refuses_unusable_tolerance(tol):
+    # an infinite tol would read [[0, 1], [0, 0]] as Hermitian, a NaN or
+    # negative one read eye(2) as not
+    with pytest.raises(ContractViolation, match="tol must be finite and >= 0"):
+        is_hermitian(np.eye(2), tol)
+
+
+def test_is_hermitian_takes_zero_tolerance():
+    assert is_hermitian(np.eye(2), 0.0)
+    assert not is_hermitian([[0.0, 1.0], [0.0, 0.0]], 0.0)

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import importlib
 import pathlib
 
@@ -37,3 +39,31 @@ def test_console_script_runs(monkeypatch):
     with pytest.raises(SystemExit) as exit_info:
         entry()
     assert exit_info.value.code == 0
+
+
+SOURCE = pathlib.Path(pseudosim.__file__).parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports, by their relative imports."""
+    return {node.module for node in ast.walk(_tree(module))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_each_rule_has_one_owner():
+    # the report format is the CLI's, so the config holds only what a run needs
+    assert [f.name for f in dataclasses.fields(pseudosim.ExperimentConfig)] == [
+        "suites", "ensemble", "trials", "tolerances"]
+    assert not {"reports", "cli"} & _package_imports("experiments")
+    # a generator builds its matrices itself, without re-checking them
+    assert _package_imports("ensembles") == {"errors", "rng"}
+    # every import sits at module level, so none hides a cycle
+    nested = [(path.stem, inner.lineno) for path in sorted(SOURCE.glob("*.py"))
+              for node in ast.walk(_tree(path.stem))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert nested == []
