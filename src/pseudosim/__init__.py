@@ -57,7 +57,7 @@ from .linalg import (
     svd,
 )
 from .oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
-from .reports import emit_report, parse_json_lines, render
+from .reports import parse_json_lines, render
 from .rng import SplitMix64, derive_seed
 from .transforms import (
     TransformResult,
@@ -96,7 +96,6 @@ __all__ = [
     "draw_spectrum",
     "eigvals_general",
     "eigvals_hermitian",
-    "emit_report",
     "extract_nonzero",
     "hermitian_with_spectrum",
     "inflate_transform",

@@ -24,7 +24,7 @@ from .experiments import (
     failed_theorem_records,
     run_suite,
 )
-from .reports import FORMATS, emit_report, summarize
+from .reports import FORMATS, render, summarize
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 200
@@ -156,10 +156,16 @@ def main(argv=None) -> int:
 
     records = run_suite(config)
 
+    report = render(records, report_format)
     try:
-        emit_report(records, report_format, out)
+        if out is None:
+            sys.stdout.write(report)
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as stream:
+                stream.write(report)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: cannot write report to {'stdout' if out is None else repr(out)}: {exc}",
+              file=sys.stderr)
         return 3
 
     if out is not None:

@@ -24,7 +24,8 @@ through a pipe;
 :class:`TrialRecord`, the runner's row for that trial, so the runner, replay
 and the acceptance tests share one path.  So does
 :func:`counterexample_search`: it runs the oblique suite's trials one at a
-time and stops at the first re-verified violation.
+time, at tolerances WITNESS_TIGHTEN times the run's, and stops at the first
+violation.
 
 Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
@@ -68,7 +69,7 @@ from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
 OBLIQUE_DEFAULT_N = 3
-WITNESS_TIGHTEN = 10.0            # re-verification factor for oblique witnesses
+WITNESS_TIGHTEN = 10.0            # tolerance factor an oblique witness must violate
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,8 @@ def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     sigma = result.factors.sigma
     return trial.record(passed=report.passed and not notes,
                         min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
-                        worst_residual=max(rel_imag, route_dev), notes="; ".join(notes),
+                        worst_residual=float(np.maximum(rel_imag, route_dev)),
+                        notes="; ".join(notes),
                         rel_imag=rel_imag, route_dev=route_dev, zeros=zero_count,
                         hermitian=result.hermitian,
                         cond_h=float(sigma[0] / sigma[-1]) if sigma.size else math.inf)
@@ -290,7 +292,7 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
         notes.append(f"pinv(q) deviates from adjoint by {pinv_dev:.3e}")
     if not route_dev <= tols.route:
         notes.append(f"compression routes deviate by {route_dev:.3e}")
-    return trial.record(passed=not notes, worst_residual=max(pinv_dev, route_dev),
+    return trial.record(passed=not notes, worst_residual=float(np.maximum(pinv_dev, route_dev)),
                         notes="; ".join(notes))
 
 
@@ -343,7 +345,7 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     else:
         report = check_interlacing(lam, eta, tols.interlace * scale)
         lo, hi = report.min_margins()
-        magnitude = 0.0 if report.passed else max(-lo, -hi) / scale
+        magnitude = 0.0 if report.passed else float(np.maximum(-lo, -hi)) / scale
         note = "" if report.passed else f"interlacing violated (worst margin {min(lo, hi):.3e})"
     if magnitude > 0.0 and t.shape[0] <= 6:
         oracle_dev = match_distance(spectrum, charpoly_eigenvalues(t))
@@ -395,7 +397,7 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 
     factors = svd(m, tols.rank)
     residuals = penrose_residuals(m, factors.pseudo_inverse())
-    worst = max(residuals)
+    worst = float(np.max(residuals))  # a NaN residual stays NaN
     notes = []
     if factors.rank != rank_target:
         notes.append(f"rank {factors.rank} != target {rank_target}")
@@ -441,17 +443,15 @@ def _oracle_check(trials, tols: Tolerances) -> list[TrialRecord]:
         except _TRIAL_ERRORS as exc:
             records.append(_failed(trial, exc))
             continue
-        worst = 0.0
         notes = []
         for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
-            worst = max(worst, dev)
             if not dev <= tols.oracle:
                 notes.append(f"{solver} deviates from charpoly roots by {dev:.3e}")
-        worst = max(worst, trace_dev, det_dev)
         if not trace_dev <= tols.oracle:
             notes.append(f"trace identity off by {trace_dev:.3e}")
         if not det_dev <= tols.oracle:
             notes.append(f"determinant identity off by {det_dev:.3e}")
+        worst = float(np.max([*devs, trace_dev, det_dev]))  # a NaN deviation stays NaN
         records.append(trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes)))
     return records
 
@@ -694,28 +694,23 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
     """Hunt for an oblique compression that breaks interlacing.
 
     Runs the oblique suite's trials one at a time, each as a chunk of one,
-    skipping any that raise.  A violating trial is re-run from its seed with
-    the interlacing and realness tolerances multiplied by WITNESS_TIGHTEN,
-    and is the witness if it still violates.  ``control`` swaps X for a
-    unitary or the identity.  Returns the witness's record, or None when the
-    budget is exhausted (as the control arms should every time).
+    skipping any that raise, with the interlacing and realness tolerances
+    multiplied by WITNESS_TIGHTEN.  The first trial that violates them is
+    the witness; it violates the run's own tolerances too, by that factor.
+    ``control`` swaps X for a unitary or the identity.  Returns the witness's
+    record, or None when the budget is exhausted (as the control arms should
+    every time).
     """
     if control not in (None, "unitary", "identity"):
         raise ContractViolation(f"unknown control arm {control!r}")
     suite, spec, tols = "oblique-counterexample", config.ensemble, config.tolerances
-    strict = replace(tols, interlace=WITNESS_TIGHTEN * tols.interlace,
-                     realness=WITNESS_TIGHTEN * tols.realness)
+    tightened = replace(tols, interlace=WITNESS_TIGHTEN * tols.interlace,
+                        realness=WITNESS_TIGHTEN * tols.realness)
     draw = partial(_oblique_draw, control=control)
-
-    def record(trial_index: int, tolerances: Tolerances) -> TrialRecord:
-        return next(_run_trials(spec, suite, (trial_index,), tolerances, draw))
-
     for trial_index in range(config.trials):
-        if record(trial_index, tols).worst_residual <= 0.0:
-            continue
-        witness = record(trial_index, strict)
-        if witness.worst_residual > 0.0:
-            return replace(witness, notes=f"witness: {witness.notes}")
+        record = next(_run_trials(spec, suite, (trial_index,), tightened, draw))
+        if record.worst_residual > 0.0:
+            return replace(record, notes=f"witness: {record.notes}")
     return None
 
 

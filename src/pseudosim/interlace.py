@@ -14,13 +14,13 @@ when the separation is ambiguous.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import relative_imag, spectral_scale
 from .errors import ClassificationError, ContractViolation, DimensionError, RealnessViolation
+from .linalg import _require_gate
 
 #: default relative tolerance for classifying a spectrum as real
 REALNESS_TOL = 1e-10
@@ -48,12 +48,6 @@ class InterlacingReport:
         if self.vacuous:
             return float("inf"), float("inf")
         return float(self.lower_margins.min()), float(self.upper_margins.min())
-
-
-def _require_gate(value, name):
-    if not 0.0 <= value < math.inf:  # a NaN or infinite gate would pass anything
-        raise ContractViolation(f"{name} must be finite and >= 0, got {value!r}")
-    return value
 
 
 def _require_sorted(values, name):

@@ -60,12 +60,6 @@ def default_rank_tol(shape) -> float:
     return max(shape) * EPS
 
 
-def default_hermiticity_tol(m):
-    """Scale-relative hermiticity tolerance: 1e-10 times the largest entry,
-    per matrix of a stack."""
-    return HERMITICITY_REL_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
-
-
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose.  An exact involution: adjoint(adjoint(m)) == m."""
     return _adjoint(as_matrix(m))
@@ -80,23 +74,19 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def is_hermitian(m, tol: float | None = None) -> bool:
     """True iff max |m - m^H| <= tol.  `tol=None` uses the scale-relative
     default; any other must be finite and >= 0."""
-    if tol is not None and not 0.0 <= tol < math.inf:  # an infinite one passes any matrix
-        raise ContractViolation(f"tol must be finite and >= 0, got {tol!r}")
-    return _is_hermitian(as_matrix(m), tol)
-
-
-def _is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    """:func:`is_hermitian` of an array :func:`as_matrix` has already validated."""
-    return bool(_hermitian_each(m, tol))
+    if tol is not None:
+        _require_gate(tol, "tol")
+    return bool(_hermitian_each(as_matrix(m), tol))
 
 
 def _hermitian_each(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Whether each matrix of a validated stack is Hermitian within ``tol``;
-    None takes each matrix's own scale-relative default."""
+    None takes each matrix's own scale-relative default, HERMITICITY_REL_TOL
+    times its largest entry."""
     if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"hermiticity is defined for square matrices, got {m.shape}")
     if tol is None:
-        tol = default_hermiticity_tol(m)
+        tol = HERMITICITY_REL_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= tol
 
 
@@ -127,8 +117,18 @@ class SvdFactors:
         return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
 
 
+def _require_gate(value, name: str):
+    """``value``, once it is a usable tolerance: a number, finite and >= 0.
+    A NaN, infinite or negative gate would decide every verdict the same
+    way, and a bool is no number here (True would read as a gate of 1)."""
+    if isinstance(value, bool) or not 0.0 <= value < math.inf:
+        raise ContractViolation(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _require_rank_tol(rank_tol: float) -> float:
-    if not 0.0 < rank_tol < math.inf:  # a NaN or infinite one reads every matrix as rank 0
+    # a NaN or infinite threshold reads every matrix as rank 0, and True as 1
+    if isinstance(rank_tol, bool) or not 0.0 < rank_tol < math.inf:
         raise ContractViolation(f"rank_tol must be finite and positive, got {rank_tol!r}")
     return rank_tol
 

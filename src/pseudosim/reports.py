@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import json
-import sys
 
 from .errors import ContractViolation
 from .experiments import RECORD_FIELDS, TrialRecord
@@ -97,29 +96,10 @@ EMITTERS = {"table": emit_table, "csv": emit_csv, "json-lines": emit_json_lines}
 FORMATS = tuple(EMITTERS)
 
 
-def _emitter(format: str):
+def render(records, format: str) -> str:
+    """The records as one report in ``format``, one of :data:`FORMATS`."""
     if format not in EMITTERS:
         raise ContractViolation(f"unknown format {format!r}, expected one of {FORMATS}")
-    return EMITTERS[format]
-
-
-def emit_report(records, format: str, path=None) -> None:
-    """Write records to ``path`` (or stdout when None) in the given format."""
-    records = list(records)
-    if not records:
-        raise ContractViolation("refusing to emit a report with no records")
-    emit = _emitter(format)
-    if path is None:
-        emit(records, sys.stdout)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            emit(records, stream)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path!r}: {exc}") from exc
-
-
-def render(records, format: str) -> str:
     buffer = io.StringIO()
-    _emitter(format)(records, buffer)
+    EMITTERS[format](records, buffer)
     return buffer.getvalue()

@@ -22,7 +22,7 @@ from .linalg import (
     ORTH_TOL,
     SvdFactors,
     _adjoint,
-    _is_hermitian,
+    _hermitian_each,
     as_matrix,
     svd,
 )
@@ -46,7 +46,7 @@ class TransformResult:
 
     @property
     def hermitian(self) -> bool:  # within the scale-relative default tolerance
-        return _is_hermitian(self.transformed)
+        return bool(_hermitian_each(self.transformed))
 
 
 # The public transforms validate their arguments once; the private bodies
@@ -56,7 +56,7 @@ def _require_hermitian(p, name="p"):
     p = as_matrix(p, name)
     if p.shape[0] != p.shape[1]:
         raise DimensionError(f"{name} must be square, got {p.shape}")
-    if not _is_hermitian(p):
+    if not _hermitian_each(p):
         raise ContractViolation(f"{name} is not Hermitian within tolerance")
     return p
 

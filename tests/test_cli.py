@@ -120,6 +120,31 @@ def test_output_failure_precedes_trials(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("report_format", ["table", "csv", "json-lines"])
+def test_stdout_and_out_get_the_same_report(tmp_path, capsys, report_format):
+    args = ["--trials", "3", "--format", report_format]
+    out = tmp_path / "report.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()  # the summary printed beside a report sent to --out
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_exit_three_when_the_report_cannot_be_written(tmp_path, capsys, monkeypatch):
+    # the path passed the probe before the trials, then became a directory
+    import pseudosim.cli as cli_mod
+
+    out, run_suite = tmp_path / "report.csv", cli_mod.run_suite
+
+    def then_unwritable(config):
+        out.mkdir()
+        return run_suite(config)
+
+    monkeypatch.setattr(cli_mod, "run_suite", then_unwritable)
+    assert main(["--suite", "subsumption", "--trials", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write report to {str(out)!r}: ")
+
+
 def test_config_error_leaves_the_output_path_as_it_was(tmp_path, capsys):
     # the output probe runs only once the config is known to be valid, so a
     # config error must neither empty an existing report nor leave a new

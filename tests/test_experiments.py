@@ -351,13 +351,13 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
 
 
 def test_chunks_factor_their_gaussians_one_qr_per_shape(monkeypatch, qr_calls):
-    # every suite at 40 trials draws 625 Gaussians, which the chunks factor
-    # as stacks, one per shape: one QR call per Gaussian would make 625
+    # every suite at 40 trials draws 622 Gaussians, which the chunks factor
+    # as stacks, one per shape: one QR call per Gaussian would make 622
     monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     run_suite(_config(trials=40))
     assert all(len(shape) == 3 for shape in qr_calls)
-    assert sum(shape[0] for shape in qr_calls) == 625
-    assert len(qr_calls) == 251
+    assert sum(shape[0] for shape in qr_calls) == 622
+    assert len(qr_calls) == 250
 
 
 ORACLE = "solver-oracle"
@@ -450,8 +450,8 @@ def test_solver_oracle_csv_digest(tmp_path, seed, md5):
 
 
 OBLIQUE_DIGESTS = [
-    # re-verification at 10x tolerances rejects trials 36, 37, 38, 40 and 42;
-    # the witness is trial 43
+    # trials 36, 37, 38, 40 and 42 violate the run's tolerances but not 10x
+    # them; the witness is trial 43
     ("seed = 1\nn = 3\ncondition_cap = 1.5\nnonunitarity_floor = 1.5\n"
      "[tolerances]\ninterlace = 0.03\nrealness = 0.03\n", "4fe9349ba3ab9f199ff9f82cc363657c"),
     # the documented witness
@@ -520,3 +520,54 @@ def test_nan_root_fails_a_solver_oracle_trial(monkeypatch):
     records = run_suite(_config(suites=(ORACLE,), trials=3))
     assert [r.passed for r in records] == [False] * 3
     assert all("deviates from charpoly roots by nan" in r.notes for r in records)
+    assert all(np.isnan(r.worst_residual) for r in records)
+
+
+def test_nan_residual_fails_an_mp_axioms_trial(monkeypatch):
+    # a NaN Penrose residual is the trial's worst, not one that max dropped
+    monkeypatch.setattr(experiments, "penrose_residuals",
+                        lambda m, pinv: (1e-16, np.nan, 1e-16, 1e-16))
+    records = run_suite(_config(suites=("mp-axioms",), trials=3))
+    assert [r.passed for r in records] == [False] * 3
+    assert all(r.notes.endswith("Penrose residual nan > 1.0e-08 (p m p = p)") for r in records)
+    assert all(np.isnan(r.worst_residual) for r in records)
+
+
+def test_oblique_search_draws_each_trial_once(monkeypatch):
+    # the search runs each trial once, at the tightened tolerances, and
+    # stops at the first that violates them
+    drawn = []
+    draw_trial = experiments._draw_trial
+
+    def logged_draw(spec, suite, trial_index, draw=None):
+        drawn.append(trial_index)
+        return draw_trial(spec, suite, trial_index, draw)
+
+    monkeypatch.setattr(experiments, "_draw_trial", logged_draw)
+    witness = counterexample_search(ExperimentConfig(
+        suites=("oblique-counterexample",), trials=OBLIQUE_DEFAULT_BUDGET,
+        ensemble=EnsembleSpec(seed=OBLIQUE_DEFAULT_SEED, n=OBLIQUE_DEFAULT_N,
+                              condition_cap=OBLIQUE_DEFAULT_CAP)))
+    assert drawn == list(range(witness.trial_index + 1))
+    drawn.clear()
+    witness, = run_suite(_config(suites=("oblique-counterexample",), trials=200))
+    assert witness.notes.startswith("witness:") and drawn == list(range(witness.trial_index + 1))
+
+
+@pytest.mark.parametrize("spec, tols", [
+    (EnsembleSpec(seed=42), Tolerances()),
+    (EnsembleSpec(seed=OBLIQUE_DEFAULT_SEED, n=OBLIQUE_DEFAULT_N, condition_cap=OBLIQUE_DEFAULT_CAP),
+     Tolerances()),
+    (EnsembleSpec(seed=1, n=3, condition_cap=1.5, nonunitarity_floor=1.5),
+     Tolerances(interlace=0.03, realness=0.03)),
+], ids=["default", "documented", "near-unitary"])
+def test_oblique_violation_when_tightened_is_one_at_the_run_tolerances(spec, tols):
+    # so the search's one pass at the tightened tolerances finds a witness
+    # that violates the run's own as well
+    tightened = dataclasses.replace(tols, interlace=experiments.WITNESS_TIGHTEN * tols.interlace,
+                                    realness=experiments.WITNESS_TIGHTEN * tols.realness)
+    loose, strict = (list(experiments._run_trials(spec, "oblique-counterexample", range(300), t))
+                     for t in (tols, tightened))
+    violating = [i for i, record in enumerate(strict) if record.worst_residual > 0]
+    assert violating
+    assert all(loose[i].worst_residual > 0 for i in violating)

@@ -129,14 +129,15 @@ def test_classify_real_tolerance_scaling():
         classify_real([1.0 + 0.5j], 1e-6)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, True])
 @pytest.mark.parametrize("gate, name", [
     (lambda tol: check_interlacing([1.0, 2.0, 3.0], [5.0], tol=tol), "tol"),
     (lambda tol: classify_real([1 + 1j, 2 - 1j], tol), "realness_tol"),
     (lambda tol: extract_nonzero([0.9, 1.0, 2.0], 1, tol), "zero_tol"),
 ], ids=["check_interlacing", "classify_real", "extract_nonzero"])
 def test_verdict_gates_reject_unusable_tolerance(gate, name, bad):
-    # a NaN or infinite gate would pass anything, a negative one nothing
+    # a NaN, infinite or negative gate would decide every verdict alike, and
+    # True would read as a gate of 1
     with pytest.raises(ContractViolation, match=f"{name} must be finite and >= 0"):
         gate(bad)
 

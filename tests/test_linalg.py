@@ -140,19 +140,20 @@ def test_rank_consistency_qr_vs_svd():
                 assert svd(m).rank == l
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, True])
 def test_rank_tol_must_be_finite_and_positive(bad):
-    # an infinite or NaN threshold would read every matrix as rank 0
+    # an infinite or NaN threshold would read every matrix as rank 0, and
+    # True would read as a threshold of 1
     with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
         svd(np.eye(3), bad)
     with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
         svd(np.eye(3)).truncated(bad)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12, True])
 def test_is_hermitian_refuses_unusable_tolerance(tol):
     # an infinite tol would read [[0, 1], [0, 0]] as Hermitian, a NaN or
-    # negative one read eye(2) as not
+    # negative one read eye(2) as not, and True would read as a tolerance of 1
     with pytest.raises(ContractViolation, match="tol must be finite and >= 0"):
         is_hermitian(np.eye(2), tol)
 

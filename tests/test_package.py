@@ -67,3 +67,19 @@ def test_each_rule_has_one_owner():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_no_module_keeps_an_unused_import():
+    # an import that nothing reads is left over from deleted code
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":  # its imports are the package's exports
+            continue
+        tree = _tree(path.stem)
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in imports for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in sorted(bound - read)]
+    assert unused == []

@@ -8,12 +8,7 @@ from pseudosim.cli import main
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation
 from pseudosim.experiments import RECORD_FIELDS, ExperimentConfig, TrialRecord, run_suite
-from pseudosim.reports import (
-    emit_report,
-    format_float,
-    parse_json_lines,
-    render,
-)
+from pseudosim.reports import format_float, parse_json_lines, render
 
 RECORD = TrialRecord(
     suite="subsumption", trial_index=3, seed=12345678901234567890,
@@ -96,13 +91,7 @@ def test_table_has_summary_footer():
     assert out.splitlines()[0].startswith("suite")
 
 
-def test_empty_records_rejected():
-    with pytest.raises(ContractViolation):
-        emit_report([], "csv", None)
-
-
 def test_render_of_no_records_is_the_header_alone():
-    # emit_report refuses an empty report, but each emitter takes one
     header = "  ".join(RECORD_FIELDS)
     assert render([], "table") == f"{header}\n\ntotal: 0/0 passed\n"
     assert render([], "csv") == ",".join(RECORD_FIELDS) + "\n"
@@ -110,18 +99,6 @@ def test_render_of_no_records_is_the_header_alone():
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(ContractViolation):
-        emit_report([RECORD], "xml", None)
     with pytest.raises(ContractViolation, match="unknown format 'xml'"):
         render([RECORD], "xml")
 
-
-def test_emit_to_path(tmp_path):
-    target = tmp_path / "report.csv"
-    emit_report([RECORD], "csv", target)
-    assert target.read_text(encoding="utf-8") == render([RECORD], "csv")
-
-
-def test_io_error_carries_path():
-    with pytest.raises(OSError, match="missing-dir"):
-        emit_report([RECORD], "csv", "/missing-dir/report.csv")
