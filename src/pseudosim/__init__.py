@@ -13,7 +13,6 @@ from .eigen import (
     eigvals_hermitian,
     match_distance,
     sort_eigenvalues,
-    spectral_scale,
 )
 from .ensembles import (
     EnsembleSpec,
@@ -54,6 +53,7 @@ from .linalg import (
     numerical_rank,
     penrose_residuals,
     pseudo_inverse,
+    spectral_scale,
     svd,
 )
 from .oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots

@@ -11,20 +11,16 @@ the leading axes, validates it once, and returns plain arrays: one spectrum
 per matrix, under the stack's leading axes.  General spectra are complex and
 sorted by (real, imag), Hermitian ones real and ascending.  A stack runs as
 one LAPACK call and gives each matrix the spectrum it gets alone.
+
+The scale a realness tolerance multiplies is :func:`pseudosim.linalg.spectral_scale`,
+which this module uses and does not redefine.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, NumericalError
-from .linalg import _as_square_stack, _hermitian_each
-
-
-def spectral_scale(values) -> float:
-    """max(1, largest magnitude): the scale realness/zero tolerances multiply.
-    NaN if a value is NaN, so every tolerance it scales fails."""
-    values = np.asarray(values)
-    return float(np.maximum(1.0, np.abs(values).max())) if values.size else 1.0
+from .linalg import _as_square_stack, _hermitian_each, spectral_scale
 
 
 def relative_imag(values) -> float:

@@ -17,13 +17,12 @@ Gaussians of many draws (see :mod:`pseudosim.experiments`).
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError
+from .errors import ContractViolation, DimensionError, require_number
 from .rng import SplitMix64
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
@@ -68,13 +67,11 @@ class EnsembleSpec:
     nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR
 
     def __post_init__(self):
-        if type(self.seed) is not int:  # a bool is no int here, and a float would be truncated
-            raise ContractViolation(f"seed must be an int, got {self.seed!r}")
-        self.seed &= 0xFFFFFFFFFFFFFFFF
+        self.seed = require_number(self.seed, "seed", integer=True) & 0xFFFFFFFFFFFFFFFF
         for name in ("n", "k", "l"):
             value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 1):  # a bool is no int here
-                raise ContractViolation(f"pinned dimension {name} must be an int >= 1, got {value!r}")
+            if value is not None:
+                require_number(value, f"pinned dimension {name}", 1, integer=True)
         if self.spectrum_law not in SPECTRUM_LAWS:
             raise ContractViolation(
                 f"unknown spectrum_law {self.spectrum_law!r}, expected one of {SPECTRUM_LAWS}"
@@ -82,25 +79,19 @@ class EnsembleSpec:
         if self.spectrum_law == "prescribed":
             if not self.spectrum_values:
                 raise ContractViolation("prescribed law requires spectrum_values")
+            for value in self.spectrum_values:
+                require_number(value, "spectrum_values")
         elif self.spectrum_values is not None:  # no other law reads them
             raise ContractViolation(f"spectrum_values needs spectrum_law = prescribed, "
                                     f"got {self.spectrum_law!r}")
-        if self.spectrum_values is not None and not all(map(math.isfinite, self.spectrum_values)):
-            raise ContractViolation(f"spectrum_values must be finite, got {self.spectrum_values}")
-        # each comparison fails on NaN, so a NaN field is rejected with the rest
-        if not (0.0 < self.spectrum_gap <= self.spectrum_bound < math.inf):
+        try:
+            require_number(self.spectrum_gap, "spectrum_gap", 0.0, above=True)
+            require_number(self.spectrum_bound, "spectrum_bound", self.spectrum_gap)
+        except ContractViolation as exc:  # the pair's message names both fields
             raise ContractViolation("need 0 < spectrum_gap <= spectrum_bound < inf, got "
-                                    f"{self.spectrum_gap}, {self.spectrum_bound}")
-        _require_cap(self.condition_cap)
-        if not 1.0 < self.nonunitarity_floor < math.inf:
-            raise ContractViolation(
-                f"nonunitarity_floor must be finite and > 1, got {self.nonunitarity_floor}")
-
-
-def _require_cap(condition_cap: float) -> None:
-    # a NaN cap fails the comparison too
-    if not 1.0 <= condition_cap < math.inf:
-        raise ContractViolation(f"condition_cap must be finite and >= 1, got {condition_cap}")
+                                    f"{self.spectrum_gap}, {self.spectrum_bound}") from exc
+        require_number(self.condition_cap, "condition_cap", 1.0)
+        require_number(self.nonunitarity_floor, "nonunitarity_floor", 1.0, above=True)
 
 
 def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
@@ -196,7 +187,7 @@ def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
     """The draw of :func:`random_full_column_rank`."""
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
-    _require_cap(condition_cap)
+    require_number(condition_cap, "condition_cap", 1.0)
     gaussians = _gaussians(rng, (n, l), (l, l))
     s = np.empty(l)
     s[0] = 1.0
@@ -244,7 +235,7 @@ def draw_invertible_nonunitary(rng: SplitMix64, n: int,
     """The draw of :func:`random_invertible_nonunitary`."""
     if n < 2:
         raise DimensionError("need n >= 2 to separate sigma_max from sigma_min")
-    _require_cap(condition_cap)
+    require_number(condition_cap, "condition_cap", 1.0)
     if not 1.0 < nonunitarity_floor <= condition_cap:
         raise ContractViolation(
             f"need 1 < nonunitarity_floor <= condition_cap, got {nonunitarity_floor}, {condition_cap}"

@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and :func:`require_number`,
+the one rule that decides whether an argument is a usable number.  The scale
+a tolerance multiplies has one owner too, :func:`pseudosim.linalg.spectral_scale`.
+"""
+import math
+import numbers
 
 
 class ContractViolation(ValueError):
@@ -29,3 +34,28 @@ class ClassificationError(NumericalError):
     signals either a wrong rank or an input whose genuine eigenvalues sit too
     close to zero; the caller decides, the library does not guess.
     """
+
+
+def require_number(value, name: str, low=None, *, above: bool = False, integer: bool = False):
+    """``value``, once it is a usable number; else :class:`ContractViolation`.
+
+    A bool is never a number: True would read as 1.  With ``integer`` the
+    value must be exactly an ``int`` (a float would be truncated, and a numpy
+    integer is refused too); otherwise it must be a finite real, numpy
+    scalars included, since a NaN or infinite gate would decide every verdict
+    the same way.  With ``low`` it must also be ``>= low``, or ``> low`` when
+    ``above`` is set.
+    """
+    if integer:
+        usable = type(value) is int
+    else:  # a float is the common case, a gate, so it skips the slower isinstance tests
+        usable = ((type(value) is float
+                   or isinstance(value, numbers.Real) and not isinstance(value, bool))
+                  and math.isfinite(value))
+    if usable and low is not None:
+        usable = value > low if above else value >= low
+    if not usable:
+        kind = "an int" if integer else "finite" if low is None else "finite and"
+        bound = "" if low is None else f" {'>' if above else '>='} {low:g}"
+        raise ContractViolation(f"{name} must be {kind}{bound}, got {value!r}")
+    return value

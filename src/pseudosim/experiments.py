@@ -60,10 +60,10 @@ from .ensembles import (
     draw_unitary,
     haar_columns,
 )
-from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag, spectral_scale
-from .errors import ContractViolation, NumericalError, RealnessViolation
+from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag
+from .errors import ContractViolation, NumericalError, RealnessViolation, require_number
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import _adjoint, adjoint, penrose_residuals, svd
+from .linalg import _adjoint, adjoint, penrose_residuals, spectral_scale, svd
 from .oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
@@ -98,10 +98,8 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (value is None and f.name == "rank"
-                    or isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and 0.0 < value < math.inf):
-                raise ContractViolation(f"tolerance {f.name} must be finite and > 0, got {value!r}")
+            if value is not None or f.name != "rank":
+                require_number(value, f"tolerance {f.name}", 0.0, above=True)
 
 
 @dataclass
@@ -121,8 +119,7 @@ class ExperimentConfig:
         repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
         if repeated:
             raise ContractViolation(f"suite tag(s) {repeated} selected more than once")
-        if type(self.trials) is not int or self.trials < 1:  # a bool is no int here
-            raise ContractViolation(f"trials must be an int >= 1, got {self.trials!r}")
+        require_number(self.trials, "trials", 1, integer=True)
         for suite in self.suites:
             _require_fits(self.ensemble, suite)
 
@@ -463,13 +460,15 @@ def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
     general = eigvals_general(g), polynomial_roots(characteristic_polynomial(g))
     hm = (g + _adjoint(g)) / 2.0
     hermitian = eigvals_hermitian(hm), polynomial_roots(characteristic_polynomial(hm))
-    return np.stack([match_distance(w, roots) / np.maximum(1.0, np.abs(roots).max(axis=1))
+    return np.stack([match_distance(w, roots) / spectral_scale(roots, axis=1)
                      for w, roots in (general, hermitian)], axis=1)
 
 
 def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
     """Per matrix of the stack g6: how far the sum and the product of its
-    eigenvalues lie from its trace and its determinant."""
+    eigenvalues lie from its trace and its determinant.  Scaled by scalar
+    moduli, not :func:`spectral_scale`: numpy's vectorised complex modulus
+    differs from the scalar one in the last bit on some values."""
     w = eigvals_general(g6)
     traces, dets = np.trace(g6, axis1=1, axis2=2), np.linalg.det(g6)
     return [(abs(total - trace) / max(1.0, abs(trace)), abs(prod - det) / max(1.0, abs(det)))
@@ -681,8 +680,7 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     numerical error yields a failed record that carries the dimensions it
     drew and the error as its notes.
     """
-    if type(trial_index) is not int or trial_index < 0:  # a bool is no int here
-        raise ContractViolation(f"trial_index must be an int >= 0, got {trial_index!r}")
+    require_number(trial_index, "trial_index", 0, integer=True)
     if suite not in THEOREM_SUITES:
         raise ContractViolation(f"{suite!r} reduces its trials to one search record; "
                                 f"valid: {sorted(THEOREM_SUITES)}")

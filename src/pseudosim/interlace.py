@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import relative_imag, spectral_scale
-from .errors import ClassificationError, ContractViolation, DimensionError, RealnessViolation
-from .linalg import _require_gate
+from .eigen import relative_imag
+from .errors import ClassificationError, ContractViolation, DimensionError, RealnessViolation, require_number
+from .linalg import spectral_scale
 
 #: default relative tolerance for classifying a spectrum as real
 REALNESS_TOL = 1e-10
@@ -69,7 +69,7 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     n, l = lam.size, eta.size
     if l > n:
         raise DimensionError(f"compressed spectrum longer than reference: {l} > {n}")
-    tol = INTERLACE_REL_TOL * spectral_scale(lam) if tol is None else _require_gate(tol, "tol")
+    tol = INTERLACE_REL_TOL * spectral_scale(lam) if tol is None else require_number(tol, "tol", 0.0)
 
     lower, upper = eta - lam[:l], lam[n - l:] - eta
     passed = bool((lower >= -tol).all() and (upper >= -tol).all())  # a NaN margin fails
@@ -84,7 +84,7 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     listing the offending eigenvalues when any imaginary part exceeds
     ``realness_tol * max(1, max |value|)``.
     """
-    _require_gate(realness_tol, "realness_tol")
+    require_number(realness_tol, "realness_tol", 0.0)
     values = np.asarray(spectrum, dtype=np.complex128).ravel()
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
@@ -111,10 +111,10 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     """
     if np.iscomplexobj(spectrum):
         raise ContractViolation("extract_nonzero takes real values; pass the spectrum through classify_real")
-    _require_gate(zero_tol, "zero_tol")
+    require_number(zero_tol, "zero_tol", 0.0)
     values = np.asarray(spectrum, dtype=np.float64).ravel()
     k = values.size
-    if not 0 <= expected_l <= k:
+    if not 0 <= require_number(expected_l, "expected_l", integer=True) <= k:
         raise DimensionError(f"expected rank {expected_l} outside [0, {k}]")
     n_zero = k - expected_l
     order = np.argsort(np.abs(values), kind="stable")

@@ -2,6 +2,10 @@
 gives both the numerical rank and the Moore-Penrose pseudo-inverse, in numpy
 alone.  The SVD is the one factorization here.
 
+:func:`spectral_scale` alone computes ``max(1, largest magnitude)``, the scale
+of relative tolerances and residuals; whether a tolerance itself is a usable
+number is :func:`pseudosim.errors.require_number`'s to decide.
+
 Matrices are plain two-dimensional complex128 ``numpy`` arrays.  Every public
 routine validates its input through :func:`as_matrix`, which rejects NaN/Inf
 entries, so downstream code can assume finite dense data.  All functions are
@@ -9,12 +13,11 @@ pure; nothing is modified in place.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError
+from .errors import ContractViolation, DimensionError, NumericalError, require_number
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -54,6 +57,14 @@ def _as_square_stack(a) -> np.ndarray:
     return m
 
 
+def spectral_scale(values, axis=None):
+    """max(1, largest magnitude): the scale relative tolerances multiply.
+    A float, or with ``axis`` an array of one scale per slice along it; 1.0
+    for no values.  NaN if a value is NaN, so every tolerance it scales fails."""
+    scale = np.maximum(1.0, np.abs(values).max(axis=axis, initial=0.0))
+    return float(scale) if axis is None else scale
+
+
 def default_rank_tol(shape) -> float:
     """Relative rank threshold max(rows, cols) * eps; multiplied by the
     largest singular value at the point of use."""
@@ -75,14 +86,15 @@ def is_hermitian(m, tol: float | None = None) -> bool:
     """True iff max |m - m^H| <= tol.  `tol=None` uses the scale-relative
     default; any other must be finite and >= 0."""
     if tol is not None:
-        _require_gate(tol, "tol")
+        require_number(tol, "tol", 0.0)
     return bool(_hermitian_each(as_matrix(m), tol))
 
 
 def _hermitian_each(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Whether each matrix of a validated stack is Hermitian within ``tol``;
     None takes each matrix's own scale-relative default, HERMITICITY_REL_TOL
-    times its largest entry."""
+    times its largest entry, with no floor at 1 (a floor would loosen the
+    check for matrices below unit scale), so not :func:`spectral_scale`."""
     if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"hermiticity is defined for square matrices, got {m.shape}")
     if tol is None:
@@ -113,24 +125,9 @@ class SvdFactors:
         Equal to :func:`svd` of the same matrix at ``rank_tol`` when these
         factors are untruncated, as at full rank.
         """
-        rank = _detected_rank(self.sigma, _require_rank_tol(rank_tol))
+        rank_tol = require_number(rank_tol, "rank_tol", 0.0, above=True)
+        rank = _detected_rank(self.sigma, rank_tol)
         return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
-
-
-def _require_gate(value, name: str):
-    """``value``, once it is a usable tolerance: a number, finite and >= 0.
-    A NaN, infinite or negative gate would decide every verdict the same
-    way, and a bool is no number here (True would read as a gate of 1)."""
-    if isinstance(value, bool) or not 0.0 <= value < math.inf:
-        raise ContractViolation(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
-def _require_rank_tol(rank_tol: float) -> float:
-    # a NaN or infinite threshold reads every matrix as rank 0, and True as 1
-    if isinstance(rank_tol, bool) or not 0.0 < rank_tol < math.inf:
-        raise ContractViolation(f"rank_tol must be finite and positive, got {rank_tol!r}")
-    return rank_tol
 
 
 def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
@@ -142,7 +139,9 @@ def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
 def svd(m, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD with rank detection (singular values above rank_tol * sigma_max)."""
     m = as_matrix(m)
-    rank_tol = default_rank_tol(m.shape) if rank_tol is None else _require_rank_tol(rank_tol)
+    # a NaN or infinite threshold would read every matrix as rank 0
+    rank_tol = (default_rank_tol(m.shape) if rank_tol is None
+                else require_number(rank_tol, "rank_tol", 0.0, above=True))
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -181,8 +180,7 @@ def penrose_residuals(m, pinv) -> tuple[float, float, float, float]:
     pm = p @ m
 
     def _rel(diff, ref):
-        scale = max(1.0, float(np.abs(ref).max()) if ref.size else 0.0)
-        return (float(np.abs(diff).max()) if diff.size else 0.0) / scale
+        return (float(np.abs(diff).max()) if diff.size else 0.0) / spectral_scale(ref)
 
     return (
         _rel(mp @ m - m, m),

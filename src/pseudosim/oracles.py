@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigen import sort_eigenvalues
 from .errors import ContractViolation, NumericalError
-from .linalg import _as_square_stack
+from .linalg import _as_square_stack, spectral_scale
 
 
 def characteristic_polynomial(m) -> np.ndarray:
@@ -110,7 +110,7 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
         step = p / diffs.reshape(-1, n, n - 1).prod(axis=2)  # prod_{j != i} (z_i - z_j)
         za = za - step
         z[active] = za
-        size, scale = np.abs(step).max(axis=1), np.maximum(1.0, np.abs(za).max(axis=1))
+        size, scale = np.abs(step).max(axis=1), spectral_scale(za, axis=1)
         close[active] = size <= 1e-10 * scale
         active = active[~(size <= 1e-14 * scale)]
         if not active.size:

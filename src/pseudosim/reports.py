@@ -2,17 +2,24 @@
 
 All floating-point values are rendered with 17 significant digits, enough to
 reconstruct the float64 bit pattern exactly, so emitted files are both
-byte-reproducible and lossless under round-trip parsing.
+byte-reproducible and lossless under round-trip parsing.  In json-lines a
+non-finite value is written as ``NaN``, ``Infinity`` or ``-Infinity``, the
+tokens :func:`json.loads` reads back.
 """
 from __future__ import annotations
 
 import io
 import json
 
+import numpy as np
+
 from .errors import ContractViolation
 from .experiments import RECORD_FIELDS, TrialRecord
 
 _FLOAT_FIELDS = ("min_lower_margin", "min_upper_margin", "worst_residual")
+
+#: json-lines tokens of the non-finite cells, which JSON itself has no numbers for
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def format_float(x: float) -> str:
@@ -47,7 +54,7 @@ def emit_json_lines(records, stream) -> None:
         parts = []
         for name, cell in zip(RECORD_FIELDS, _record_cells(record)):
             token = json.dumps(cell) if name in ("suite", "notes") else cell
-            parts.append(f"{json.dumps(name)}: {token}")
+            parts.append(f"{json.dumps(name)}: {_JSON_NON_FINITE.get(token, token)}")
         stream.write("{" + ", ".join(parts) + "}\n")
 
 
@@ -68,8 +75,9 @@ def summarize(records) -> list[str]:
     for suite in dict.fromkeys(r.suite for r in records):
         group = [r for r in records if r.suite == suite]
         passes = sum(r.passed for r in group)
-        worst_margin = min(min(r.min_lower_margin, r.min_upper_margin) for r in group)
-        worst_residual = max(r.worst_residual for r in group)
+        # np.min and np.max keep a NaN wherever it stands; Python's drop it unless it comes first
+        worst_margin = np.min([(r.min_lower_margin, r.min_upper_margin) for r in group])
+        worst_residual = np.max([r.worst_residual for r in group])
         lines.append(
             f"{suite}: {passes}/{len(group)} passed, "
             f"min margin {worst_margin:.3e}, worst residual {worst_residual:.3e}"

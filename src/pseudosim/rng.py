@@ -49,6 +49,8 @@ import math
 
 import numpy as np
 
+from .errors import require_number
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -101,8 +103,8 @@ def mix64(z: int) -> int:
 
 def derive_seed(seed: int, index: int) -> int:
     """Seed for child stream `index`, the index-th splitmix64 output of `seed`."""
-    if index < 0:
-        raise ValueError("stream index must be non-negative")
+    require_number(seed, "seed", integer=True)
+    require_number(index, "stream index", 0, integer=True)
     return mix64((seed + (index + 1) * GOLDEN) & _MASK64)
 
 
@@ -110,7 +112,8 @@ class SplitMix64:
     """splitmix64 stream with vectorized uniform/normal/complex draws."""
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
+        # an int, taken modulo 2**64: a float or a string would stream another seed's words
+        self._state = require_number(seed, "seed", integer=True) & _MASK64
         self._block = _NO_WORDS   # the words after self._state, from self._pos on
         self._pos = 0
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError
+from .errors import ContractViolation, DimensionError, NumericalError, require_number
 from .linalg import (
     ORTH_TOL,
     SvdFactors,
     _adjoint,
     _hermitian_each,
     as_matrix,
+    spectral_scale,
     svd,
 )
 
@@ -159,8 +160,7 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
     core = core_factors.pseudo_inverse() @ p @ h
     route_b = v @ core @ _adjoint(v)
     dev = float(np.abs(route_a.transformed - route_b).max())
-    scale = max(1.0, float(np.abs(route_a.transformed).max()),
-                float(np.abs(route_b).max()))
+    scale = max(spectral_scale(route_a.transformed), spectral_scale(route_b))
     if not dev <= CROSS_REL_TOL * scale:  # a NaN deviation fails too
         err = NumericalError(
             f"inflation routes disagree: max entry deviation {dev:.3e} "
@@ -178,13 +178,16 @@ def oblique_transform(p, x, selection) -> np.ndarray:
     This is the compression through the oblique (non-orthogonal) projector
     built from an invertible, generally non-unitary x.  No interlacing
     guarantee attaches to the result: its spectrum need not even be real.
-    ``selection`` holds distinct 0-based indices into range(N).
+    ``selection`` holds distinct 0-based int indices into range(N); numpy
+    integers count as ints.
     """
     p = _require_hermitian(p)
     x = as_matrix(x, "x")
     if x.shape != p.shape:
         raise DimensionError(f"x must be {p.shape[0]} x {p.shape[0]}, got {x.shape}")
-    sel = [int(i) for i in selection]
+    # int(1.7) or int(True) would silently select another submatrix
+    sel = [require_number(i.item() if isinstance(i, np.integer) else i, "selection index", integer=True)
+           for i in selection]
     if len(set(sel)) != len(sel):
         raise ContractViolation(f"selection indices must be distinct: {sel}")
     if any(i < 0 or i >= p.shape[0] for i in sel):

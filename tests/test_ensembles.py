@@ -21,7 +21,7 @@ from pseudosim.errors import ContractViolation, DimensionError
 from pseudosim.experiments import _per_shape
 from pseudosim.interlace import classify_real
 from pseudosim.linalg import is_hermitian, numerical_rank, penrose_residuals, pseudo_inverse, svd
-from pseudosim.rng import SplitMix64
+from pseudosim.rng import SplitMix64, derive_seed
 
 
 def test_unitary_1x1_unit_modulus():
@@ -150,7 +150,7 @@ def test_invertible_nonunitary_contracts():
     lambda cap: random_rank_l(SplitMix64(1), 3, 4, 2, cap),
     lambda cap: random_invertible_nonunitary(SplitMix64(1), 3, condition_cap=cap),
 ], ids=["full-column-rank", "rank-l", "invertible-nonunitary"])
-@pytest.mark.parametrize("cap", [np.nan, np.inf, 0.5])
+@pytest.mark.parametrize("cap", [np.nan, np.inf, 0.5, True, "5"])
 def test_generators_reject_unusable_cap(generate, cap):
     # a NaN cap passes a lone `cap < 1` test and gives a NaN matrix; an
     # infinite one reaches log(0) in the singular-value draw
@@ -189,8 +189,11 @@ def test_ensemble_spec_validation():
     with pytest.raises(ContractViolation):
         EnsembleSpec(seed=1, condition_cap=0.5)
     for bad in ({"condition_cap": np.nan}, {"condition_cap": np.inf},
+                {"condition_cap": True}, {"condition_cap": "5"},
                 {"spectrum_bound": np.inf}, {"spectrum_gap": np.inf, "spectrum_bound": np.inf},
+                {"spectrum_gap": True}, {"spectrum_bound": True},
                 {"spectrum_law": "prescribed", "spectrum_values": (1.0, np.nan, 2.0)},
+                {"spectrum_law": "prescribed", "spectrum_values": (True, 2.0)},
                 {"nonunitarity_floor": np.nan}, {"nonunitarity_floor": np.inf},
                 {"nonunitarity_floor": 1.0}):
         with pytest.raises(ContractViolation, match=next(iter(bad.keys() - {"spectrum_law"}))):
@@ -223,9 +226,10 @@ def test_pinned_dimensions_are_ints(dim, value):
 @pytest.mark.parametrize("seed", [2.7, True, "12", None])
 def test_seed_is_an_int(seed):
     # a float, bool or string would be truncated or parsed into another
-    # seed's run
-    with pytest.raises(ContractViolation, match="seed must be an int"):
-        EnsembleSpec(seed=seed)
+    # seed's run, by the spec, by a stream or by a split
+    for take in (lambda s: EnsembleSpec(seed=s), SplitMix64, lambda s: derive_seed(s, 0)):
+        with pytest.raises(ContractViolation, match="seed must be an int"):
+            take(seed)
 
 
 @pytest.mark.parametrize("seed, masked", [(-1, 2**64 - 1), (2**64 + 3, 3)])

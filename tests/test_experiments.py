@@ -159,6 +159,8 @@ def test_tolerances_reject_bools(field, value):
     # True would read as a gate of 1.0
     with pytest.raises(ContractViolation, match=f"tolerance {field} must be finite and > 0"):
         Tolerances(**{field: value})
+    # a numpy float is a number, as at every verdict gate
+    assert getattr(Tolerances(**{field: np.float32(1e-8)}), field) == np.float32(1e-8)
 
 
 def test_oblique_witness_default_budget():

@@ -83,6 +83,10 @@ def test_extract_nonzero_misfit_rank():
         extract_nonzero([0.5, 1e-15, 2.0], 1)
     with pytest.raises(DimensionError):
         extract_nonzero([1.0], 2)
+    # True would read as rank 1; an out-of-range int rank stays a DimensionError
+    for rank in (True, 1.0):
+        with pytest.raises(ContractViolation, match="expected_l must be an int"):
+            extract_nonzero([0.0, 1.0], rank)
 
 
 def test_extract_nonzero_spectrum_input():
@@ -129,7 +133,7 @@ def test_classify_real_tolerance_scaling():
         classify_real([1.0 + 0.5j], 1e-6)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, True, "1"])
 @pytest.mark.parametrize("gate, name", [
     (lambda tol: check_interlacing([1.0, 2.0, 3.0], [5.0], tol=tol), "tol"),
     (lambda tol: classify_real([1 + 1j, 2 - 1j], tol), "realness_tol"),

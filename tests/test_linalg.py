@@ -140,13 +140,13 @@ def test_rank_consistency_qr_vs_svd():
                 assert svd(m).rank == l
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, True, "1"])
 def test_rank_tol_must_be_finite_and_positive(bad):
     # an infinite or NaN threshold would read every matrix as rank 0, and
     # True would read as a threshold of 1
-    with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
+    with pytest.raises(ContractViolation, match="rank_tol must be finite and > 0"):
         svd(np.eye(3), bad)
-    with pytest.raises(ContractViolation, match="rank_tol must be finite and positive"):
+    with pytest.raises(ContractViolation, match="rank_tol must be finite and > 0"):
         svd(np.eye(3)).truncated(bad)
 
 

@@ -54,6 +54,41 @@ def _package_imports(module: str) -> set[str]:
             if isinstance(node, ast.ImportFrom) and node.level == 1}
 
 
+def _is_name(node, *names) -> bool:
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _numeric_rule(node) -> str | None:
+    """The numeric rule ``node`` writes out by hand: "number" where it decides
+    whether a value is a usable number, "scale" where it forms max(1.0, ...)."""
+    if isinstance(node, ast.Call):
+        if (_is_name(node.func, "isinstance") and len(node.args) == 2
+                and any(_is_name(t, "bool") for t in ast.walk(node.args[1]))):
+            return "number"
+        if ((_is_name(node.func, "max") or isinstance(node.func, ast.Attribute)
+             and node.func.attr == "maximum")
+                and any(isinstance(a, ast.Constant) and type(a.value) is float and a.value == 1.0
+                        for a in node.args)):
+            return "scale"
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(_is_name(o, "int") for o in operands)
+                and any(isinstance(o, ast.Call) and _is_name(o.func, "type") for o in operands)):
+            return "number"
+        if any(isinstance(o, ast.Attribute) and o.attr == "inf" and _is_name(o.value, "math", "np")
+               for o in operands):
+            return "number"
+    return None
+
+
+def _numeric_rule_sites() -> set[tuple[str, str, str | None]]:
+    """(rule, module, top-level name) of every hand-written numeric rule."""
+    return {(rule, path.stem, getattr(top, "name", None))
+            for path in sorted(SOURCE.glob("*.py")) for top in _tree(path.stem).body
+            for node in ast.walk(top) if (rule := _numeric_rule(node))}
+
+
 def test_each_rule_has_one_owner():
     # the report format is the CLI's, so the config holds only what a run needs
     assert [f.name for f in dataclasses.fields(pseudosim.ExperimentConfig)] == [
@@ -67,6 +102,15 @@ def test_each_rule_has_one_owner():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert nested == []
+    # errors.require_number alone decides a usable number, and
+    # linalg.spectral_scale alone forms max(1, |x|); the trace/determinant
+    # check keeps its scalar moduli (numpy's vectorised modulus differs in
+    # the last bit)
+    owners = {("number", "errors"), ("scale", "linalg")}
+    sites = _numeric_rule_sites()
+    assert {site[:2] for site in sites} >= owners
+    assert {site for site in sites if site[:2] not in owners} == {
+        ("scale", "experiments", "_trace_det_deviations")}
 
 
 def test_no_module_keeps_an_unused_import():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -8,7 +9,7 @@ from pseudosim.cli import main
 from pseudosim.ensembles import EnsembleSpec
 from pseudosim.errors import ContractViolation
 from pseudosim.experiments import RECORD_FIELDS, ExperimentConfig, TrialRecord, run_suite
-from pseudosim.reports import format_float, parse_json_lines, render
+from pseudosim.reports import format_float, parse_json_lines, render, summarize
 
 RECORD = TrialRecord(
     suite="subsumption", trial_index=3, seed=12345678901234567890,
@@ -52,7 +53,14 @@ def test_json_lines_round_trip():
     records = _sample_records()
     text = render(records, "json-lines")
     assert parse_json_lines(text) == records
-    for line in text.strip().split("\n"):
+    # a non-finite value reads back too; NaN equals nothing, so compare its text
+    odd = dataclasses.replace(RECORD, min_lower_margin=-math.inf, min_upper_margin=math.inf,
+                              worst_residual=math.nan)
+    odd_text = render([odd], "json-lines")
+    back, = parse_json_lines(odd_text)
+    assert (back.min_lower_margin, back.min_upper_margin) == (-math.inf, math.inf)
+    assert math.isnan(back.worst_residual) and render([back], "json-lines") == odd_text
+    for line in (text + odd_text).strip().split("\n"):
         obj = json.loads(line)
         assert list(obj) == ["suite", "trial_index", "seed", "n", "k", "l", "passed",
                              "min_lower_margin", "min_upper_margin", "worst_residual", "notes"]
@@ -89,6 +97,15 @@ def test_table_has_summary_footer():
     assert "solver-oracle: 4/4 passed" in out
     assert "total: 8/8 passed" in out
     assert out.splitlines()[0].startswith("suite")
+
+
+@pytest.mark.parametrize("field", ["worst_residual", "min_lower_margin", "min_upper_margin"])
+@pytest.mark.parametrize("first_nan", [True, False])
+def test_summary_keeps_a_nan_wherever_it_stands(field, first_nan):
+    values = [math.nan, 1e-16] if first_nan else [1e-16, math.nan]
+    records = [dataclasses.replace(RECORD, **{field: value}) for value in values]
+    summary = summarize(records)[0]
+    assert ("worst residual nan" if field == "worst_residual" else "min margin nan,") in summary
 
 
 def test_render_of_no_records_is_the_header_alone():

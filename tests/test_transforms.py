@@ -260,6 +260,11 @@ def test_oblique_contracts():
         oblique_transform(p, np.zeros((2, 2), dtype=complex), [0])
     with pytest.raises(DimensionError):
         oblique_transform(p, np.eye(3, dtype=complex), [0])
+    # int(1.7) and int(True) would both select index 1
+    for index in (1.7, True, "1"):
+        with pytest.raises(ContractViolation, match="selection index must be an int"):
+            oblique_transform(p, np.eye(2, dtype=complex), [index])
+    assert_allclose(oblique_transform(p, np.eye(2, dtype=complex), np.array([1])), [[2.0]])
 
 
 def test_similarity_consistency_with_compression():
