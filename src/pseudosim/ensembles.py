@@ -13,7 +13,9 @@ it drew; :func:`haar_columns` turns a stack of Gaussians into orthonormal
 columns, each matrix's bit for bit as on its own; the draw's ``build`` makes
 the member from them.  ``random_*`` and :func:`hermitian_with_spectrum` run
 the three steps for one draw, a Gaussian at a time; the runner stacks the
-Gaussians of many draws (see :mod:`pseudosim.experiments`).
+Gaussians of many draws (see :mod:`pseudosim.experiments`), and stacks them
+the same way for a draw whose ``stage`` names another function than
+:func:`haar_columns`.
 """
 from __future__ import annotations
 
@@ -76,6 +78,8 @@ class EnsembleSpec:
             raise ContractViolation(
                 f"unknown spectrum_law {self.spectrum_law!r}, expected one of {SPECTRUM_LAWS}"
             )
+        if self.spectrum_values is not None:  # kept as a tuple, like ExperimentConfig.suites
+            self.spectrum_values = tuple(self.spectrum_values)
         if self.spectrum_law == "prescribed":
             if not self.spectrum_values:
                 raise ContractViolation("prescribed law requires spectrum_values")
@@ -116,11 +120,19 @@ class Draw:
 
     ``gaussians`` holds the complex standard normal matrices whose Haar-like
     factors the member needs; ``build`` makes the member from those factors,
-    given as its arguments in the same order.
+    given as its arguments in the same order.  ``stage``, when set, takes the
+    place of :func:`haar_columns`: the runner gives it a stack of the
+    draw's Gaussians and passes ``build`` one of its values per matrix.
     """
 
     gaussians: tuple[np.ndarray, ...]
     build: Callable[..., np.ndarray]
+    stage: Callable[[np.ndarray], object] | None = None   # None: haar_columns, looked up when built
+
+
+def _require_dims(**dims: int) -> None:
+    for name, value in dims.items():
+        require_number(value, name, integer=True)
 
 
 def _gaussians(rng: SplitMix64, *shapes) -> tuple[np.ndarray, ...]:
@@ -144,11 +156,12 @@ def haar_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _built(draw: Draw) -> np.ndarray:
-    return draw.build(*map(haar_columns, draw.gaussians))
+    return draw.build(*map(draw.stage or haar_columns, draw.gaussians))
 
 
 def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:
     """The draw of :func:`random_unitary`."""
+    _require_dims(n=n, l=l)
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
     return Draw(_gaussians(rng, (n, l)), lambda u: u)
@@ -185,6 +198,7 @@ def _log_uniform(rng: SplitMix64, count: int, lo: float, hi: float) -> np.ndarra
 def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
                           condition_cap: float = DEFAULT_CONDITION_CAP) -> Draw:
     """The draw of :func:`random_full_column_rank`."""
+    _require_dims(n=n, l=l)
     if not 1 <= l <= n:
         raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
     require_number(condition_cap, "condition_cap", 1.0)
@@ -211,6 +225,7 @@ def random_full_column_rank(rng: SplitMix64, n: int, l: int,
 def draw_rank_l(rng: SplitMix64, n: int, k: int, l: int,
                 condition_cap: float = DEFAULT_CONDITION_CAP) -> Draw:
     """The draw of :func:`random_rank_l`."""
+    _require_dims(n=n, k=k, l=l)
     if not 1 <= l <= min(n, k):
         raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
     core = draw_full_column_rank(rng, n, l, condition_cap)
@@ -233,9 +248,11 @@ def draw_invertible_nonunitary(rng: SplitMix64, n: int,
                                nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR,
                                ) -> Draw:
     """The draw of :func:`random_invertible_nonunitary`."""
+    _require_dims(n=n)
     if n < 2:
         raise DimensionError("need n >= 2 to separate sigma_max from sigma_min")
     require_number(condition_cap, "condition_cap", 1.0)
+    require_number(nonunitarity_floor, "nonunitarity_floor")
     if not 1.0 < nonunitarity_floor <= condition_cap:
         raise ContractViolation(
             f"need 1 < nonunitarity_floor <= condition_cap, got {nonunitarity_floor}, {condition_cap}"

@@ -10,11 +10,13 @@ A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
 check.  :class:`ExperimentConfig` runs each suite's dimension rule at the
 ends of its draw ranges, so a config error is raised before any trial is
 drawn.  Trials run in chunks: each trial of a chunk is drawn from its own
-stream, then the Haar factors of all the chunk's Gaussians come from one
-stacked QR per matrix shape, then each trial builds its matrices and the
-suite's check takes the chunk's trials at once.  Most checks take them one at
-a time; solver-oracle runs each of its stages on one stack per matrix shape.
-The QRs and those stages stack by one rule, :func:`_per_shape`.
+stream and names its dimensions, then every Gaussian of the chunk goes
+through its draw's stage, the Haar factor or one of solver-oracle's
+measurements, on one stack per (stage, matrix shape), by one rule,
+:func:`_per_shape`; then each trial builds its matrices, and the suite's
+check takes the built trials one at a time.  :func:`_check_chunk` is the one
+loop that turns a trial's error, from its draw, build or check, into a failed
+record.
 :func:`run_suite` runs a suite's trials in chunks that close once their
 draws reach ``CHUNK_BYTES``, each checked before the next draw, cut into one
 contiguous slice of trials per usable CPU: slice 0 runs in the calling
@@ -235,8 +237,8 @@ def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite
 def _interlace_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims, inflate: bool):
     n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
-    return (lam, draw_hermitian(rng, lam), draw_full_column_rank(rng, n, l, spec.condition_cap),
-            draw_unitary(rng, k, l) if inflate else None)
+    return dims, (lam, draw_hermitian(rng, lam), draw_full_column_rank(rng, n, l, spec.condition_cap),
+                  draw_unitary(rng, k, l) if inflate else None)
 
 
 def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -273,7 +275,7 @@ def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 def _subsumption_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
-    return draw_hermitian(rng, lam), draw_unitary(rng, n, l)
+    return dims, (draw_hermitian(rng, lam), draw_unitary(rng, n, l))
 
 
 def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -295,7 +297,7 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 
 def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int):
     """Side n of P and X, OBLIQUE_DEFAULT_N unless pinned.  The selection
-    size is the draw's: the check reports it."""
+    size is the draw's, so it stays 0 on a trial whose draw raised."""
     n = spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
     _prescribed_fits(spec, "oblique-counterexample", n)
     if n < 2:
@@ -310,8 +312,9 @@ def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int):
 
 def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
                   control: str | None = None):
-    """P, the frame X and the selection.  X is invertible and non-unitary,
-    or on a control arm unitary or the identity."""
+    """P, the frame X and the selection, whose size the dimensions carry as
+    k = l.  X is invertible and non-unitary, or on a control arm unitary or
+    the identity."""
     n = dims[0]
     lam = np.sort(draw_spectrum(rng, spec, n))
     p = draw_hermitian(rng, lam)  # its Gaussians come before X's
@@ -322,7 +325,7 @@ def _oblique_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims,
     else:
         x = draw_invertible_nonunitary(rng, n, spec.condition_cap, spec.nonunitarity_floor)
     l = rng.randint(1, n - 1)
-    return lam, p, x, sorted(rng.choose_distinct(l, n))
+    return (n, l, l), (lam, p, x, sorted(rng.choose_distinct(l, n)))
 
 
 def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -348,9 +351,8 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
         oracle_dev = match_distance(spectrum, charpoly_eigenvalues(t))
         if not oracle_dev <= tols.oracle * scale:
             magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
-    return trial._replace(dims=(lam.size, len(sel), len(sel))).record(
-        passed=True, min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
-        worst_residual=magnitude, notes=note)
+    return trial.record(passed=True, min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
+                        worst_residual=magnitude, notes=note)
 
 
 _MP_SHAPES = ("tall-full", "wide-full", "square-full", "tall-deficient",
@@ -381,8 +383,8 @@ def _mp_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     as its tall adjoint."""
     rows, cols, rank_target = dims
     if not _MP_SHAPES[trial_index % len(_MP_SHAPES)].endswith("full"):
-        return (draw_rank_l(rng, rows, cols, rank_target, spec.condition_cap),)
-    return (draw_full_column_rank(rng, max(rows, cols), min(rows, cols), spec.condition_cap),)
+        return dims, (draw_rank_l(rng, rows, cols, rank_target, spec.condition_cap),)
+    return dims, (draw_full_column_rank(rng, max(rows, cols), min(rows, cols), spec.condition_cap),)
 
 
 def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -407,50 +409,41 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 
 def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
     """Side n of the charpoly-checked matrices.  The side k of the
-    trace/determinant matrix is the draw's, so it stays 0 until the check
-    reports it, and on a trial whose draw raised."""
+    trace/determinant matrix is the draw's, so it stays 0 on a trial whose
+    draw raised."""
     n = rng.randint(2, 4)
     return n, 0, n
 
 
 def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
+    """An n x n Gaussian for the charpoly oracle and a k x k one for the
+    trace/determinant identities, each built into its deviations."""
     n = dims[0]
     g = rng.complex_normals((n, n))
     n_td = rng.randint(2, 6)
-    return g, rng.complex_normals((n_td, n_td))
+    return (n, n_td, n), (Draw((g,), _as_is, _charpoly_deviations),
+                          Draw((rng.complex_normals((n_td, n_td)),), _as_is, _trace_det_deviations))
 
 
-def _oracle_check(trials, tols: Tolerances) -> list[TrialRecord]:
+def _as_is(value):
+    return value
+
+
+def _oracle_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     """LAPACK-backed solvers against the characteristic-polynomial oracle
-    (n <= 4) plus trace/determinant identities (n <= 6), for a chunk of
-    trials at once.
-
-    Each part runs on one stack per matrix shape; a trial that raises fails
-    alone.  Every record, a failed one too, carries the side of its
-    trace/determinant matrix as k.
-    """
-    charpoly = _per_shape(_charpoly_deviations, [trial.drawn[0] for trial in trials])
-    trace_det = _per_shape(_trace_det_deviations, [trial.drawn[1] for trial in trials])
-    records = []
-    for trial, devs, identities in zip(trials, charpoly, trace_det):
-        n = trial.dims[0]
-        trial = trial._replace(dims=(n, trial.drawn[1].shape[0], n))
-        try:
-            devs, (trace_dev, det_dev) = map(_unheld, (devs, identities))
-        except _TRIAL_ERRORS as exc:
-            records.append(_failed(trial, exc))
-            continue
-        notes = []
-        for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
-            if not dev <= tols.oracle:
-                notes.append(f"{solver} deviates from charpoly roots by {dev:.3e}")
-        if not trace_dev <= tols.oracle:
-            notes.append(f"trace identity off by {trace_dev:.3e}")
-        if not det_dev <= tols.oracle:
-            notes.append(f"determinant identity off by {det_dev:.3e}")
-        worst = float(np.max([*devs, trace_dev, det_dev]))  # a NaN deviation stays NaN
-        records.append(trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes)))
-    return records
+    (n <= 4) plus trace/determinant identities (n <= 6): the deviations the
+    trial's stages measured, against ``tols.oracle``."""
+    devs, (trace_dev, det_dev) = trial.drawn
+    notes = []
+    for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
+        if not dev <= tols.oracle:
+            notes.append(f"{solver} deviates from charpoly roots by {dev:.3e}")
+    if not trace_dev <= tols.oracle:
+        notes.append(f"trace identity off by {trace_dev:.3e}")
+    if not det_dev <= tols.oracle:
+        notes.append(f"determinant identity off by {det_dev:.3e}")
+    worst = float(np.max([*devs, trace_dev, det_dev]))  # a NaN deviation stays NaN
+    return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
 
 
 def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
@@ -475,25 +468,26 @@ def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
             for total, trace, prod, det in zip(w.sum(axis=1), traces, w.prod(axis=1), dets)]
 
 
-def _per_shape(part, arrays) -> list:
-    """``part`` of each array, in order, run on one stack per shape; a shape
-    that one array alone has runs on a view of that array, not a copy.  A
-    stack that raises is redone an array at a time, and an array that raises
-    alone gets its error in place of its result."""
-    results: list = [None] * len(arrays)
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, a in enumerate(arrays):
-        by_shape.setdefault(a.shape, []).append(i)
-    for indices in by_shape.values():
-        stack = (np.stack([arrays[i] for i in indices]) if len(indices) > 1
-                 else arrays[indices[0]][np.newaxis])
+def _per_shape(items) -> list:
+    """``stage(array)`` for each (stage, array) pair, in order, run on one
+    stack per stage and shape; a group that one array alone makes runs on a
+    view of that array, not a copy.  A stack that raises is redone an array
+    at a time, and an array that raises alone gets its error in place of its
+    result."""
+    results: list = [None] * len(items)
+    groups: dict[tuple, list[int]] = {}
+    for i, (stage, a) in enumerate(items):
+        groups.setdefault((stage, a.shape), []).append(i)
+    for (stage, _), indices in groups.items():
+        stack = (np.stack([items[i][1] for i in indices]) if len(indices) > 1
+                 else items[indices[0]][1][np.newaxis])
         try:
-            values = part(stack)
+            values = stage(stack)
         except _TRIAL_ERRORS:
             values = []
             for i in range(len(indices)):
                 try:
-                    values.extend(part(stack[i:i + 1]))
+                    values.extend(stage(stack[i:i + 1]))
                 except _TRIAL_ERRORS as exc:
                     values.append(exc)
         for i, value in zip(indices, values):
@@ -508,38 +502,23 @@ def _unheld(value):
     return value
 
 
-def _each_trial(check, trials, tols: Tolerances) -> list[TrialRecord]:
-    """A chunk check made of a per-trial one: ``check``'s record of each
-    trial, or a failed record for a trial that raises."""
-    records = []
-    for trial in trials:
-        try:
-            records.append(check(trial, tols))
-        except _TRIAL_ERRORS as exc:
-            records.append(_failed(trial, exc))
-    return records
-
-
 #: suite -> (dimension rule, draw, check), in canonical order: a suite's
 #: position indexes its seed derivation.  The draw takes every random number
-#: of a trial and returns its drawn values; a :class:`Draw` among them reaches
-#: the check as the matrix it builds.  The check takes a chunk's trials and
-#: returns their records, in order.  The oblique search's trials reduce to
-#: one record: see :func:`counterexample_search`.
+#: of a trial and returns its dimensions and its drawn values; a :class:`Draw`
+#: among them reaches the check as what it builds.  The check takes one built
+#: trial and returns its record.  The oblique search's trials reduce to one
+#: record: see :func:`counterexample_search`.
 _SUITE_TABLE = {
     "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
-                            partial(_interlace_draw, inflate=False),
-                            partial(_each_trial, _interlace_check)),
+                            partial(_interlace_draw, inflate=False), _interlace_check),
     "interlace-rank-deficient": (partial(_deficient_dims, suite="interlace-rank-deficient"),
-                                 partial(_interlace_draw, inflate=True),
-                                 partial(_each_trial, _interlace_check)),
+                                 partial(_interlace_draw, inflate=True), _interlace_check),
     "interlace-inflated": (partial(_deficient_dims, suite="interlace-inflated"),
-                           partial(_interlace_draw, inflate=True),
-                           partial(_each_trial, _interlace_check)),
+                           partial(_interlace_draw, inflate=True), _interlace_check),
     "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_draw,
-                    partial(_each_trial, _subsumption_check)),
-    "oblique-counterexample": (_oblique_dims, _oblique_draw, partial(_each_trial, _oblique_check)),
-    "mp-axioms": (_mp_dims, _mp_draw, partial(_each_trial, _mp_check)),
+                    _subsumption_check),
+    "oblique-counterexample": (_oblique_dims, _oblique_draw, _oblique_check),
+    "mp-axioms": (_mp_dims, _mp_draw, _mp_check),
     "solver-oracle": (_oracle_dims, _oracle_draw, _oracle_check),
 }
 
@@ -573,18 +552,14 @@ def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
     return derive_seed(derive_seed(master_seed, SUITES.index(suite)), trial_index)
 
 
-def _failed(trial: _DrawnTrial, exc: Exception) -> TrialRecord:
-    return trial.record(passed=False, notes=f"{type(exc).__name__}: {exc}")
-
-
 class _DrawnTrial(NamedTuple):
     suite: str
     trial_index: int
     seed: int
     dims: tuple[int, int, int]
-    drawn: tuple                         # the draw's values, empty if it raised;
-                                         # a check gets them built
-    failed: TrialRecord | None = None    # the record of a draw that raised
+    drawn: tuple                         # the draw's values, a check gets them
+                                         # built; empty if the trial raised
+    error: Exception | None = None       # what its draw or its build raised
 
     def record(self, **verdict) -> TrialRecord:
         """The trial's record: its identity and dimensions, and ``verdict``."""
@@ -604,51 +579,59 @@ class _DrawnTrial(NamedTuple):
 
 def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> _DrawnTrial:
     """One trial's dimensions and draws, from its own stream, by the suite's
-    draw or by ``draw`` in its place."""
+    draw or by ``draw`` in its place.  The dimensions are the draw's, or the
+    dimension rule's where the draw raised."""
     draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
     seed = trial_seed(spec.seed, suite, trial_index)
     rng = SplitMix64(seed)
-    trial = _DrawnTrial(suite, trial_index, seed, draw_dims(rng, spec, trial_index), ())
+    dims = draw_dims(rng, spec, trial_index)
     try:
-        return trial._replace(drawn=(draw or suite_draw)(rng, spec, trial_index, trial.dims))
+        dims, drawn = (draw or suite_draw)(rng, spec, trial_index, dims)
     except _TRIAL_ERRORS as exc:
-        return trial._replace(failed=_failed(trial, exc))
+        return _DrawnTrial(suite, trial_index, seed, dims, (), exc)
+    return _DrawnTrial(suite, trial_index, seed, dims, drawn)
 
 
 def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
-    """The chunk's trials with each :class:`Draw` built into its matrix, and
-    a failed record for a trial whose matrices raise.  The Haar factors of
-    every Gaussian in the chunk come from one stacked QR per matrix shape.
+    """The chunk's trials with each :class:`Draw` built, and the error in
+    place of the values of a trial whose build raises.  Each Gaussian of the
+    chunk goes through its draw's stage, :func:`haar_columns` unless the draw
+    names another, on one stack per stage and matrix shape.
 
     Empties ``chunk``, so its draws' Gaussians are let go once the chunk is
-    built.  A trial takes all its factors before any of its builds can
-    raise, so a trial that fails leaves its neighbours' factors to them.
+    built.  A trial takes all its values before any of its builds can
+    raise, so a trial that fails leaves its neighbours' values to them.
     """
-    factors = iter(_per_shape(haar_columns,
-                              [g for trial in chunk for d in trial.draws for g in d.gaussians]))
+    values = iter(_per_shape([(d.stage or haar_columns, g)
+                              for trial in chunk for d in trial.draws for g in d.gaussians]))
     built = []
     for trial in chunk:
-        if trial.failed is None:
-            mine = [[next(factors) for _ in v.gaussians] if isinstance(v, Draw) else None
-                    for v in trial.drawn]
-            try:
-                trial = trial._replace(drawn=tuple(v.build(*map(_unheld, q)) if q is not None else v
-                                                   for v, q in zip(trial.drawn, mine)))
-            except _TRIAL_ERRORS as exc:
-                trial = trial._replace(drawn=(), failed=_failed(trial, exc))
+        mine = [[next(values) for _ in v.gaussians] if isinstance(v, Draw) else None
+                for v in trial.drawn]
+        try:
+            trial = trial._replace(drawn=tuple(v.build(*map(_unheld, q)) if q is not None else v
+                                               for v, q in zip(trial.drawn, mine)))
+        except _TRIAL_ERRORS as exc:
+            trial = trial._replace(drawn=(), error=exc)
         built.append(trial)
     chunk.clear()
     return built
 
 
 def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -> list[TrialRecord]:
-    """Records of drawn trials, in order, emptying ``chunk``.  The suite's
-    check takes the built trials at once; a trial that raises while its
-    matrices are built or checked fails alone."""
+    """Records of drawn trials, in order, emptying ``chunk``: the suite's
+    check of each built trial, or a failed record for a trial whose draw,
+    build or check raised.  A trial that fails, fails alone."""
     check = _SUITE_TABLE[suite][2]
-    trials = _built(chunk)
-    checked = iter(check([trial for trial in trials if trial.failed is None], tolerances))
-    return [trial.failed if trial.failed is not None else next(checked) for trial in trials]
+    records = []
+    for trial in _built(chunk):
+        try:
+            if trial.error is not None:
+                raise trial.error
+            records.append(check(trial, tolerances))
+        except _TRIAL_ERRORS as exc:
+            records.append(trial.record(passed=False, notes=f"{type(exc).__name__}: {exc}"))
+    return records
 
 
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):

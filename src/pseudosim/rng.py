@@ -137,9 +137,7 @@ class SplitMix64:
     def uint64s(self, count: int) -> np.ndarray:
         """Next `count` outputs as a uint64 array (a view of the look-ahead
         block; writing to it changes no later draw)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self._take(count)
+        return self._take(require_number(count, "count", 0, integer=True))
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform on [0, 1)."""
@@ -163,13 +161,15 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on the inclusive range [lo, hi] (modulo method)."""
-        if hi < lo:
+        require_number(lo, "lo", integer=True)
+        if require_number(hi, "hi", integer=True) < lo:
             raise ValueError(f"empty integer range [{lo}, {hi}]")
         return lo + self.next_uint64() % (hi - lo + 1)
 
     def choose_distinct(self, count: int, n: int) -> list[int]:
         """`count` distinct indices from range(n), partial Fisher-Yates order."""
-        if not 0 <= count <= n:
+        require_number(count, "count", 0, integer=True)
+        if require_number(n, "n", integer=True) < count:
             raise ValueError(f"cannot choose {count} distinct indices from {n}")
         pool = list(range(n))
         for i in range(count):

@@ -38,6 +38,11 @@ def test_unitary_orthonormal_columns():
         assert np.abs(q.conj().T @ q - np.eye(l)).max() < 1e-10
     with pytest.raises(DimensionError):
         random_unitary(rng, 2, 3)
+    # a float or a bool dimension is refused, not read as the int it equals
+    with pytest.raises(ContractViolation, match="n must be an int"):
+        random_unitary(SplitMix64(1), 3.0, 2)
+    with pytest.raises(ContractViolation, match="l must be an int"):
+        random_unitary(SplitMix64(1), 3, True)
 
 
 def test_unitary_bit_identical_draws():
@@ -87,6 +92,8 @@ def test_full_column_rank_basic():
         s = svd(m).sigma
         assert s[0] / s[-1] <= 1e3 * (1 + 1e-12)
         assert max(penrose_residuals(m, pseudo_inverse(m))) < 1e-8
+    with pytest.raises(ContractViolation, match="l must be an int"):
+        random_full_column_rank(SplitMix64(1), 3, 2.0)
 
 
 def test_full_column_rank_cap_one():
@@ -111,6 +118,8 @@ def test_rank_l_shapes():
         assert numerical_rank(m) == l <= n
     with pytest.raises(DimensionError):
         random_rank_l(rng, 2, 3, 3)
+    with pytest.raises(ContractViolation, match="k must be an int"):
+        random_rank_l(SplitMix64(1), 3, 4.0, 2)
 
 
 def test_invertible_nonunitary():
@@ -143,6 +152,8 @@ def test_invertible_nonunitary_contracts():
         random_invertible_nonunitary(rng, 3, condition_cap=1.5, nonunitarity_floor=2.0)
     with pytest.raises(DimensionError):
         random_invertible_nonunitary(rng, 1)
+    with pytest.raises(ContractViolation, match="n must be an int"):
+        random_invertible_nonunitary(rng, 3.0)
 
 
 @pytest.mark.parametrize("generate", [
@@ -158,7 +169,7 @@ def test_generators_reject_unusable_cap(generate, cap):
         generate(cap)
 
 
-@pytest.mark.parametrize("floor", [np.nan, np.inf, 1.0, 200.0])
+@pytest.mark.parametrize("floor", [np.nan, np.inf, 1.0, 200.0, "5"])
 def test_invertible_nonunitary_rejects_unusable_floor(floor):
     with pytest.raises(ContractViolation, match="nonunitarity_floor"):
         random_invertible_nonunitary(SplitMix64(1), 3, condition_cap=100.0, nonunitarity_floor=floor)
@@ -206,6 +217,10 @@ def test_ensemble_spec_validation():
     assert EnsembleSpec(seed=1, condition_cap=1.0).nonunitarity_floor == 2.0
     spec = EnsembleSpec(seed=2**65 + 5)
     assert spec.seed == 5  # wrapped to 64 bits
+    # a numpy spectrum is kept as a tuple, as the CLI passes it
+    values = EnsembleSpec(seed=1, spectrum_law="prescribed",
+                          spectrum_values=np.array([1.0, 2.0])).spectrum_values
+    assert type(values) is tuple and values == (1.0, 2.0)
 
 
 @pytest.mark.parametrize("law", ["uniform", "signed-uniform"])
@@ -262,7 +277,7 @@ def test_haar_factors_keep_draw_order_across_shapes():
     draws = [draw_unitary(rng, 5, 2), draw_full_column_rank(rng, 5, 2), draw_unitary(rng, 3, 3),
              draw_rank_l(rng, 4, 7, 2), draw_hermitian(rng, [1.0, -2.0, 0.5])]
     gaussians = [g for d in draws for g in d.gaussians]
-    factors = _per_shape(haar_columns, gaussians)
+    factors = _per_shape([(haar_columns, g) for g in gaussians])
     assert len(factors) == len(gaussians) == 8
     for g, q in zip(gaussians, factors):
         assert np.array_equal(q, _haar_reference(g))
@@ -274,7 +289,7 @@ def test_generators_are_their_draws_assembled():
         return [draw_hermitian(rng, [0.5, -1.0, 2.0, 1.5]), draw_full_column_rank(rng, 6, 3, 1e2),
                 draw_rank_l(rng, 5, 8, 2), draw_unitary(rng, 4, 4)]
     batch = draws(SplitMix64(64))
-    factors = iter(_per_shape(haar_columns, [g for d in batch for g in d.gaussians]))
+    factors = iter(_per_shape([(haar_columns, g) for d in batch for g in d.gaussians]))
     built = [d.build(*(next(factors) for _ in d.gaussians)) for d in batch]
     rng = SplitMix64(64)
     direct = [hermitian_with_spectrum(rng, [0.5, -1.0, 2.0, 1.5]), random_full_column_rank(rng, 6, 3, 1e2),
@@ -294,7 +309,7 @@ def test_single_draw_group_is_a_view_of_its_words():
 
     rng = SplitMix64(3)
     alone, first, second = draw_unitary(rng, 5, 2), draw_unitary(rng, 4, 3), draw_unitary(rng, 4, 3)
-    _per_shape(recorded, [d.gaussians[0] for d in (alone, first, second)])
+    _per_shape([(recorded, d.gaussians[0]) for d in (alone, first, second)])
     assert len(seen) == 2
     assert np.shares_memory(seen[0], alone.gaussians[0])
     assert not any(np.shares_memory(seen[1], d.gaussians[0]) for d in (first, second))

@@ -342,13 +342,13 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
     alive = []
     dims, draw, check = experiments._SUITE_TABLE[suite]
 
-    def counted(trials, tolerances):
+    def counted(trial, tolerances):
         alive.append(sum(ref() is not None for ref in gaussians))
-        return check(trials, tolerances)
+        return check(trial, tolerances)
 
     monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted))
     outcomes = experiments._check_chunk(suite, chunk, Tolerances())
-    assert len(gaussians) == 16 and alive == [0] and chunk == []
+    assert len(gaussians) == 16 and alive == [0] * 4 and chunk == []
     assert all(outcome.passed for outcome in outcomes)
 
 
@@ -372,7 +372,7 @@ def _oracle_records():
 
 
 def _oracle_g(trial_index):
-    return experiments._draw_trial(EnsembleSpec(seed=42), ORACLE, trial_index).drawn[0]
+    return experiments._draw_trial(EnsembleSpec(seed=42), ORACLE, trial_index).drawn[0].gaussians[0]
 
 
 def _only_trial_failed(forced, default, trial_indices, notes):
@@ -437,6 +437,24 @@ def test_failed_oracle_records_carry_the_drawn_k(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", no_5x5)
     _only_trial_failed(_oracle_records(), default,
                        {r.trial_index for r in default if r.k == 5}, "LinAlgError: forced")
+
+
+def test_failed_oblique_record_carries_the_drawn_selection(monkeypatch):
+    # a trial whose check raises keeps the size of the selection it drew as
+    # k = l, as a checked record does
+    spec = EnsembleSpec(seed=OBLIQUE_DEFAULT_SEED, n=OBLIQUE_DEFAULT_N,
+                        condition_cap=OBLIQUE_DEFAULT_CAP)
+    suite = "oblique-counterexample"
+    default = list(experiments._run_trials(spec, suite, range(20), Tolerances()))
+    assert {(r.n, r.k, r.l) for r in default} == {(3, 1, 1), (3, 2, 2)}
+
+    def no_transform(p, x, selection):
+        raise NumericalError("forced")
+
+    monkeypatch.setattr(experiments, "oblique_transform", no_transform)
+    forced = list(experiments._run_trials(spec, suite, range(20), Tolerances()))
+    assert all(not r.passed and r.notes == "NumericalError: forced" for r in forced)
+    assert [(r.n, r.k, r.l) for r in forced] == [(r.n, r.k, r.l) for r in default]
 
 
 @pytest.mark.parametrize("seed, md5", [(3, "7a887ffabdcc7f4d384d53299e54a976"),

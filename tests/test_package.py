@@ -1,12 +1,14 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
 import pseudosim
 from pseudosim import cli
+from pseudosim.experiments import _SUITE_TABLE
 
 
 def test_every_export_resolves_once():
@@ -127,3 +129,29 @@ def test_no_module_keeps_an_unused_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}: {name}" for name in sorted(bound - read)]
     assert unused == []
+
+
+def _call_sites(test) -> set[tuple[str, str | None]]:
+    """(module, top-level name) of every call in the package that ``test``
+    picks out."""
+    return {(path.stem, getattr(top, "name", None)) for path in sorted(SOURCE.glob("*.py"))
+            for top in _tree(path.stem).body
+            for node in ast.walk(top) if isinstance(node, ast.Call) and test(node)}
+
+
+def _calls_method(call, name: str) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == name
+
+
+def test_each_trial_is_checked_alone():
+    # one pass stacks a chunk's Gaussians, for the Haar factors and for
+    # solver-oracle's measurements alike
+    assert _call_sites(lambda call: _is_name(call.func, "_per_shape")
+                       or _calls_method(call, "_per_shape")) == {("experiments", "_built")}
+    # a record's dimensions are its draw's: nothing patches them afterwards
+    assert _call_sites(lambda call: _calls_method(call, "_replace")
+                       and any(keyword.arg == "dims" for keyword in call.keywords)) == set()
+    # every suite's check takes one built trial and the tolerances
+    assert {suite: list(inspect.signature(check).parameters)
+            for suite, (_, _, check) in _SUITE_TABLE.items()} == {
+        suite: ["trial", "tols"] for suite in _SUITE_TABLE}

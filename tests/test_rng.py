@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudosim.errors import ContractViolation
 from pseudosim.rng import GOLDEN, SplitMix64, derive_seed, mix64
 
 
@@ -25,6 +26,9 @@ def test_vectorized_matches_scalar():
     b = [g.next_uint64() for _ in range(257)]
     assert list(a) == b
     assert SplitMix64(987654321).state == 987654321
+    for count in (2.5, True, -1):
+        with pytest.raises(ContractViolation, match="count must be an int >= 0"):
+            g.uint64s(count)
 
 
 def test_state_advances_identically():
@@ -104,6 +108,10 @@ def test_randint_bounds():
     assert draws == {3, 4, 5, 6, 7}
     with pytest.raises(ValueError):
         g.randint(5, 4)
+    # a float bound would give a float "integer", and True would read as 1
+    for lo, hi in ((1.5, 3), (True, 3), (1, 3.0)):
+        with pytest.raises(ContractViolation, match="must be an int"):
+            g.randint(lo, hi)
 
 
 def test_choose_distinct():
@@ -115,6 +123,9 @@ def test_choose_distinct():
     assert sorted(g.choose_distinct(5, 5)) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
         g.choose_distinct(6, 5)
+    for count, n in ((2.0, 3), (2, 3.0), (-1, 3)):
+        with pytest.raises(ContractViolation, match="must be an int"):
+            g.choose_distinct(count, n)
 
 
 def test_derive_seed_splits_streams():
