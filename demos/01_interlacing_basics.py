@@ -17,23 +17,23 @@ from pseudosim import (
     SplitMix64,
     check_interlacing,
     classify_real,
+    draw_full_column_rank,
+    draw_hermitian,
     eigvals_general,
     eigvals_hermitian,
     extract_nonzero,
-    hermitian_with_spectrum,
     pseudo_similarity,
-    random_full_column_rank,
 )
 
 rng = SplitMix64(2024)
 
 # a 6 x 6 Hermitian matrix with a spectrum we pick up front
 lam = np.array([-2.0, -0.7, 0.3, 1.1, 1.8, 3.0])
-p = hermitian_with_spectrum(rng, lam)
+p = draw_hermitian(rng, lam).built()
 print("input spectrum:", lam)
 
 # a deliberately ill-conditioned 6 x 3 map (condition number up to 1e3)
-h = random_full_column_rank(rng, 6, 3, condition_cap=1e3)
+h = draw_full_column_rank(rng, 6, 3, condition_cap=1e3).built()
 result = pseudo_similarity(p, h)
 print("compressed matrix is Hermitian:", result.hermitian)
 

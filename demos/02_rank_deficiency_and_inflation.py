@@ -14,23 +14,23 @@ from pseudosim import (
     build_rank_deficient,
     check_interlacing,
     classify_real,
+    draw_full_column_rank,
+    draw_hermitian,
+    draw_unitary,
     eigvals_general,
     extract_nonzero,
-    hermitian_with_spectrum,
     inflate_transform,
     pseudo_similarity,
-    random_full_column_rank,
-    random_unitary,
 )
 
 rng = SplitMix64(7)
 
 n, k, l = 4, 9, 2  # 4 x 4 input, 9 x 9 output, rank 2
 lam = np.array([-1.5, -0.2, 0.8, 2.4])
-p = hermitian_with_spectrum(rng, lam)
+p = draw_hermitian(rng, lam).built()
 
-core = random_full_column_rank(rng, n, l, condition_cap=50.0)
-v = random_unitary(rng, k, l)
+core = draw_full_column_rank(rng, n, l, condition_cap=50.0).built()
+v = draw_unitary(rng, k, l).built()
 h = build_rank_deficient(core, v)
 print(f"map shape {h.shape}, rank {l}: inflating a {n}-dim problem into {k} dims")
 

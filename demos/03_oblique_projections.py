@@ -19,8 +19,8 @@ from pseudosim import (
     check_interlacing,
     classify_real,
     counterexample_search,
+    draw_hermitian,
     eigvals_hermitian,
-    hermitian_with_spectrum,
     oblique_transform,
 )
 
@@ -42,7 +42,7 @@ print("identity control arm:", counterexample_search(config, control="identity")
 # a fully explicit 3 x 3 violation, no search required
 rng = SplitMix64(99)
 lam = np.array([0.0, 1.0, 4.0])
-p = hermitian_with_spectrum(rng, lam)
+p = draw_hermitian(rng, lam).built()
 x = np.array([[1.0, 0.0, 0.0],
               [0.0, 1.0, 0.0],
               [8.0, 0.0, 1.0]])  # a strong shear

@@ -14,8 +14,8 @@ from pseudosim import (
     SplitMix64,
     SUITES,
     derive_seed,
+    draw_hermitian,
     draw_spectrum,
-    hermitian_with_spectrum,
     render,
     run_suite,
     run_trial,
@@ -29,8 +29,8 @@ print("child stream 0:", [hex(child_a.next_uint64()) for _ in range(3)])
 print("child stream 1:", [hex(child_b.next_uint64()) for _ in range(3)])
 
 # the same seed always draws the same matrix, bit for bit
-m1 = hermitian_with_spectrum(SplitMix64(master), np.arange(1.0, 6.0))
-m2 = hermitian_with_spectrum(SplitMix64(master), np.arange(1.0, 6.0))
+m1 = draw_hermitian(SplitMix64(master), np.arange(1.0, 6.0)).built()
+m2 = draw_hermitian(SplitMix64(master), np.arange(1.0, 6.0)).built()
 print("bit-identical redraws:", np.array_equal(m1, m2))
 
 # run a small experiment and pick out one row

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError
+from .errors import ContractViolation, NumericalError
 from .linalg import _as_square_stack, _hermitian_each, spectral_scale
 
 
@@ -78,7 +78,7 @@ def match_distance(a, b) -> float | np.ndarray:
     """
     a, b = sort_eigenvalues(a), sort_eigenvalues(b)
     if a.shape != b.shape:
-        raise DimensionError(f"multiset sizes differ: {a.shape} vs {b.shape}")
+        raise ContractViolation(f"multiset sizes differ: {a.shape} vs {b.shape}")
     used = np.zeros(b.shape, dtype=bool)
     worst = np.zeros(a.shape[:-1])
     for i in range(a.shape[-1]):

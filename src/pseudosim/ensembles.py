@@ -11,11 +11,10 @@ A generator that needs Haar-like unitaries runs in three steps.  Its
 order, and returns a :class:`Draw` that holds the complex Gaussian matrices
 it drew; :func:`haar_columns` turns a stack of Gaussians into orthonormal
 columns, each matrix's bit for bit as on its own; the draw's ``build`` makes
-the member from them.  ``random_*`` and :func:`hermitian_with_spectrum` run
-the three steps for one draw, a Gaussian at a time; the runner stacks the
-Gaussians of many draws (see :mod:`pseudosim.experiments`), and stacks them
-the same way for a draw whose ``stage`` names another function than
-:func:`haar_columns`.
+the member from them.  :meth:`Draw.built` runs the last two steps for one
+draw, a Gaussian at a time; the runner stacks the Gaussians of many draws
+(see :mod:`pseudosim.experiments`), and stacks them the same way for a draw
+whose ``stage`` names another function than :func:`haar_columns`.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, require_number
+from .errors import ContractViolation, require_number
 from .rng import SplitMix64
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
@@ -129,6 +128,10 @@ class Draw:
     build: Callable[..., np.ndarray]
     stage: Callable[[np.ndarray], object] | None = None   # None: haar_columns, looked up when built
 
+    def built(self) -> np.ndarray:
+        """The member, its Gaussians staged one at a time."""
+        return self.build(*map(self.stage or haar_columns, self.gaussians))
+
 
 def _require_dims(**dims: int) -> None:
     for name, value in dims.items():
@@ -155,26 +158,17 @@ def haar_columns(a: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-def _built(draw: Draw) -> np.ndarray:
-    return draw.build(*map(draw.stage or haar_columns, draw.gaussians))
-
-
 def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:
-    """The draw of :func:`random_unitary`."""
+    """n x l with orthonormal columns, Haar-like: the rephased QR factor of
+    an i.i.d. complex standard normal matrix."""
     _require_dims(n=n, l=l)
     if not 1 <= l <= n:
-        raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
+        raise ContractViolation(f"need 1 <= l <= n, got n={n} l={l}")
     return Draw(_gaussians(rng, (n, l)), lambda u: u)
 
 
-def random_unitary(rng: SplitMix64, n: int, l: int) -> np.ndarray:
-    """n x l with orthonormal columns, Haar-like: the rephased QR factor of
-    an i.i.d. complex standard normal matrix."""
-    return _built(draw_unitary(rng, n, l))
-
-
 def draw_hermitian(rng: SplitMix64, lam) -> Draw:
-    """The draw of :func:`hermitian_with_spectrum`."""
+    """U diag(lam) U^H for a Haar-like U; exactly Hermitian by symmetrization."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam)):
         raise ContractViolation("spectrum must be a nonempty finite real vector")
@@ -186,21 +180,22 @@ def draw_hermitian(rng: SplitMix64, lam) -> Draw:
     return Draw(_gaussians(rng, (lam.size, lam.size)), build)
 
 
-def hermitian_with_spectrum(rng: SplitMix64, lam) -> np.ndarray:
-    """U diag(lam) U^H for a Haar-like U; exactly Hermitian by symmetrization."""
-    return _built(draw_hermitian(rng, lam))
-
-
 def _log_uniform(rng: SplitMix64, count: int, lo: float, hi: float) -> np.ndarray:
     return np.exp(np.log(lo) + (np.log(hi) - np.log(lo)) * rng.uniforms(count))
 
 
 def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
                           condition_cap: float = DEFAULT_CONDITION_CAP) -> Draw:
-    """The draw of :func:`random_full_column_rank`."""
+    """n x l of full column rank with sigma_max/sigma_min <= condition_cap.
+
+    U diag(s) V^H with fixed sigma_max = 1 and the remaining singular values
+    log-uniform in [1/condition_cap, 1].  Full column rank holds only while
+    condition_cap is well below 1/(n * eps): past that the smallest singular
+    values fall under the rank-detection threshold.
+    """
     _require_dims(n=n, l=l)
     if not 1 <= l <= n:
-        raise DimensionError(f"need 1 <= l <= n, got n={n} l={l}")
+        raise ContractViolation(f"need 1 <= l <= n, got n={n} l={l}")
     require_number(condition_cap, "condition_cap", 1.0)
     gaussians = _gaussians(rng, (n, l), (l, l))
     s = np.empty(l)
@@ -210,47 +205,33 @@ def draw_full_column_rank(rng: SplitMix64, n: int, l: int,
     return Draw(gaussians, lambda u, v: (u * s) @ v.conj().T)
 
 
-def random_full_column_rank(rng: SplitMix64, n: int, l: int,
-                            condition_cap: float = DEFAULT_CONDITION_CAP) -> np.ndarray:
-    """n x l of full column rank with sigma_max/sigma_min <= condition_cap.
-
-    U diag(s) V^H with fixed sigma_max = 1 and the remaining singular values
-    log-uniform in [1/condition_cap, 1].  Full column rank holds only while
-    condition_cap is well below 1/(n * eps): past that the smallest singular
-    values fall under the rank-detection threshold.
-    """
-    return _built(draw_full_column_rank(rng, n, l, condition_cap))
-
-
 def draw_rank_l(rng: SplitMix64, n: int, k: int, l: int,
                 condition_cap: float = DEFAULT_CONDITION_CAP) -> Draw:
-    """The draw of :func:`random_rank_l`."""
-    _require_dims(n=n, k=k, l=l)
-    if not 1 <= l <= min(n, k):
-        raise DimensionError(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
-    core = draw_full_column_rank(rng, n, l, condition_cap)
-    return Draw(core.gaussians + _gaussians(rng, (k, l)),
-                lambda u, w, v: core.build(u, w) @ v.conj().T)
-
-
-def random_rank_l(rng: SplitMix64, n: int, k: int, l: int,
-                  condition_cap: float = DEFAULT_CONDITION_CAP) -> np.ndarray:
     """n x k of numerical rank exactly l, where k may exceed n (inflation):
-    :func:`random_full_column_rank`'s n x l times the adjoint of k x l
+    :func:`draw_full_column_rank`'s n x l times the adjoint of k x l
     orthonormal columns.  Rank l holds only while condition_cap is well
     below 1/(max(n, k) * eps); past that it comes out below l, unchecked.
     """
-    return _built(draw_rank_l(rng, n, k, l, condition_cap))
+    _require_dims(n=n, k=k, l=l)
+    if not 1 <= l <= min(n, k):
+        raise ContractViolation(f"need 1 <= l <= min(n, k), got n={n} k={k} l={l}")
+    core = draw_full_column_rank(rng, n, l, condition_cap)
+    return Draw(core.gaussians + _gaussians(rng, (k, l)),
+                lambda u, w, v: core.build(u, w) @ v.conj().T)
 
 
 def draw_invertible_nonunitary(rng: SplitMix64, n: int,
                                condition_cap: float = DEFAULT_CONDITION_CAP,
                                nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR,
                                ) -> Draw:
-    """The draw of :func:`random_invertible_nonunitary`."""
+    """Invertible n x n with sigma_max/sigma_min in [floor, cap], floor > 1.
+
+    The floor keeps every draw measurably non-unitary, so this ensemble
+    never degenerates into the control arm of the oblique experiments.
+    """
     _require_dims(n=n)
     if n < 2:
-        raise DimensionError("need n >= 2 to separate sigma_max from sigma_min")
+        raise ContractViolation("need n >= 2 to separate sigma_max from sigma_min")
     require_number(condition_cap, "condition_cap", 1.0)
     require_number(nonunitarity_floor, "nonunitarity_floor")
     if not 1.0 < nonunitarity_floor <= condition_cap:
@@ -264,15 +245,3 @@ def draw_invertible_nonunitary(rng: SplitMix64, n: int,
     if n > 2:
         s[1:n - 1] = _log_uniform(rng, n - 2, 1.0 / ratio, 1.0)
     return Draw(_gaussians(rng, (n, n), (n, n)), lambda u, v: (u * s) @ v.conj().T)
-
-
-def random_invertible_nonunitary(rng: SplitMix64, n: int,
-                                 condition_cap: float = DEFAULT_CONDITION_CAP,
-                                 nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR,
-                                 ) -> np.ndarray:
-    """Invertible n x n with sigma_max/sigma_min in [floor, cap], floor > 1.
-
-    The floor keeps every draw measurably non-unitary, so this ensemble
-    never degenerates into the control arm of the oblique experiments.
-    """
-    return _built(draw_invertible_nonunitary(rng, n, condition_cap, nonunitarity_floor))

@@ -10,10 +10,6 @@ class ContractViolation(ValueError):
     """An argument breaks a documented precondition."""
 
 
-class DimensionError(ContractViolation):
-    """Matrix shapes are incompatible with the requested operation."""
-
-
 class RealnessViolation(ContractViolation):
     """A spectrum that must be real carries significant imaginary parts."""
 

@@ -65,8 +65,8 @@ from .ensembles import (
 from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag
 from .errors import ContractViolation, NumericalError, RealnessViolation, require_number
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import _adjoint, adjoint, penrose_residuals, spectral_scale, svd
-from .oracles import characteristic_polynomial, charpoly_eigenvalues, polynomial_roots
+from .linalg import _adjoint, penrose_residuals, spectral_scale, svd
+from .oracles import characteristic_polynomial, polynomial_roots
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
@@ -283,7 +283,7 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 
     classical = unitary_compression(p, q)
     general = pseudo_similarity(p, q, tols.rank)
-    pinv_dev = float(np.abs(general.factors.pseudo_inverse() - adjoint(q)).max())
+    pinv_dev = float(np.abs(general.factors.pseudo_inverse() - _adjoint(q)).max())
     route_dev = float(np.abs(classical - general.transformed).max())
 
     notes = []
@@ -348,7 +348,7 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
         magnitude = 0.0 if report.passed else float(np.maximum(-lo, -hi)) / scale
         note = "" if report.passed else f"interlacing violated (worst margin {min(lo, hi):.3e})"
     if magnitude > 0.0 and t.shape[0] <= 6:
-        oracle_dev = match_distance(spectrum, charpoly_eigenvalues(t))
+        oracle_dev = match_distance(spectrum, polynomial_roots(characteristic_polynomial(t)))
         if not oracle_dev <= tols.oracle * scale:
             magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
     return trial.record(passed=True, min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
@@ -392,7 +392,7 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     rows, cols, rank_target = trial.dims
     m, = trial.drawn
     if m.shape != (rows, cols):
-        m = adjoint(m)
+        m = _adjoint(m)
 
     factors = svd(m, tols.rank)
     residuals = penrose_residuals(m, factors.pseudo_inverse())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import relative_imag
-from .errors import ClassificationError, ContractViolation, DimensionError, RealnessViolation, require_number
+from .errors import ClassificationError, ContractViolation, RealnessViolation, require_number
 from .linalg import spectral_scale
 
 #: default relative tolerance for classifying a spectrum as real
@@ -68,7 +68,7 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     eta = _require_sorted(eta, "eta")
     n, l = lam.size, eta.size
     if l > n:
-        raise DimensionError(f"compressed spectrum longer than reference: {l} > {n}")
+        raise ContractViolation(f"compressed spectrum longer than reference: {l} > {n}")
     tol = INTERLACE_REL_TOL * spectral_scale(lam) if tol is None else require_number(tol, "tol", 0.0)
 
     lower, upper = eta - lam[:l], lam[n - l:] - eta
@@ -115,7 +115,7 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     values = np.asarray(spectrum, dtype=np.float64).ravel()
     k = values.size
     if not 0 <= require_number(expected_l, "expected_l", integer=True) <= k:
-        raise DimensionError(f"expected rank {expected_l} outside [0, {k}]")
+        raise ContractViolation(f"expected rank {expected_l} outside [0, {k}]")
     n_zero = k - expected_l
     order = np.argsort(np.abs(values), kind="stable")
     zeros = values[order[:n_zero]]

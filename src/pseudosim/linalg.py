@@ -1,6 +1,6 @@
-"""Dense complex matrix core: adjoints, hermiticity, and the thin SVD that
-gives both the numerical rank and the Moore-Penrose pseudo-inverse, in numpy
-alone.  The SVD is the one factorization here.
+"""Dense complex matrix core: the thin SVD that gives both the numerical
+rank and the Moore-Penrose pseudo-inverse, and the residuals of the four
+Penrose conditions, in numpy alone.  The SVD is the one factorization here.
 
 :func:`spectral_scale` alone computes ``max(1, largest magnitude)``, the scale
 of relative tolerances and residuals; whether a tolerance itself is a usable
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError, require_number
+from .errors import ContractViolation, NumericalError, require_number
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -31,12 +31,12 @@ ORTH_TOL = 1e-10
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a dense 2-d complex128 array.
 
-    Raises :class:`DimensionError` for non-2-d input and
-    :class:`ContractViolation` for non-finite entries.
+    Raises :class:`ContractViolation` for non-2-d input or non-finite
+    entries.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
-        raise DimensionError(f"{name} must be two-dimensional, got shape {m.shape}")
+        raise ContractViolation(f"{name} must be two-dimensional, got shape {m.shape}")
     _check_finite(m, name)
     return m
 
@@ -52,7 +52,7 @@ def _as_square_stack(a) -> np.ndarray:
     matrices along the leading axes."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"need a square matrix or a stack of them, got shape {m.shape}")
+        raise ContractViolation(f"need a square matrix or a stack of them, got shape {m.shape}")
     _check_finite(m)
     return m
 
@@ -71,34 +71,20 @@ def default_rank_tol(shape) -> float:
     return max(shape) * EPS
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose.  An exact involution: adjoint(adjoint(m)) == m."""
-    return _adjoint(as_matrix(m))
-
-
 def _adjoint(m: np.ndarray) -> np.ndarray:
-    """:func:`adjoint` of an array :func:`as_matrix` has already validated,
-    or of each matrix of a stack of them."""
+    """Conjugate transpose of an array :func:`as_matrix` has already
+    validated, or of each matrix of a stack of them."""
     return m.conj().swapaxes(-1, -2).copy()
 
 
-def is_hermitian(m, tol: float | None = None) -> bool:
-    """True iff max |m - m^H| <= tol.  `tol=None` uses the scale-relative
-    default; any other must be finite and >= 0."""
-    if tol is not None:
-        require_number(tol, "tol", 0.0)
-    return bool(_hermitian_each(as_matrix(m), tol))
-
-
-def _hermitian_each(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Whether each matrix of a validated stack is Hermitian within ``tol``;
-    None takes each matrix's own scale-relative default, HERMITICITY_REL_TOL
-    times its largest entry, with no floor at 1 (a floor would loosen the
-    check for matrices below unit scale), so not :func:`spectral_scale`."""
+def _hermitian_each(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a validated stack is Hermitian within its own
+    scale-relative tolerance, HERMITICITY_REL_TOL times its largest entry,
+    with no floor at 1 (a floor would loosen the check for matrices below
+    unit scale), so not :func:`spectral_scale`."""
     if m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"hermiticity is defined for square matrices, got {m.shape}")
-    if tol is None:
-        tol = HERMITICITY_REL_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
+        raise ContractViolation(f"hermiticity is defined for square matrices, got {m.shape}")
+    tol = HERMITICITY_REL_TOL * np.abs(m).max(axis=(-2, -1), initial=0.0)
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= tol
 
 
@@ -150,11 +136,6 @@ def svd(m, rank_tol: float | None = None) -> SvdFactors:
     return SvdFactors(u=u[:, :rank], sigma=s[:rank], v=vh[:rank, :].conj().T, rank=rank)
 
 
-def numerical_rank(m, rank_tol: float | None = None) -> int:
-    """Count of singular values above the scale-relative threshold."""
-    return svd(m, rank_tol).rank
-
-
 def pseudo_inverse(m, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the SVD over the detected rank.
 
@@ -175,7 +156,7 @@ def penrose_residuals(m, pinv) -> tuple[float, float, float, float]:
     m = as_matrix(m, "matrix")
     p = as_matrix(pinv, "pseudo-inverse")
     if p.shape != (m.shape[1], m.shape[0]):
-        raise DimensionError(f"pseudo-inverse shape {p.shape} does not match {m.shape}")
+        raise ContractViolation(f"pseudo-inverse shape {p.shape} does not match {m.shape}")
     mp = m @ p
     pm = p @ m
 

@@ -120,8 +120,3 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
             raise NumericalError(f"root iteration did not settle for degree {n}")
     return sort_eigenvalues(z).reshape(shape + (n,))
 
-
-def charpoly_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues as characteristic-polynomial roots, sorted by (real, imag);
-    a row per matrix of a stack."""
-    return polynomial_roots(characteristic_polynomial(m))

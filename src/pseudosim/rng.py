@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .errors import require_number
+from .errors import ContractViolation, require_number
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -145,7 +145,7 @@ class SplitMix64:
 
     def normals(self, count: int) -> np.ndarray:
         """`count` standard normals (Box-Muller cosine branch, two words each)."""
-        return _box_muller(self.uint64s(2 * count))
+        return _box_muller(self.uint64s(2 * require_number(count, "count", 0, integer=True)))
 
     def complex_normals(self, shape) -> np.ndarray:
         """Complex array of the tuple ``shape``, with independent standard
@@ -155,7 +155,7 @@ class SplitMix64:
         order, as ``count`` real-part normals followed by ``count``
         imaginary-part normals.
         """
-        count = math.prod(shape)
+        count = math.prod(require_number(d, "shape entry", 0, integer=True) for d in shape)
         z = _box_muller(self.uint64s(4 * count))
         return (z[:count] + 1j * z[count:]).reshape(shape)
 
@@ -163,14 +163,14 @@ class SplitMix64:
         """Integer uniform on the inclusive range [lo, hi] (modulo method)."""
         require_number(lo, "lo", integer=True)
         if require_number(hi, "hi", integer=True) < lo:
-            raise ValueError(f"empty integer range [{lo}, {hi}]")
+            raise ContractViolation(f"empty integer range [{lo}, {hi}]")
         return lo + self.next_uint64() % (hi - lo + 1)
 
     def choose_distinct(self, count: int, n: int) -> list[int]:
         """`count` distinct indices from range(n), partial Fisher-Yates order."""
         require_number(count, "count", 0, integer=True)
         if require_number(n, "n", integer=True) < count:
-            raise ValueError(f"cannot choose {count} distinct indices from {n}")
+            raise ContractViolation(f"cannot choose {count} distinct indices from {n}")
         pool = list(range(n))
         for i in range(count):
             j = self.randint(i, n - 1)

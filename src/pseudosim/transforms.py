@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericalError, require_number
+from .errors import ContractViolation, NumericalError, require_number
 from .linalg import (
     ORTH_TOL,
     SvdFactors,
@@ -56,7 +56,7 @@ class TransformResult:
 def _require_hermitian(p, name="p"):
     p = as_matrix(p, name)
     if p.shape[0] != p.shape[1]:
-        raise DimensionError(f"{name} must be square, got {p.shape}")
+        raise ContractViolation(f"{name} must be square, got {p.shape}")
     if not _hermitian_each(p):
         raise ContractViolation(f"{name} is not Hermitian within tolerance")
     return p
@@ -65,7 +65,7 @@ def _require_hermitian(p, name="p"):
 def _require_orthonormal_columns(v, name="matrix"):
     v = as_matrix(v, name)
     if v.shape[0] < v.shape[1]:
-        raise DimensionError(f"{name} cannot have orthonormal columns with shape {v.shape}")
+        raise ContractViolation(f"{name} cannot have orthonormal columns with shape {v.shape}")
     gram = v.conj().T @ v
     dev = float(np.abs(gram - np.eye(v.shape[1])).max()) if v.size else 0.0
     if dev > ORTH_TOL:
@@ -76,9 +76,9 @@ def _require_orthonormal_columns(v, name="matrix"):
 def _require_map(p, h):
     """h, once its shape fits a pseudo-similarity of p."""
     if h.shape[0] != p.shape[0]:
-        raise DimensionError(f"h has {h.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
+        raise ContractViolation(f"h has {h.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
     if h.shape[1] < 1:
-        raise DimensionError("h must have at least one column")
+        raise ContractViolation("h must have at least one column")
     return h
 
 
@@ -88,7 +88,7 @@ def _require_embedding(h, v) -> tuple[np.ndarray, np.ndarray, SvdFactors]:
     h = as_matrix(h, "h")
     v = _require_orthonormal_columns(v, "v")
     if v.shape[1] != h.shape[1]:
-        raise DimensionError(f"v has {v.shape[1]} columns, expected {h.shape[1]}")
+        raise ContractViolation(f"v has {v.shape[1]} columns, expected {h.shape[1]}")
     factors = svd(h)
     if factors.rank != h.shape[1]:
         raise ContractViolation("h must have full column rank")
@@ -124,7 +124,7 @@ def unitary_compression(p, q) -> np.ndarray:
     p = _require_hermitian(p)
     q = _require_orthonormal_columns(q, "q")
     if q.shape[0] != p.shape[0]:
-        raise DimensionError(f"q has {q.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
+        raise ContractViolation(f"q has {q.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
     return q.conj().T @ p @ q
 
 
@@ -184,7 +184,7 @@ def oblique_transform(p, x, selection) -> np.ndarray:
     p = _require_hermitian(p)
     x = as_matrix(x, "x")
     if x.shape != p.shape:
-        raise DimensionError(f"x must be {p.shape[0]} x {p.shape[0]}, got {x.shape}")
+        raise ContractViolation(f"x must be {p.shape[0]} x {p.shape[0]}, got {x.shape}")
     # int(1.7) or int(True) would silently select another submatrix
     sel = [require_number(i.item() if isinstance(i, np.integer) else i, "selection index", integer=True)
            for i in selection]

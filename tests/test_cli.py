@@ -7,7 +7,7 @@ import pytest
 import pseudosim.experiments as experiments
 from pseudosim.cli import build_config, load_config_file, main, make_parser
 from pseudosim.errors import ContractViolation, NumericalError
-from pseudosim.oracles import charpoly_eigenvalues
+from pseudosim.oracles import characteristic_polynomial
 
 CONFIG_TEXT = """\
 [run]
@@ -184,9 +184,9 @@ def test_oblique_search_skips_a_trial_that_raises(tmp_path, capsys, monkeypatch)
         seen.append(t)
         if len(seen) == 1:
             raise NumericalError("root iteration did not settle for degree 3")
-        return charpoly_eigenvalues(t)
+        return characteristic_polynomial(t)
 
-    monkeypatch.setattr(experiments, "charpoly_eigenvalues", raises_first)
+    monkeypatch.setattr(experiments, "characteristic_polynomial", raises_first)
     path = tmp_path / "unsettled.ini"
     path.write_text("[ensemble]\nseed = 298\nn = 4\ncondition_cap = 2.5\n", encoding="utf-8")
     code = main(["--config", str(path), "--suite", "oblique-counterexample", "--format", "csv"])

@@ -7,25 +7,21 @@ from pseudosim.ensembles import (
     EnsembleSpec,
     draw_full_column_rank,
     draw_hermitian,
+    draw_invertible_nonunitary,
     draw_rank_l,
     draw_spectrum,
     draw_unitary,
     haar_columns,
-    hermitian_with_spectrum,
-    random_full_column_rank,
-    random_invertible_nonunitary,
-    random_rank_l,
-    random_unitary,
 )
-from pseudosim.errors import ContractViolation, DimensionError
+from pseudosim.errors import ContractViolation
 from pseudosim.experiments import _per_shape
 from pseudosim.interlace import classify_real
-from pseudosim.linalg import is_hermitian, numerical_rank, penrose_residuals, pseudo_inverse, svd
+from pseudosim.linalg import penrose_residuals, pseudo_inverse, svd
 from pseudosim.rng import SplitMix64, derive_seed
 
 
 def test_unitary_1x1_unit_modulus():
-    u = random_unitary(SplitMix64(60), 1, 1)
+    u = draw_unitary(SplitMix64(60), 1, 1).built()
     assert abs(abs(u[0, 0]) - 1.0) < 1e-14
 
 
@@ -34,20 +30,20 @@ def test_unitary_orthonormal_columns():
     for _ in range(20):
         n = rng.randint(1, 10)
         l = rng.randint(1, n)
-        q = random_unitary(rng, n, l)
+        q = draw_unitary(rng, n, l).built()
         assert np.abs(q.conj().T @ q - np.eye(l)).max() < 1e-10
-    with pytest.raises(DimensionError):
-        random_unitary(rng, 2, 3)
+    with pytest.raises(ContractViolation, match="need 1 <= l <= n, got n=2 l=3"):
+        draw_unitary(rng, 2, 3)
     # a float or a bool dimension is refused, not read as the int it equals
     with pytest.raises(ContractViolation, match="n must be an int"):
-        random_unitary(SplitMix64(1), 3.0, 2)
+        draw_unitary(SplitMix64(1), 3.0, 2).built()
     with pytest.raises(ContractViolation, match="l must be an int"):
-        random_unitary(SplitMix64(1), 3, True)
+        draw_unitary(SplitMix64(1), 3, True).built()
 
 
 def test_unitary_bit_identical_draws():
-    a = random_unitary(SplitMix64(62), 5, 3)
-    b = random_unitary(SplitMix64(62), 5, 3)
+    a = draw_unitary(SplitMix64(62), 5, 3).built()
+    b = draw_unitary(SplitMix64(62), 5, 3).built()
     assert (a == b).all()
 
 
@@ -56,20 +52,20 @@ def test_hermitian_with_spectrum_recovery():
     for _ in range(10):
         n = rng.randint(1, 10)
         lam = np.sort(rng.normals(n) * 3)
-        p = hermitian_with_spectrum(rng, lam)
-        assert is_hermitian(p, 1e-12)
+        p = draw_hermitian(rng, lam).built()
+        assert np.abs(p - p.conj().T).max() <= 1e-12
         got = classify_real(eigvals_hermitian(p))
         scale = max(1.0, np.abs(lam).max())
         assert np.abs(got - lam).max() <= 1e-9 * scale
 
 
 def test_hermitian_scalar_spectrum():
-    p = hermitian_with_spectrum(SplitMix64(64), [2.5] * 4)
+    p = draw_hermitian(SplitMix64(64), [2.5] * 4).built()
     assert_allclose(p, 2.5 * np.eye(4), atol=1e-12)
 
 
 def test_hermitian_trace_det():
-    p = hermitian_with_spectrum(SplitMix64(65), [1.0, 3.0])
+    p = draw_hermitian(SplitMix64(65), [1.0, 3.0]).built()
     assert abs(np.trace(p).real - 4.0) < 1e-10
     assert abs(np.trace(p).imag) < 1e-12
     assert abs(np.linalg.det(p).real - 3.0) < 1e-10
@@ -77,9 +73,9 @@ def test_hermitian_trace_det():
 
 def test_hermitian_spectrum_validation():
     with pytest.raises(ContractViolation):
-        hermitian_with_spectrum(SplitMix64(66), [])
+        draw_hermitian(SplitMix64(66), []).built()
     with pytest.raises(ContractViolation):
-        hermitian_with_spectrum(SplitMix64(66), [1.0, np.inf])
+        draw_hermitian(SplitMix64(66), [1.0, np.inf]).built()
 
 
 def test_full_column_rank_basic():
@@ -87,46 +83,46 @@ def test_full_column_rank_basic():
     for _ in range(15):
         n = rng.randint(1, 12)
         l = rng.randint(1, n)
-        m = random_full_column_rank(rng, n, l, condition_cap=1e3)
-        assert numerical_rank(m) == l
+        m = draw_full_column_rank(rng, n, l, condition_cap=1e3).built()
+        assert svd(m).rank == l
         s = svd(m).sigma
         assert s[0] / s[-1] <= 1e3 * (1 + 1e-12)
         assert max(penrose_residuals(m, pseudo_inverse(m))) < 1e-8
     with pytest.raises(ContractViolation, match="l must be an int"):
-        random_full_column_rank(SplitMix64(1), 3, 2.0)
+        draw_full_column_rank(SplitMix64(1), 3, 2.0).built()
 
 
 def test_full_column_rank_cap_one():
     # equal singular values: column-unitary up to global scale
-    m = random_full_column_rank(SplitMix64(69), 6, 3, condition_cap=1.0)
+    m = draw_full_column_rank(SplitMix64(69), 6, 3, condition_cap=1.0).built()
     gram = m.conj().T @ m
     assert np.abs(gram - gram[0, 0] * np.eye(3)).max() < 1e-12
 
 
 def test_rank_l_shapes():
     rng = SplitMix64(70)
-    m = random_rank_l(rng, 2, 5, 1)
-    assert m.shape == (2, 5) and numerical_rank(m) == 1
-    square = random_rank_l(rng, 4, 3, 3)  # k = l degenerate case
-    assert numerical_rank(square) == 3
+    m = draw_rank_l(rng, 2, 5, 1).built()
+    assert m.shape == (2, 5) and svd(m).rank == 1
+    square = draw_rank_l(rng, 4, 3, 3).built()  # k = l degenerate case
+    assert svd(square).rank == 3
     for _ in range(10):
         n = rng.randint(2, 8)
         k = rng.randint(n + 1, 20)  # inflation: more columns than rows
         l = rng.randint(1, n)
-        m = random_rank_l(rng, n, k, l)
+        m = draw_rank_l(rng, n, k, l).built()
         assert m.shape == (n, k)
-        assert numerical_rank(m) == l <= n
-    with pytest.raises(DimensionError):
-        random_rank_l(rng, 2, 3, 3)
+        assert svd(m).rank == l <= n
+    with pytest.raises(ContractViolation, match=r"need 1 <= l <= min\(n, k\), got n=2 k=3 l=3"):
+        draw_rank_l(rng, 2, 3, 3)
     with pytest.raises(ContractViolation, match="k must be an int"):
-        random_rank_l(SplitMix64(1), 3, 4.0, 2)
+        draw_rank_l(SplitMix64(1), 3, 4.0, 2).built()
 
 
 def test_invertible_nonunitary():
     rng = SplitMix64(71)
     for _ in range(15):
         n = rng.randint(2, 8)
-        x = random_invertible_nonunitary(rng, n, condition_cap=1e3, nonunitarity_floor=2.0)
+        x = draw_invertible_nonunitary(rng, n, condition_cap=1e3, nonunitarity_floor=2.0).built()
         assert abs(np.linalg.det(x)) > 0
         assert np.abs(x.conj().T @ x - np.eye(n)).max() > 0.1
         assert np.abs(np.linalg.inv(x) @ x - np.eye(n)).max() < 1e-10
@@ -139,7 +135,7 @@ def test_invertible_similarity_preserves_spectrum():
     rng = SplitMix64(72)
     g = rng.complex_normals((5, 5))
     p = (g + g.conj().T) / 2
-    x = random_invertible_nonunitary(rng, 5, condition_cap=1e3)
+    x = draw_invertible_nonunitary(rng, 5, condition_cap=1e3).built()
     transformed = np.linalg.solve(x, p @ x)
     dev = match_distance(eigvals_general(transformed),
                          eigvals_hermitian(p))
@@ -149,17 +145,17 @@ def test_invertible_similarity_preserves_spectrum():
 def test_invertible_nonunitary_contracts():
     rng = SplitMix64(73)
     with pytest.raises(ContractViolation):
-        random_invertible_nonunitary(rng, 3, condition_cap=1.5, nonunitarity_floor=2.0)
-    with pytest.raises(DimensionError):
-        random_invertible_nonunitary(rng, 1)
+        draw_invertible_nonunitary(rng, 3, condition_cap=1.5, nonunitarity_floor=2.0).built()
+    with pytest.raises(ContractViolation, match="need n >= 2 to separate sigma_max from sigma_min"):
+        draw_invertible_nonunitary(rng, 1)
     with pytest.raises(ContractViolation, match="n must be an int"):
-        random_invertible_nonunitary(rng, 3.0)
+        draw_invertible_nonunitary(rng, 3.0).built()
 
 
 @pytest.mark.parametrize("generate", [
-    lambda cap: random_full_column_rank(SplitMix64(1), 3, 2, cap),
-    lambda cap: random_rank_l(SplitMix64(1), 3, 4, 2, cap),
-    lambda cap: random_invertible_nonunitary(SplitMix64(1), 3, condition_cap=cap),
+    lambda cap: draw_full_column_rank(SplitMix64(1), 3, 2, cap).built(),
+    lambda cap: draw_rank_l(SplitMix64(1), 3, 4, 2, cap).built(),
+    lambda cap: draw_invertible_nonunitary(SplitMix64(1), 3, condition_cap=cap).built(),
 ], ids=["full-column-rank", "rank-l", "invertible-nonunitary"])
 @pytest.mark.parametrize("cap", [np.nan, np.inf, 0.5, True, "5"])
 def test_generators_reject_unusable_cap(generate, cap):
@@ -172,7 +168,7 @@ def test_generators_reject_unusable_cap(generate, cap):
 @pytest.mark.parametrize("floor", [np.nan, np.inf, 1.0, 200.0, "5"])
 def test_invertible_nonunitary_rejects_unusable_floor(floor):
     with pytest.raises(ContractViolation, match="nonunitarity_floor"):
-        random_invertible_nonunitary(SplitMix64(1), 3, condition_cap=100.0, nonunitarity_floor=floor)
+        draw_invertible_nonunitary(SplitMix64(1), 3, condition_cap=100.0, nonunitarity_floor=floor).built()
 
 
 def test_spectrum_laws():
@@ -284,16 +280,16 @@ def test_haar_factors_keep_draw_order_across_shapes():
 
 
 def test_generators_are_their_draws_assembled():
-    # the public generators and a batch of draws give the same matrices
+    # each draw built on its own and a batch of draws stacked give the same matrices
     def draws(rng):
         return [draw_hermitian(rng, [0.5, -1.0, 2.0, 1.5]), draw_full_column_rank(rng, 6, 3, 1e2),
-                draw_rank_l(rng, 5, 8, 2), draw_unitary(rng, 4, 4)]
+                draw_rank_l(rng, 5, 8, 2), draw_unitary(rng, 4, 4),
+                draw_invertible_nonunitary(rng, 4, 1e2, 3.0)]
     batch = draws(SplitMix64(64))
     factors = iter(_per_shape([(haar_columns, g) for d in batch for g in d.gaussians]))
     built = [d.build(*(next(factors) for _ in d.gaussians)) for d in batch]
-    rng = SplitMix64(64)
-    direct = [hermitian_with_spectrum(rng, [0.5, -1.0, 2.0, 1.5]), random_full_column_rank(rng, 6, 3, 1e2),
-              random_rank_l(rng, 5, 8, 2), random_unitary(rng, 4, 4)]
+    direct = [d.built() for d in draws(SplitMix64(64))]
+    assert len(built) == len(direct) == 5
     for a, b in zip(built, direct):
         assert np.array_equal(a, b)
 

@@ -23,7 +23,7 @@ from pseudosim.experiments import (
     run_suite,
     run_trial,
 )
-from pseudosim.oracles import charpoly_eigenvalues
+from pseudosim.oracles import characteristic_polynomial, polynomial_roots
 from pseudosim.rng import derive_seed
 from pseudosim.transforms import oblique_transform
 
@@ -503,7 +503,7 @@ def test_clustered_oblique_block_settles_loosely():
     lam, p, x, sel = trial.drawn
     t = oblique_transform(p, x, sel)
     assert t.shape == (3, 3)
-    roots = charpoly_eigenvalues(t)
+    roots = polynomial_roots(characteristic_polynomial(t))
     assert match_distance(eigvals_general(t), roots) <= Tolerances().oracle * spectral_scale(lam)
 
 

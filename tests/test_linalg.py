@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pseudosim.ensembles import random_full_column_rank, random_rank_l
-from pseudosim.errors import ContractViolation, DimensionError
+from pseudosim.ensembles import draw_full_column_rank, draw_rank_l
+from pseudosim.errors import ContractViolation
 from pseudosim.linalg import (
-    adjoint,
-    is_hermitian,
-    numerical_rank,
+    _adjoint,
+    _hermitian_each,
+    as_matrix,
     penrose_residuals,
     pseudo_inverse,
     svd,
@@ -17,29 +17,32 @@ from pseudosim.rng import SplitMix64
 
 def test_adjoint_basic():
     m = np.array([[1, 1j], [0, 2]], dtype=np.complex128)
-    assert_allclose(adjoint(m), np.array([[1, 0], [-1j, 2]]))
-    assert_allclose(adjoint(np.eye(3, dtype=np.complex128)), np.eye(3))
+    assert_allclose(_adjoint(m), np.array([[1, 0], [-1j, 2]]))
+    assert_allclose(_adjoint(np.eye(3, dtype=np.complex128)), np.eye(3))
     sym = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.complex128)
-    assert_allclose(adjoint(sym), sym)
+    assert_allclose(_adjoint(sym), sym)
 
 
 def test_adjoint_involution_exact():
     m = SplitMix64(1).complex_normals((5, 3))
-    assert (adjoint(adjoint(m)) == m).all()
+    assert (_adjoint(_adjoint(m)) == m).all()
 
 
 def test_is_hermitian():
-    assert is_hermitian(np.array([[2, 1 + 1j], [1 - 1j, 3]]), 1e-12)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1e-12)
-    assert is_hermitian(np.eye(4), 0.0)
-    with pytest.raises(DimensionError):
-        is_hermitian(np.ones((2, 3)))
+    assert _hermitian_each(as_matrix([[2, 1 + 1j], [1 - 1j, 3]]))
+    assert not _hermitian_each(as_matrix([[0, 1], [0, 0]]))
+    assert _hermitian_each(as_matrix(np.eye(4)))
+    # the tolerance is HERMITICITY_REL_TOL times the largest entry, with no floor at 1
+    assert _hermitian_each(as_matrix([[1e-3, 0.0], [1e-14, 1e-3]]))
+    assert not _hermitian_each(as_matrix([[1e-3, 0.0], [1e-11, 1e-3]]))
+    with pytest.raises(ContractViolation, match="hermiticity is defined for square matrices"):
+        _hermitian_each(as_matrix(np.ones((2, 3))))
 
 
 def test_matrix_validation():
-    with pytest.raises(ContractViolation):
-        adjoint(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolation, match="matrix contains non-finite entries"):
+        as_matrix(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ContractViolation, match=r"matrix must be two-dimensional, got shape \(3,\)"):
         svd(np.zeros(3))
 
 
@@ -59,12 +62,12 @@ def test_svd_reconstruction():
 
 
 def test_numerical_rank():
-    assert numerical_rank(np.eye(5)) == 5
-    assert numerical_rank(np.zeros((3, 4))) == 0
+    assert svd(np.eye(5)).rank == 5
+    assert svd(np.zeros((3, 4))).rank == 0
     rng = SplitMix64(4)
     u = rng.complex_normals((6, 1))
     v = rng.complex_normals((4, 1))
-    assert numerical_rank(u @ v.conj().T) == 1
+    assert svd(u @ v.conj().T).rank == 1
 
 
 def test_pseudo_inverse_column_unitary():
@@ -92,7 +95,7 @@ def test_penrose_conditions_random_shapes():
 
 
 def test_penrose_shape_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractViolation, match=r"pseudo-inverse shape \(2, 2\) does not match \(3, 3\)"):
         penrose_residuals(np.eye(3), np.eye(2))
 
 
@@ -116,7 +119,7 @@ def test_qr_route_agrees_with_svd_route():
     for cap in (1e3, 1e6):
         for _ in range(50):
             rows = rng.randint(2, 16)
-            m = random_full_column_rank(rng, rows, rng.randint(1, rows), cap)
+            m = draw_full_column_rank(rng, rows, rng.randint(1, rows), cap).built()
             p1 = pseudo_inverse(m)
             p2 = _triangular_pinv(m)
             assert np.abs(p1 - p2).max() <= 1e-8 * max(1.0, np.abs(p1).max())
@@ -135,8 +138,8 @@ def test_rank_consistency_qr_vs_svd():
         for _ in range(50):
             n, k = rng.randint(2, 16), rng.randint(2, 16)
             l = rng.randint(1, min(n, k))
-            for m in (random_rank_l(rng, n, k, l, cap),
-                      random_full_column_rank(rng, max(n, k), l, cap)):
+            for m in (draw_rank_l(rng, n, k, l, cap).built(),
+                      draw_full_column_rank(rng, max(n, k), l, cap).built()):
                 assert svd(m).rank == l
 
 
@@ -149,15 +152,3 @@ def test_rank_tol_must_be_finite_and_positive(bad):
     with pytest.raises(ContractViolation, match="rank_tol must be finite and > 0"):
         svd(np.eye(3)).truncated(bad)
 
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12, True])
-def test_is_hermitian_refuses_unusable_tolerance(tol):
-    # an infinite tol would read [[0, 1], [0, 0]] as Hermitian, a NaN or
-    # negative one read eye(2) as not, and True would read as a tolerance of 1
-    with pytest.raises(ContractViolation, match="tol must be finite and >= 0"):
-        is_hermitian(np.eye(2), tol)
-
-
-def test_is_hermitian_takes_zero_tolerance():
-    assert is_hermitian(np.eye(2), 0.0)
-    assert not is_hermitian([[0.0, 1.0], [0.0, 0.0]], 0.0)

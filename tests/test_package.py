@@ -1,8 +1,10 @@
 import ast
+import builtins
 import dataclasses
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -44,6 +46,55 @@ def test_console_script_runs(monkeypatch):
 
 
 SOURCE = pathlib.Path(pseudosim.__file__).parent
+ROOT = pathlib.Path(__file__).parents[1]
+MODULES = [importlib.import_module(f"pseudosim.{path.stem}")
+           for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"]
+
+
+def _readme_sections() -> tuple[str, str]:
+    """The README's quick start code and its "Key entry points" list."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    entry_points = readme.split("Key entry points:", 1)[1].split("\n#", 1)[0]
+    return quick_start, entry_points
+
+
+def test_every_export_has_a_consumer():
+    # a name is exported because the README, a demo, the CLI or the
+    # benchmark uses it
+    texts = [*_readme_sections(), (SOURCE / "cli.py").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8")
+              for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))]
+    unused = [name for name in pseudosim.__all__
+              if not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert unused == []
+
+
+def test_readme_entry_points_resolve():
+    # every call the entry points name is a function of the package, of one
+    # of its modules, or a method of one of its classes (a formula's `max(`
+    # is Python's)
+    names = {name for span in re.findall(r"`([^`]*)`", _readme_sections()[1])
+             for name in re.findall(r"(\w+)\(", span)}
+    assert {"pseudo_similarity", "min_margins", "draw_hermitian", "max"} <= names
+    classes = [obj for module in MODULES for obj in vars(module).values()
+               if inspect.isclass(obj) and obj.__module__ == module.__name__]
+    unresolved = [name for name in sorted(names)
+                  if not any(hasattr(owner, name) for owner in (pseudosim, builtins, *MODULES))
+                  and not any(inspect.isfunction(vars(cls).get(name)) for cls in classes)]
+    assert unresolved == []
+
+
+DELETED = ("DimensionError", "adjoint", "is_hermitian", "numerical_rank", "charpoly_eigenvalues",
+           "random_unitary", "hermitian_with_spectrum", "random_full_column_rank", "random_rank_l",
+           "random_invertible_nonunitary")
+
+
+def test_deleted_names_stay_deleted():
+    # shape errors are ContractViolations, and each generator is its draw;
+    # every import sits at module level, so no module defines or imports one
+    assert [(module.__name__, name) for module in (pseudosim, *MODULES)
+            for name in DELETED if hasattr(module, name)] == []
 
 
 def _tree(module: str) -> ast.Module:

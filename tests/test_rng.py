@@ -61,6 +61,10 @@ def test_normals_odd_count():
     g = SplitMix64(13)
     z = g.normals(7)
     assert z.shape == (7,)
+    # the count is checked as given, not as the word count it doubles to
+    for count in (2.5, True, -1):
+        with pytest.raises(ContractViolation, match=f"count must be an int >= 0, got {count!r}$"):
+            g.normals(count)
 
 
 def test_complex_normals_layout():
@@ -75,6 +79,10 @@ def test_complex_normals_layout():
     assert z.dtype == np.complex128
     var = np.var(SplitMix64(15).complex_normals((200, 200)))
     assert abs(var - 2.0) < 0.1  # unit variance per component
+    # each entry of the shape is checked as given, not the word count it gives
+    for shape, entry in (((2.0, 2), 2.0), ((2, -1), -1), ((True, 2), True)):
+        with pytest.raises(ContractViolation, match=f"shape entry must be an int >= 0, got {entry!r}$"):
+            g.complex_normals(shape)
 
 
 # Derived draws at one seed, pinned bit for bit: a change to how words become
@@ -106,7 +114,7 @@ def test_randint_bounds():
     g = SplitMix64(16)
     draws = {g.randint(3, 7) for _ in range(500)}
     assert draws == {3, 4, 5, 6, 7}
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolation, match=r"empty integer range \[5, 4\]"):
         g.randint(5, 4)
     # a float bound would give a float "integer", and True would read as 1
     for lo, hi in ((1.5, 3), (True, 3), (1, 3.0)):
@@ -121,7 +129,7 @@ def test_choose_distinct():
         assert len(set(sel)) == 4
         assert all(0 <= i < 9 for i in sel)
     assert sorted(g.choose_distinct(5, 5)) == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolation, match="cannot choose 6 distinct indices from 5"):
         g.choose_distinct(6, 5)
     for count, n in ((2.0, 3), (2, 3.0), (-1, 3)):
         with pytest.raises(ContractViolation, match="must be an int"):
