@@ -6,15 +6,13 @@ state.  Structural properties (orthonormality, rank, spectrum, conditioning)
 are part of each generator's contract and are re-checked by the test suite on
 every draw.
 
-A generator that needs Haar-like unitaries runs in three steps.  Its
+A generator that needs Haar-like unitaries runs in two steps.  Its
 ``draw_*`` function takes every random number from the stream, in a fixed
-order, and returns a :class:`Draw` that holds the complex Gaussian matrices
-it drew; :func:`haar_columns` turns a stack of Gaussians into orthonormal
-columns, each matrix's bit for bit as on its own; the draw's ``build`` makes
-the member from them.  :meth:`Draw.built` runs the last two steps for one
-draw, a Gaussian at a time; the runner stacks the Gaussians of many draws
-(see :mod:`pseudosim.experiments`), and stacks them the same way for a draw
-whose ``stage`` names another function than :func:`haar_columns`.
+order, and returns a :class:`Draw` that holds the complex Gaussians it drew.
+:func:`build_draws`, the one code that builds draws, runs the Gaussians of
+any list of draws through each draw's stage, :func:`haar_columns` unless it
+names another, on one stack per (stage, shape), and keeps each draw's error
+to that draw.  :meth:`Draw.built` and the runner both call it.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_number
+from .errors import ContractViolation, NumericalError, require_number
 from .rng import SplitMix64
 
 #: dimension ranges used when an EnsembleSpec leaves n/k/l unset
@@ -34,6 +32,10 @@ DEFAULT_SPECTRUM_BOUND = 2.0
 DEFAULT_NONUNITARITY_FLOOR = 2.0
 
 SPECTRUM_LAWS = ("prescribed", "uniform", "signed-uniform")
+
+#: exceptions a trial may raise without halting the suite; a draw's stage or
+#: build that raises one of them fails that draw alone
+TRIAL_ERRORS = (ContractViolation, NumericalError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass
@@ -99,6 +101,7 @@ class EnsembleSpec:
 
 def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
     """Real eigenvalue sample of length n under ``spec.spectrum_law``."""
+    require_number(n, "n", 1, integer=True)
     if spec.spectrum_law == "prescribed":
         values = np.asarray(spec.spectrum_values, dtype=np.float64)
         if len(values) != n:
@@ -115,22 +118,68 @@ def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Draw:
     """An ensemble member whose random numbers are drawn but which is not
-    built yet.
+    built yet; :func:`build_draws` builds it.
 
-    ``gaussians`` holds the complex standard normal matrices whose Haar-like
-    factors the member needs; ``build`` makes the member from those factors,
-    given as its arguments in the same order.  ``stage``, when set, takes the
-    place of :func:`haar_columns`: the runner gives it a stack of the
-    draw's Gaussians and passes ``build`` one of its values per matrix.
+    ``stage`` takes a stack of ``gaussians`` to one value per matrix,
+    :func:`haar_columns` when None; ``build`` makes the member from the
+    staged values, in order, and by default takes a lone one as it is.
     """
 
     gaussians: tuple[np.ndarray, ...]
-    build: Callable[..., np.ndarray]
-    stage: Callable[[np.ndarray], object] | None = None   # None: haar_columns, looked up when built
+    build: Callable[..., object] = lambda staged: staged
+    stage: Callable[[np.ndarray], object] | None = None
 
-    def built(self) -> np.ndarray:
-        """The member, its Gaussians staged one at a time."""
-        return self.build(*map(self.stage or haar_columns, self.gaussians))
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the draw's Gaussians."""
+        return sum(g.nbytes for g in self.gaussians)
+
+    def built(self):
+        """The member, or the error its stage or build raised, raised."""
+        member, = build_draws([self])
+        if isinstance(member, Exception):
+            raise member
+        return member
+
+
+def build_draws(draws) -> list:
+    """Each draw's member, in order, or the error its stage or build raised.
+
+    Each Gaussian goes through its draw's stage, :func:`haar_columns` when
+    None (looked up per call), on one stack per stage and shape, or on a view
+    of itself where it is alone; a stack that raises is redone a Gaussian at
+    a time."""
+    items = [(d.stage or haar_columns, g) for d in draws for g in d.gaussians]
+    values: list = [None] * len(items)
+    groups: dict[tuple, list[int]] = {}
+    for i, (stage, g) in enumerate(items):
+        groups.setdefault((stage, g.shape), []).append(i)
+    for (stage, _), indices in groups.items():
+        stack = (np.stack([items[i][1] for i in indices]) if len(indices) > 1
+                 else items[indices[0]][1][np.newaxis])
+        try:
+            staged = stage(stack)
+        except TRIAL_ERRORS:
+            staged = []
+            for i in range(len(indices)):
+                try:
+                    staged.extend(stage(stack[i:i + 1]))
+                except TRIAL_ERRORS as exc:
+                    staged.append(exc)
+        for i, value in zip(indices, staged):
+            values[i] = value
+    values = iter(values)
+    members = []
+    for d in draws:
+        mine = [next(values) for _ in d.gaussians]
+        member = next((v for v in mine if isinstance(v, Exception)), None)
+        if member is None:
+            try:
+                member = d.build(*mine)
+            except TRIAL_ERRORS as exc:
+                member = exc
+        members.append(member)
+    return members
 
 
 def _require_dims(**dims: int) -> None:
@@ -164,7 +213,7 @@ def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:
     _require_dims(n=n, l=l)
     if not 1 <= l <= n:
         raise ContractViolation(f"need 1 <= l <= n, got n={n} l={l}")
-    return Draw(_gaussians(rng, (n, l)), lambda u: u)
+    return Draw(_gaussians(rng, (n, l)))
 
 
 def draw_hermitian(rng: SplitMix64, lam) -> Draw:

@@ -10,13 +10,13 @@ A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
 check.  :class:`ExperimentConfig` runs each suite's dimension rule at the
 ends of its draw ranges, so a config error is raised before any trial is
 drawn.  Trials run in chunks: each trial of a chunk is drawn from its own
-stream and names its dimensions, then every Gaussian of the chunk goes
-through its draw's stage, the Haar factor or one of solver-oracle's
-measurements, on one stack per (stage, matrix shape), by one rule,
-:func:`_per_shape`; then each trial builds its matrices, and the suite's
-check takes the built trials one at a time.  :func:`_check_chunk` is the one
-loop that turns a trial's error, from its draw, build or check, into a failed
-record.
+stream and names its dimensions, then :func:`_check_chunk` hands every
+:class:`~pseudosim.ensembles.Draw` of the chunk to
+:func:`~pseudosim.ensembles.build_draws`, which stacks their Gaussians and
+builds them (this module never reads a draw's Gaussians, stage or build),
+and the suite's check takes the built trials one at a time.
+:func:`_check_chunk` is the one loop that turns a trial's error, from its
+draw, build or check, into a failed record.
 :func:`run_suite` runs a suite's trials in chunks that close once their
 draws reach ``CHUNK_BYTES``, each checked before the next draw, cut into one
 contiguous slice of trials per usable CPU: slice 0 runs in the calling
@@ -52,18 +52,19 @@ import numpy as np
 
 from .ensembles import (
     DEFAULT_N_RANGE,
+    TRIAL_ERRORS,
     Draw,
     EnsembleSpec,
+    build_draws,
     draw_full_column_rank,
     draw_hermitian,
     draw_invertible_nonunitary,
     draw_rank_l,
     draw_spectrum,
     draw_unitary,
-    haar_columns,
 )
 from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag
-from .errors import ContractViolation, NumericalError, RealnessViolation, require_number
+from .errors import ContractViolation, RealnessViolation, require_number
 from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
 from .linalg import _adjoint, penrose_residuals, spectral_scale, svd
 from .oracles import characteristic_polynomial, polynomial_roots
@@ -112,6 +113,9 @@ class ExperimentConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
+        if isinstance(self.suites, str):  # a str would read as one-letter tags
+            raise ContractViolation(f"suites must be a sequence of suite tags, "
+                                    f"not the str {self.suites!r}")
         self.suites = tuple(self.suites)
         if not self.suites:
             raise ContractViolation("at least one suite must be selected")
@@ -122,6 +126,8 @@ class ExperimentConfig:
         if repeated:
             raise ContractViolation(f"suite tag(s) {repeated} selected more than once")
         require_number(self.trials, "trials", 1, integer=True)
+        _require_instance(self.ensemble, "ensemble", EnsembleSpec)
+        _require_instance(self.tolerances, "tolerances", Tolerances)
         for suite in self.suites:
             _require_fits(self.ensemble, suite)
 
@@ -160,8 +166,9 @@ RECORD_FIELDS = ("suite", "trial_index", "seed", "n", "k", "l", "passed",
                  "min_lower_margin", "min_upper_margin", "worst_residual", "notes")
 
 
-#: exceptions a trial may raise without halting the suite
-_TRIAL_ERRORS = (ContractViolation, NumericalError, np.linalg.LinAlgError, FloatingPointError)
+def _require_instance(value, name: str, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise ContractViolation(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
 def _finite(x) -> float:
@@ -421,12 +428,8 @@ def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     n = dims[0]
     g = rng.complex_normals((n, n))
     n_td = rng.randint(2, 6)
-    return (n, n_td, n), (Draw((g,), _as_is, _charpoly_deviations),
-                          Draw((rng.complex_normals((n_td, n_td)),), _as_is, _trace_det_deviations))
-
-
-def _as_is(value):
-    return value
+    return (n, n_td, n), (Draw((g,), stage=_charpoly_deviations),
+                          Draw((rng.complex_normals((n_td, n_td)),), stage=_trace_det_deviations))
 
 
 def _oracle_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -466,40 +469,6 @@ def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
     traces, dets = np.trace(g6, axis1=1, axis2=2), np.linalg.det(g6)
     return [(abs(total - trace) / max(1.0, abs(trace)), abs(prod - det) / max(1.0, abs(det)))
             for total, trace, prod, det in zip(w.sum(axis=1), traces, w.prod(axis=1), dets)]
-
-
-def _per_shape(items) -> list:
-    """``stage(array)`` for each (stage, array) pair, in order, run on one
-    stack per stage and shape; a group that one array alone makes runs on a
-    view of that array, not a copy.  A stack that raises is redone an array
-    at a time, and an array that raises alone gets its error in place of its
-    result."""
-    results: list = [None] * len(items)
-    groups: dict[tuple, list[int]] = {}
-    for i, (stage, a) in enumerate(items):
-        groups.setdefault((stage, a.shape), []).append(i)
-    for (stage, _), indices in groups.items():
-        stack = (np.stack([items[i][1] for i in indices]) if len(indices) > 1
-                 else items[indices[0]][1][np.newaxis])
-        try:
-            values = stage(stack)
-        except _TRIAL_ERRORS:
-            values = []
-            for i in range(len(indices)):
-                try:
-                    values.extend(stage(stack[i:i + 1]))
-                except _TRIAL_ERRORS as exc:
-                    values.append(exc)
-        for i, value in zip(indices, values):
-            results[i] = value
-    return results
-
-
-def _unheld(value):
-    """A result of :func:`_per_shape`, or the error held in its place, raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 #: suite -> (dimension rule, draw, check), in canonical order: a suite's
@@ -557,24 +526,17 @@ class _DrawnTrial(NamedTuple):
     trial_index: int
     seed: int
     dims: tuple[int, int, int]
-    drawn: tuple                         # the draw's values, a check gets them
-                                         # built; empty if the trial raised
-    error: Exception | None = None       # what its draw or its build raised
+    drawn: tuple                         # the draw's values, a check gets them built; an
+                                         # error among them is what the draw or a build raised
 
     def record(self, **verdict) -> TrialRecord:
         """The trial's record: its identity and dimensions, and ``verdict``."""
         return TrialRecord(self.suite, self.trial_index, self.seed, *self.dims, **verdict)
 
     @property
-    def draws(self) -> list[Draw]:
-        return [v for v in self.drawn if isinstance(v, Draw)]
-
-    @property
     def nbytes(self) -> int:
-        """Bytes of every array the trial holds: its draws' Gaussians and the
-        arrays it drew outright."""
-        arrays = [a for v in self.drawn for a in (v.gaussians if isinstance(v, Draw) else (v,))]
-        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        """Bytes of the arrays the trial drew, its draws' Gaussians included."""
+        return sum(getattr(v, "nbytes", 0) for v in self.drawn)
 
 
 def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> _DrawnTrial:
@@ -587,49 +549,29 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> 
     dims = draw_dims(rng, spec, trial_index)
     try:
         dims, drawn = (draw or suite_draw)(rng, spec, trial_index, dims)
-    except _TRIAL_ERRORS as exc:
-        return _DrawnTrial(suite, trial_index, seed, dims, (), exc)
+    except TRIAL_ERRORS as exc:
+        return _DrawnTrial(suite, trial_index, seed, dims, (exc,))
     return _DrawnTrial(suite, trial_index, seed, dims, drawn)
 
 
-def _built(chunk: list[_DrawnTrial]) -> list[_DrawnTrial]:
-    """The chunk's trials with each :class:`Draw` built, and the error in
-    place of the values of a trial whose build raises.  Each Gaussian of the
-    chunk goes through its draw's stage, :func:`haar_columns` unless the draw
-    names another, on one stack per stage and matrix shape.
-
-    Empties ``chunk``, so its draws' Gaussians are let go once the chunk is
-    built.  A trial takes all its values before any of its builds can
-    raise, so a trial that fails leaves its neighbours' values to them.
-    """
-    values = iter(_per_shape([(d.stage or haar_columns, g)
-                              for trial in chunk for d in trial.draws for g in d.gaussians]))
-    built = []
-    for trial in chunk:
-        mine = [[next(values) for _ in v.gaussians] if isinstance(v, Draw) else None
-                for v in trial.drawn]
-        try:
-            trial = trial._replace(drawn=tuple(v.build(*map(_unheld, q)) if q is not None else v
-                                               for v, q in zip(trial.drawn, mine)))
-        except _TRIAL_ERRORS as exc:
-            trial = trial._replace(drawn=(), error=exc)
-        built.append(trial)
-    chunk.clear()
-    return built
-
-
 def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -> list[TrialRecord]:
-    """Records of drawn trials, in order, emptying ``chunk``: the suite's
-    check of each built trial, or a failed record for a trial whose draw,
-    build or check raised.  A trial that fails, fails alone."""
+    """Records of drawn trials, in order: the suite's check of each trial,
+    its draws built together by :func:`build_draws`, or a failed record for
+    a trial whose draw, build or check raised; a trial that fails, fails
+    alone.  Empties ``chunk`` before the first check, freeing its Gaussians."""
     check = _SUITE_TABLE[suite][2]
+    members = iter(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
+    built = [trial._replace(drawn=tuple(next(members) if isinstance(v, Draw) else v
+                                        for v in trial.drawn)) for trial in chunk]
+    chunk.clear()
     records = []
-    for trial in _built(chunk):
+    for trial in built:
         try:
-            if trial.error is not None:
-                raise trial.error
+            for value in trial.drawn:
+                if isinstance(value, Exception):
+                    raise value
             records.append(check(trial, tolerances))
-        except _TRIAL_ERRORS as exc:
+        except TRIAL_ERRORS as exc:
             records.append(trial.record(passed=False, notes=f"{type(exc).__name__}: {exc}"))
     return records
 
@@ -658,15 +600,20 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     from its seed: the runner's path, as a chunk of one trial, so it equals
     the runner's row for the trial.
 
-    A spec the suite cannot draw, or a ``trial_index`` that is not an int
-    >= 0, raises ContractViolation.  A trial that raises a contract or
+    A suite that is no theorem suite, a spec that is no
+    :class:`EnsembleSpec` or one the suite cannot draw, tolerances that are
+    no :class:`Tolerances`, or a ``trial_index`` that is not an int >= 0,
+    raise ContractViolation.  A trial that raises a contract or
     numerical error yields a failed record that carries the dimensions it
     drew and the error as its notes.
     """
     require_number(trial_index, "trial_index", 0, integer=True)
+    _require_instance(spec, "spec", EnsembleSpec)
+    _require_instance(tolerances, "tolerances", Tolerances)
     if suite not in THEOREM_SUITES:
-        raise ContractViolation(f"{suite!r} reduces its trials to one search record; "
-                                f"valid: {sorted(THEOREM_SUITES)}")
+        problem = (f"{suite!r} reduces its trials to one search record" if suite in SUITES
+                   else f"unknown suite tag {suite!r}")
+        raise ContractViolation(f"{problem}; valid: {sorted(THEOREM_SUITES)}")
     _require_fits(spec, suite)
     return next(_run_trials(spec, suite, (trial_index,), tolerances))
 

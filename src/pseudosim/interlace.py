@@ -6,8 +6,9 @@ property bounds every compressed value by
 ``lam[l] <= eta[l] <= lam[N - L + l]``.  :func:`check_interlacing` keeps
 the margins of those inequalities as two arrays, ``eta - lam[:L]`` and
 ``lam[N - L:] - eta``; a margin below minus the tolerance is a violation.
-Spectra are plain arrays, as the :mod:`pseudosim.eigen` solvers return
-them.  Rank-deficient transforms carry additional forced zeros in their
+Each function takes one spectrum, a plain 1-D array as the
+:mod:`pseudosim.eigen` solvers return it for one matrix; a stack of spectra
+is refused.  Rank-deficient transforms carry additional forced zeros in their
 spectra; :func:`extract_nonzero` separates those from the genuinely
 interlaced values by count, not by threshold alone, and refuses to guess
 when the separation is ambiguous.
@@ -50,8 +51,17 @@ class InterlacingReport:
         return float(self.lower_margins.min()), float(self.upper_margins.min())
 
 
+def _one_spectrum(values, name, dtype=np.float64) -> np.ndarray:
+    """``values`` as one flat spectrum; a stack of spectra, which the
+    eigensolvers return one row per matrix, is refused, not flattened."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim > 1:
+        raise ContractViolation(f"{name} must be one spectrum, 1-D; got shape {values.shape}")
+    return values.ravel()
+
+
 def _require_sorted(values, name):
-    values = np.asarray(values, dtype=np.float64).ravel()
+    values = _one_spectrum(values, name)
     if values.size > 1 and np.any(np.diff(values) < 0):
         raise ContractViolation(f"{name} must be sorted non-decreasing")
     return values
@@ -85,7 +95,7 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     ``realness_tol * max(1, max |value|)``.
     """
     require_number(realness_tol, "realness_tol", 0.0)
-    values = np.asarray(spectrum, dtype=np.complex128).ravel()
+    values = _one_spectrum(spectrum, "spectrum", np.complex128)
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
     tol = realness_tol * spectral_scale(values)
@@ -112,7 +122,7 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     if np.iscomplexobj(spectrum):
         raise ContractViolation("extract_nonzero takes real values; pass the spectrum through classify_real")
     require_number(zero_tol, "zero_tol", 0.0)
-    values = np.asarray(spectrum, dtype=np.float64).ravel()
+    values = _one_spectrum(spectrum, "spectrum")
     k = values.size
     if not 0 <= require_number(expected_l, "expected_l", integer=True) <= k:
         raise ContractViolation(f"expected rank {expected_l} outside [0, {k}]")

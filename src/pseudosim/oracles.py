@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigen import sort_eigenvalues
-from .errors import ContractViolation, NumericalError
+from .errors import ContractViolation, NumericalError, require_number
 from .linalg import _as_square_stack, spectral_scale
 
 
@@ -80,6 +80,7 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
     :class:`NumericalError`.  Distinct-root inputs converge to near machine
     level.
     """
+    require_number(max_iter, "max_iter", 1, integer=True)
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim < 1 or c.shape[-1] < 2:
         raise ContractViolation("need a polynomial of degree >= 1")

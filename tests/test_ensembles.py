@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pseudosim.eigen import eigvals_general, eigvals_hermitian, match_distance
 from pseudosim.ensembles import (
+    Draw,
     EnsembleSpec,
+    build_draws,
     draw_full_column_rank,
     draw_hermitian,
     draw_invertible_nonunitary,
@@ -14,7 +18,6 @@ from pseudosim.ensembles import (
     haar_columns,
 )
 from pseudosim.errors import ContractViolation
-from pseudosim.experiments import _per_shape
 from pseudosim.interlace import classify_real
 from pseudosim.linalg import penrose_residuals, pseudo_inverse, svd
 from pseudosim.rng import SplitMix64, derive_seed
@@ -186,6 +189,13 @@ def test_spectrum_laws():
     assert_allclose(draw_spectrum(rng, fixed, 2), [3.0, -1.0])
     with pytest.raises(ContractViolation):
         draw_spectrum(rng, fixed, 3)
+    # n is checked by its own name, before any word is drawn: True and 1.0
+    # would read as n = 1
+    untouched = SplitMix64(75)
+    for n, law in itertools.product((2.5, True, 1.0, 0), (spec, fixed)):
+        with pytest.raises(ContractViolation, match=f"n must be an int >= 1, got {n}"):
+            draw_spectrum(untouched, law, n)
+    assert untouched.next_uint64() == SplitMix64(75).next_uint64()
 
 
 def test_ensemble_spec_validation():
@@ -273,7 +283,7 @@ def test_haar_factors_keep_draw_order_across_shapes():
     draws = [draw_unitary(rng, 5, 2), draw_full_column_rank(rng, 5, 2), draw_unitary(rng, 3, 3),
              draw_rank_l(rng, 4, 7, 2), draw_hermitian(rng, [1.0, -2.0, 0.5])]
     gaussians = [g for d in draws for g in d.gaussians]
-    factors = _per_shape([(haar_columns, g) for g in gaussians])
+    factors = build_draws([Draw((g,)) for g in gaussians])
     assert len(factors) == len(gaussians) == 8
     for g, q in zip(gaussians, factors):
         assert np.array_equal(q, _haar_reference(g))
@@ -286,8 +296,7 @@ def test_generators_are_their_draws_assembled():
                 draw_rank_l(rng, 5, 8, 2), draw_unitary(rng, 4, 4),
                 draw_invertible_nonunitary(rng, 4, 1e2, 3.0)]
     batch = draws(SplitMix64(64))
-    factors = iter(_per_shape([(haar_columns, g) for d in batch for g in d.gaussians]))
-    built = [d.build(*(next(factors) for _ in d.gaussians)) for d in batch]
+    built = build_draws(batch)
     direct = [d.built() for d in draws(SplitMix64(64))]
     assert len(built) == len(direct) == 5
     for a, b in zip(built, direct):
@@ -305,7 +314,7 @@ def test_single_draw_group_is_a_view_of_its_words():
 
     rng = SplitMix64(3)
     alone, first, second = draw_unitary(rng, 5, 2), draw_unitary(rng, 4, 3), draw_unitary(rng, 4, 3)
-    _per_shape([(recorded, d.gaussians[0]) for d in (alone, first, second)])
+    build_draws([Draw(d.gaussians, stage=recorded) for d in (alone, first, second)])
     assert len(seen) == 2
     assert np.shares_memory(seen[0], alone.gaussians[0])
     assert not any(np.shares_memory(seen[1], d.gaussians[0]) for d in (first, second))

@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
+import pseudosim.ensembles as ensembles
 import pseudosim.experiments as experiments
 from pseudosim.cli import main
 from pseudosim.eigen import eigvals_general, match_distance, spectral_scale
-from pseudosim.ensembles import EnsembleSpec
+from pseudosim.ensembles import Draw, EnsembleSpec
 from pseudosim.errors import ContractViolation, NumericalError
 from pseudosim.experiments import (
     OBLIQUE_DEFAULT_N,
@@ -47,6 +48,14 @@ def test_config_validation():
         _config(trials=0)
     with pytest.raises(ContractViolation):
         _config(suites=())
+    # a str would read as one-letter tags
+    with pytest.raises(ContractViolation, match="suites must be a sequence of suite tags, "
+                                                "not the str 'subsumption'"):
+        _config(suites="subsumption")
+    with pytest.raises(ContractViolation, match="ensemble must be of type EnsembleSpec, got None"):
+        _config(ensemble=None)
+    with pytest.raises(ContractViolation, match="tolerances must be of type Tolerances, got None"):
+        _config(tolerances=None)
     # the spec takes any pinned shape; a suite that draws k and l judges it
     with pytest.raises(ContractViolation, match="interlace-inflated needs l <= n"):
         _config(suites=("interlace-inflated",), ensemble=EnsembleSpec(seed=1, n=2, k=3, l=3))
@@ -142,8 +151,14 @@ def test_run_trial_replays_records(monkeypatch):
         records = run_suite(_config(suites=(suite,), trials=6))
         for index in (0, 2, 5):
             assert run_trial(spec, suite, index) == records[index], (workers, suite, index)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="'oblique-counterexample' reduces its trials to one search"):
         run_trial(spec, "oblique-counterexample", 0)
+    with pytest.raises(ContractViolation, match=r"unknown suite tag 'bogus'; valid: \['interlace-full-rank'"):
+        run_trial(spec, "bogus", 0)
+    with pytest.raises(ContractViolation, match="spec must be of type EnsembleSpec, got None"):
+        run_trial(None, "subsumption", 0)
+    with pytest.raises(ContractViolation, match="tolerances must be of type Tolerances, got None"):
+        run_trial(spec, "subsumption", 0, None)
 
 
 @pytest.mark.parametrize("trial_index", [True, 2.5, -1])
@@ -315,15 +330,15 @@ def test_failed_haar_factor_stays_inside_its_trial(small_chunks, monkeypatch):
     # trials of its chunk keep their factors and their records
     suite = "interlace-rank-deficient"
     default = run_suite(_config(suites=(suite,), trials=30))
-    unlucky = experiments._draw_trial(EnsembleSpec(seed=42), suite, 7).draws[1].gaussians[0]
-    haar_columns = experiments.haar_columns
+    unlucky = experiments._draw_trial(EnsembleSpec(seed=42), suite, 7).drawn[2].gaussians[0]
+    haar_columns = ensembles.haar_columns
 
     def fails_on_one(stack):
         if any(np.array_equal(g, unlucky) for g in stack):
             raise np.linalg.LinAlgError("no QR")
         return haar_columns(stack)
 
-    monkeypatch.setattr(experiments, "haar_columns", fails_on_one)
+    monkeypatch.setattr(ensembles, "haar_columns", fails_on_one)
     small_chunks.clear()
     forced = run_suite(_config(suites=(suite,), trials=30))
     assert any(7 in chunk and len(chunk) > 1 for chunk in small_chunks), small_chunks
@@ -338,7 +353,8 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
     suite = "interlace-rank-deficient"
     spec = EnsembleSpec(seed=42)
     chunk = [experiments._draw_trial(spec, suite, i) for i in range(4)]
-    gaussians = [weakref.ref(g) for trial in chunk for d in trial.draws for g in d.gaussians]
+    gaussians = [weakref.ref(g) for trial in chunk for d in trial.drawn if isinstance(d, Draw)
+                 for g in d.gaussians]
     alive = []
     dims, draw, check = experiments._SUITE_TABLE[suite]
 
@@ -499,8 +515,8 @@ def test_clustered_oblique_block_settles_loosely():
     # scale; its last correction is within 1e-10, so the roots come back, and
     # they match the eigensolver's spectrum within the oracle tolerance
     spec = EnsembleSpec(seed=298, n=4, condition_cap=2.5)
-    trial, = experiments._built([experiments._draw_trial(spec, "oblique-counterexample", 0)])
-    lam, p, x, sel = trial.drawn
+    lam, p, x, sel = experiments._draw_trial(spec, "oblique-counterexample", 0).drawn
+    p, x = p.built(), x.built()
     t = oblique_transform(p, x, sel)
     assert t.shape == (3, 3)
     roots = polynomial_roots(characteristic_polynomial(t))

@@ -54,6 +54,11 @@ def test_interlacing_input_guards():
         check_interlacing([1.0, 2.0], [2.0, 1.0])
     with pytest.raises(ContractViolation, match="compressed spectrum longer than reference: 2 > 1"):
         check_interlacing([1.0], [0.5, 1.5])
+    # a stack of spectra is refused, not flattened into one
+    with pytest.raises(ContractViolation, match=r"lam must be one spectrum, 1-D; got shape \(2, 2\)"):
+        check_interlacing([[1, 2], [3, 4]], [1.5])
+    with pytest.raises(ContractViolation, match=r"eta must be one spectrum, 1-D; got shape \(1, 1\)"):
+        check_interlacing([1, 2], [[1.5]])
 
 
 def test_interlacing_tolerance():
@@ -97,6 +102,12 @@ def test_extract_nonzero_spectrum_input():
     nonzero, zeros = extract_nonzero(classify_real(s), 1)
     assert_allclose(nonzero, [2.0])
     assert zeros == 1
+    # the solvers give a stack one row per matrix: each verdict takes one row
+    stack = eigvals_general(np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]))
+    with pytest.raises(ContractViolation, match=r"spectrum must be one spectrum, 1-D; got shape \(2, 2\)"):
+        classify_real(stack)
+    with pytest.raises(ContractViolation, match=r"spectrum must be one spectrum, 1-D; got shape \(2, 2\)"):
+        extract_nonzero(stack.real, 2)
 
 
 def test_rank_underestimate_is_surfaced():

@@ -61,6 +61,10 @@ def test_invalid_polynomials():
         polynomial_roots([0.0, 1.0, 2.0])  # zero leading coefficient
     with pytest.raises(ContractViolation):
         polynomial_roots([3.0])  # constant
+    # True would run one iteration, -3 none
+    for max_iter in (True, 2.5, -3, 0):
+        with pytest.raises(ContractViolation, match=f"max_iter must be an int >= 1, got {max_iter}"):
+            polynomial_roots([1.0, 2.0, 3.0, 4.0], max_iter=max_iter)
 
 
 def test_oracle_matches_lapack_small():

@@ -182,11 +182,22 @@ def test_no_module_keeps_an_unused_import():
     assert unused == []
 
 
+def _definitions(module: str):
+    """(name, node) of each top-level statement of ``module``, where each
+    statement of a top-level class counts on its own, as Class.name."""
+    for top in _tree(module).body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield f"{top.name}.{getattr(node, 'name', None)}", node
+        else:
+            yield getattr(top, "name", None), top
+
+
 def _call_sites(test) -> set[tuple[str, str | None]]:
-    """(module, top-level name) of every call in the package that ``test``
+    """(module, definition name) of every call in the package that ``test``
     picks out."""
-    return {(path.stem, getattr(top, "name", None)) for path in sorted(SOURCE.glob("*.py"))
-            for top in _tree(path.stem).body
+    return {(path.stem, name) for path in sorted(SOURCE.glob("*.py"))
+            for name, top in _definitions(path.stem)
             for node in ast.walk(top) if isinstance(node, ast.Call) and test(node)}
 
 
@@ -194,11 +205,23 @@ def _calls_method(call, name: str) -> bool:
     return isinstance(call.func, ast.Attribute) and call.func.attr == name
 
 
+def test_ensembles_alone_builds_draws():
+    # how a Draw becomes its member is decided in ensembles: no other module
+    # reads a draw's Gaussians, stage or build, or stages a Gaussian itself
+    readers = {path.stem for path in sorted(SOURCE.glob("*.py"))
+               for node in ast.walk(_tree(path.stem))
+               if isinstance(node, ast.Attribute) and node.attr in ("gaussians", "stage", "build")}
+    assert readers == {"ensembles"}
+    assert "haar_columns" not in {alias.name for node in ast.walk(_tree("experiments"))
+                                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_each_trial_is_checked_alone():
     # one pass stacks a chunk's Gaussians, for the Haar factors and for
     # solver-oracle's measurements alike
-    assert _call_sites(lambda call: _is_name(call.func, "_per_shape")
-                       or _calls_method(call, "_per_shape")) == {("experiments", "_built")}
+    assert _call_sites(lambda call: _is_name(call.func, "build_draws")
+                       or _calls_method(call, "build_draws")) == {
+        ("ensembles", "Draw.built"), ("experiments", "_check_chunk")}
     # a record's dimensions are its draw's: nothing patches them afterwards
     assert _call_sites(lambda call: _calls_method(call, "_replace")
                        and any(keyword.arg == "dims" for keyword in call.keywords)) == set()
