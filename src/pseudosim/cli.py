@@ -27,7 +27,6 @@ from .experiments import (
 from .reports import FORMATS, render, summarize
 
 DEFAULT_SEED = 42
-DEFAULT_TRIALS = 200
 
 
 def _parse_suites(raw: str) -> list[str]:
@@ -86,29 +85,21 @@ def build_config(file_values: dict | None, args: argparse.Namespace,
                  ) -> tuple[ExperimentConfig, str | None, str]:
     """The run's configuration, output path (None for stdout) and report
     format: the flags in ``args`` over ``file_values``, as
-    :func:`load_config_file` reads them, over the defaults."""
-    sections = file_values or {}
-    run, output = sections.get("run", {}), sections.get("output", {})
-    report_format = args.format if args.format is not None else output.get("format", "table")
+    :func:`load_config_file` reads them, over the defaults.  Every flag but
+    ``--config`` is stored under the "<section>.<key>" of the key it sets."""
+    sections = {name: dict((file_values or {}).get(name, {})) for name in _INI_KEYS}
+    for dest, value in vars(args).items():
+        if dest != "config" and value is not None:
+            section, key = dest.split(".")
+            sections[section][key] = value
+    output = sections["output"]
+    report_format = output.get("format", "table")
     if report_format not in FORMATS:
         raise ContractViolation(f"unknown format {report_format!r}, expected one of {FORMATS}")
-    ensemble_kwargs = {"seed": DEFAULT_SEED, **sections.get("ensemble", {})}
-    tolerance_kwargs = dict(sections.get("tolerances", {}))
-    if args.seed is not None:
-        ensemble_kwargs["seed"] = args.seed
-    if args.tol_interlace is not None:
-        tolerance_kwargs["interlace"] = args.tol_interlace
-    if args.tol_rank is not None:
-        tolerance_kwargs["rank"] = args.tol_rank
-    suites = ([suite for chunk in args.suite for suite in _parse_suites(chunk)] if args.suite
-              else run.get("suites", SUITES))
-    config = ExperimentConfig(
-        suites=tuple(suites),
-        ensemble=EnsembleSpec(**ensemble_kwargs),
-        trials=args.trials if args.trials is not None else run.get("trials", DEFAULT_TRIALS),
-        tolerances=Tolerances(**tolerance_kwargs),
-    )
-    return config, args.out if args.out is not None else output.get("path"), report_format
+    config = ExperimentConfig(**{"suites": SUITES, **sections["run"]},
+                              ensemble=EnsembleSpec(**{"seed": DEFAULT_SEED, **sections["ensemble"]}),
+                              tolerances=Tolerances(**sections["tolerances"]))
+    return config, output.get("path"), report_format
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -118,17 +109,21 @@ def make_parser() -> argparse.ArgumentParser:
                     "transforms of Hermitian matrices.",
     )
     parser.add_argument("--config", help="INI config file (flags override file values)")
-    parser.add_argument("--suite", action="append", metavar="TAG",
+    parser.add_argument("--suite", dest="run.suites", action="extend", type=_parse_suites,
+                        metavar="TAG",
                         help=f"suite tag, repeatable or comma-separated; one of {', '.join(SUITES)}"
                              " (default: all)")
-    parser.add_argument("--trials", type=int, help=f"trials per suite (default {DEFAULT_TRIALS})")
-    parser.add_argument("--seed", type=int, help=f"master 64-bit seed (default {DEFAULT_SEED})")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=FORMATS, help="report format (default table)")
-    parser.add_argument("--tol-interlace", type=float, metavar="REL",
+    parser.add_argument("--trials", dest="run.trials", type=int, metavar="TRIALS",
+                        help=f"trials per suite (default {ExperimentConfig.trials})")
+    parser.add_argument("--seed", dest="ensemble.seed", type=int, metavar="SEED",
+                        help=f"master 64-bit seed (default {DEFAULT_SEED})")
+    parser.add_argument("--out", dest="output.path", metavar="OUT", help="output path (default: stdout)")
+    parser.add_argument("--format", dest="output.format", choices=FORMATS,
+                        help="report format (default table)")
+    parser.add_argument("--tol-interlace", dest="tolerances.interlace", type=float, metavar="REL",
                         help="interlacing tolerance per spectral scale "
                              f"(default {Tolerances.interlace:g})")
-    parser.add_argument("--tol-rank", type=float, metavar="REL",
+    parser.add_argument("--tol-rank", dest="tolerances.rank", type=float, metavar="REL",
                         help="rank-detection threshold per largest singular value "
                              "(default max(rows, cols) * eps)")
     return parser

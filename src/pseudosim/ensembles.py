@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ContractViolation, NumericalError, require_number
 from .rng import SplitMix64
 
-#: dimension ranges used when an EnsembleSpec leaves n/k/l unset
-DEFAULT_N_RANGE = (2, 16)
+#: defaults of the EnsembleSpec fields of the same names
 DEFAULT_CONDITION_CAP = 1e3
 DEFAULT_SPECTRUM_GAP = 0.1
 DEFAULT_SPECTRUM_BOUND = 2.0
@@ -43,10 +42,10 @@ class EnsembleSpec:
     """Everything needed to regenerate an ensemble bit for bit.
 
     ``n``, ``k`` and ``l`` may be left as None, in which case each trial
-    draws them from the default ranges above.  Whether pinned dimensions and
-    a prescribed spectrum's length fit is each suite's dimension rule's to
-    decide (see :mod:`pseudosim.experiments`).  ``spectrum_law`` selects how
-    eigenvalues of the Hermitian input are drawn:
+    draws them from the ranges of its suite's dimension rule.  Whether
+    pinned dimensions and a prescribed spectrum's length fit is that rule's
+    to decide too (see :mod:`pseudosim.experiments`).  ``spectrum_law``
+    selects how eigenvalues of the Hermitian input are drawn:
 
     * ``prescribed``: use ``spectrum_values`` verbatim (their count must be
       the n of every suite that draws a spectrum; no other law takes

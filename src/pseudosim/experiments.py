@@ -43,6 +43,7 @@ import os
 import pickle
 import signal
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from types import SimpleNamespace
@@ -51,7 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensembles import (
-    DEFAULT_N_RANGE,
     TRIAL_ERRORS,
     Draw,
     EnsembleSpec,
@@ -71,6 +71,8 @@ from .oracles import characteristic_polynomial, polynomial_roots
 from .rng import SplitMix64, derive_seed
 from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
 
+#: an unpinned n's range; interlace-rank-deficient and -inflated cap it at 12
+DEFAULT_N_RANGE = (2, 16)
 OBLIQUE_DEFAULT_N = 3
 WITNESS_TIGHTEN = 10.0            # tolerance factor an oblique witness must violate
 
@@ -113,6 +115,7 @@ class ExperimentConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
+        _require_instance(self.suites, "suites", Sequence)
         if isinstance(self.suites, str):  # a str would read as one-letter tags
             raise ContractViolation(f"suites must be a sequence of suite tags, "
                                     f"not the str {self.suites!r}")
@@ -241,11 +244,13 @@ def _deficient_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite
     return n, k, l
 
 
-def _interlace_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims, inflate: bool):
+def _interlace_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
+    """The spectrum, P, H and, where k > l (every rank-deficient and inflated
+    trial, no full-rank one), the frame V of the inflation route."""
     n, k, l = dims
     lam = np.sort(draw_spectrum(rng, spec, n))
     return dims, (lam, draw_hermitian(rng, lam), draw_full_column_rank(rng, n, l, spec.condition_cap),
-                  draw_unitary(rng, k, l) if inflate else None)
+                  draw_unitary(rng, k, l) if k > l else None)
 
 
 def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -302,16 +307,15 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
                         notes="; ".join(notes))
 
 
-def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int):
+def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int, suite: str):
     """Side n of P and X, OBLIQUE_DEFAULT_N unless pinned.  The selection
     size is the draw's, so it stays 0 on a trial whose draw raised."""
     n = spec.n if spec.n is not None else OBLIQUE_DEFAULT_N
-    _prescribed_fits(spec, "oblique-counterexample", n)
+    _prescribed_fits(spec, suite, n)
     if n < 2:
-        raise ContractViolation(f"oblique-counterexample draws 1 <= l <= n - 1, so it needs n >= 2; "
-                                f"got n = {n}")
+        raise ContractViolation(f"{suite} draws 1 <= l <= n - 1, so it needs n >= 2; got n = {n}")
     if spec.nonunitarity_floor > spec.condition_cap:
-        raise ContractViolation(f"oblique-counterexample draws cond(X) from [nonunitarity_floor, "
+        raise ContractViolation(f"{suite} draws cond(X) from [nonunitarity_floor, "
                                 f"condition_cap]; got nonunitarity_floor = {spec.nonunitarity_floor} "
                                 f"> condition_cap = {spec.condition_cap}")
     return n, 0, 0
@@ -366,13 +370,13 @@ _MP_SHAPES = ("tall-full", "wide-full", "square-full", "tall-deficient",
               "wide-deficient", "square-deficient")
 
 
-def _mp_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
+def _mp_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite: str):
     """(rows, cols, target rank); shapes cycle deterministically so every run
     covers full-rank, rank-deficient, tall, wide, and square."""
     shape_kind = _MP_SHAPES[trial_index % len(_MP_SHAPES)]
     rows = _pick(spec.n, rng, max(2, DEFAULT_N_RANGE[0]), DEFAULT_N_RANGE[1])
     if rows > 24:
-        raise ContractViolation(f"mp-axioms draws wide shapes with n <= cols <= 24, "
+        raise ContractViolation(f"{suite} draws wide shapes with n <= cols <= 24, "
                                 f"so it needs n <= 24; got n = {rows}")
     if shape_kind.startswith("tall"):
         cols = rng.randint(1, rows)
@@ -414,7 +418,7 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
 
 
-def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int):
+def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite: str):
     """Side n of the charpoly-checked matrices.  The side k of the
     trace/determinant matrix is the draw's, so it stays 0 on a trial whose
     draw raised."""
@@ -472,20 +476,17 @@ def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
 
 
 #: suite -> (dimension rule, draw, check), in canonical order: a suite's
-#: position indexes its seed derivation.  The draw takes every random number
-#: of a trial and returns its dimensions and its drawn values; a :class:`Draw`
-#: among them reaches the check as what it builds.  The check takes one built
-#: trial and returns its record.  The oblique search's trials reduce to one
-#: record: see :func:`counterexample_search`.
+#: position indexes its seed derivation.  The dimension rule takes the tag of
+#: the suite it serves, which its messages name.  The draw takes every random
+#: number of a trial and returns its dimensions and its drawn values; a
+#: :class:`Draw` among them reaches the check as what it builds.  The check
+#: takes one built trial and returns its record.  The oblique search's trials
+#: reduce to one record: see :func:`counterexample_search`.
 _SUITE_TABLE = {
-    "interlace-full-rank": (partial(_compression_dims, suite="interlace-full-rank"),
-                            partial(_interlace_draw, inflate=False), _interlace_check),
-    "interlace-rank-deficient": (partial(_deficient_dims, suite="interlace-rank-deficient"),
-                                 partial(_interlace_draw, inflate=True), _interlace_check),
-    "interlace-inflated": (partial(_deficient_dims, suite="interlace-inflated"),
-                           partial(_interlace_draw, inflate=True), _interlace_check),
-    "subsumption": (partial(_compression_dims, suite="subsumption"), _subsumption_draw,
-                    _subsumption_check),
+    "interlace-full-rank": (_compression_dims, _interlace_draw, _interlace_check),
+    "interlace-rank-deficient": (_deficient_dims, _interlace_draw, _interlace_check),
+    "interlace-inflated": (_deficient_dims, _interlace_draw, _interlace_check),
+    "subsumption": (_compression_dims, _subsumption_draw, _subsumption_check),
     "oblique-counterexample": (_oblique_dims, _oblique_draw, _oblique_check),
     "mp-axioms": (_mp_dims, _mp_draw, _mp_check),
     "solver-oracle": (_oracle_dims, _oracle_draw, _oracle_check),
@@ -502,7 +503,7 @@ def _require_fits(spec: EnsembleSpec, suite: str) -> None:
     fits draws at the low ends of their ranges and at the high ends fits all."""
     draw_dims = _SUITE_TABLE[suite][0]
     for end in (min, max):
-        draw_dims(SimpleNamespace(randint=end), spec, 0)
+        draw_dims(SimpleNamespace(randint=end), spec, 0, suite)
 
 
 #: suites whose failures flip the process exit status: all but the oblique
@@ -546,7 +547,7 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> 
     draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
     seed = trial_seed(spec.seed, suite, trial_index)
     rng = SplitMix64(seed)
-    dims = draw_dims(rng, spec, trial_index)
+    dims = draw_dims(rng, spec, trial_index, suite)
     try:
         dims, drawn = (draw or suite_draw)(rng, spec, trial_index, dims)
     except TRIAL_ERRORS as exc:
@@ -610,7 +611,7 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     require_number(trial_index, "trial_index", 0, integer=True)
     _require_instance(spec, "spec", EnsembleSpec)
     _require_instance(tolerances, "tolerances", Tolerances)
-    if suite not in THEOREM_SUITES:
+    if suite not in SUITES or suite not in THEOREM_SUITES:  # a list is no tag, nor hashable
         problem = (f"{suite!r} reduces its trials to one search record" if suite in SUITES
                    else f"unknown suite tag {suite!r}")
         raise ContractViolation(f"{problem}; valid: {sorted(THEOREM_SUITES)}")
@@ -629,6 +630,7 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
     record, or None when the budget is exhausted (as the control arms should
     every time).
     """
+    _require_instance(config, "config", ExperimentConfig)
     if control not in (None, "unitary", "identity"):
         raise ContractViolation(f"unknown control arm {control!r}")
     suite, spec, tols = "oblique-counterexample", config.ensemble, config.tolerances
@@ -656,7 +658,8 @@ def _search_record(config: ExperimentConfig) -> TrialRecord:
     for the whole budget."""
     spec = config.ensemble
     return counterexample_search(config) or TrialRecord(
-        "oblique-counterexample", config.trials - 1, spec.seed, _oblique_dims(None, spec, 0)[0], 0, 0,
+        "oblique-counterexample", config.trials - 1, spec.seed,
+        _oblique_dims(None, spec, 0, "oblique-counterexample")[0], 0, 0,
         passed=True, notes=f"no witness in {config.trials} draws")
 
 

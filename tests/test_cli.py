@@ -44,16 +44,18 @@ def test_config_file_parsing(tmp_path):
 
 def test_flags_override_file(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(CONFIG_TEXT, encoding="utf-8")
-    args = _parse(["--trials", "2", "--seed", "7", "--suite", "mp-axioms",
+    path.write_text(CONFIG_TEXT + "path = file.csv\n", encoding="utf-8")
+    args = _parse(["--trials", "2", "--seed", "7", "--suite", "mp-axioms", "--out", "flag.csv",
                    "--format", "table", "--tol-interlace", "5e-7", "--tol-rank", "1e-12"])
-    config, _, report_format = build_config(load_config_file(str(path)), args)
+    config, out, report_format = build_config(load_config_file(str(path)), args)
     assert config.trials == 2
     assert config.ensemble.seed == 7
     assert config.suites == ("mp-axioms",)
-    assert report_format == "table"
+    assert (out, report_format) == ("flag.csv", "table")
     assert config.tolerances.interlace == 5e-7
     assert config.tolerances.rank == 1e-12
+    # a key no flag sets keeps the file's value
+    assert config.ensemble.condition_cap == 500.0
 
 
 def test_defaults_without_config():

@@ -52,6 +52,8 @@ def test_config_validation():
     with pytest.raises(ContractViolation, match="suites must be a sequence of suite tags, "
                                                 "not the str 'subsumption'"):
         _config(suites="subsumption")
+    with pytest.raises(ContractViolation, match="suites must be of type Sequence, got None"):
+        _config(suites=None)
     with pytest.raises(ContractViolation, match="ensemble must be of type EnsembleSpec, got None"):
         _config(ensemble=None)
     with pytest.raises(ContractViolation, match="tolerances must be of type Tolerances, got None"):
@@ -155,6 +157,8 @@ def test_run_trial_replays_records(monkeypatch):
         run_trial(spec, "oblique-counterexample", 0)
     with pytest.raises(ContractViolation, match=r"unknown suite tag 'bogus'; valid: \['interlace-full-rank'"):
         run_trial(spec, "bogus", 0)
+    with pytest.raises(ContractViolation, match=r"unknown suite tag \['subsumption'\]; valid: "):
+        run_trial(spec, ["subsumption"], 0)
     with pytest.raises(ContractViolation, match="spec must be of type EnsembleSpec, got None"):
         run_trial(None, "subsumption", 0)
     with pytest.raises(ContractViolation, match="tolerances must be of type Tolerances, got None"):
@@ -203,6 +207,8 @@ def test_oblique_control_arms_find_nothing():
     assert counterexample_search(config, control="identity") is None
     with pytest.raises(ContractViolation):
         counterexample_search(config, control="reflection")
+    with pytest.raises(ContractViolation, match="config must be of type ExperimentConfig, got None"):
+        counterexample_search(None)
 
 
 def test_oblique_not_found_is_not_failure():

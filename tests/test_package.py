@@ -229,3 +229,18 @@ def test_each_trial_is_checked_alone():
     assert {suite: list(inspect.signature(check).parameters)
             for suite, (_, _, check) in _SUITE_TABLE.items()} == {
         suite: ["trial", "tols"] for suite in _SUITE_TABLE}
+
+
+def test_each_suite_and_setting_is_declared_once():
+    # a suite-table entry is three module functions: the runner hands each
+    # dimension rule the tag it serves, so no entry binds it in a partial
+    experiments = importlib.import_module("pseudosim.experiments")
+    assert [(suite, step) for suite, entry in _SUITE_TABLE.items() for step in entry
+            if not (inspect.isfunction(step) and getattr(experiments, step.__name__) is step)] == []
+    # every flag but --config is stored under the INI key it sets, so the
+    # file and the flags reach the config by one path
+    keys = {f"{section}.{key}" for section, readers in cli._INI_KEYS.items() for key in readers}
+    dests = [action.dest for action in cli.make_parser()._actions
+             if action.dest not in ("config", "help")]
+    assert len(dests) == 7
+    assert [dest for dest in dests if dest not in keys] == []
