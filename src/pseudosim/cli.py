@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import os
 import sys
 from dataclasses import fields
@@ -175,7 +176,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # the process ends here: frozen objects are left out of the collection
+    # the interpreter runs on its way out, a pass over every object the
+    # imports made.  main() does not freeze, as tests and libraries call it
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ not part of the public surface.
 
 Each function takes one square matrix or a stack of same-size matrices along
 the leading axes, validates it once, and returns plain arrays: one spectrum
-per matrix, under the stack's leading axes.  General spectra are complex and
+per matrix, under the stack's leading axes.  Each then calls its private
+body (:func:`_eigvals_hermitian`, :func:`_eigvals_general`), which takes a
+validated stack; the runner calls the bodies.  General spectra are complex and
 sorted by (real, imag), Hermitian ones real and ascending.  A stack runs as
 one LAPACK call and gives each matrix the spectrum it gets alone.
 
@@ -48,6 +50,11 @@ def eigvals_hermitian(m) -> np.ndarray:
     m = _as_square_stack(m)
     if not _hermitian_each(m).all():
         raise ContractViolation("input is not Hermitian within tolerance")
+    return _eigvals_hermitian(m)
+
+
+def _eigvals_hermitian(m: np.ndarray) -> np.ndarray:
+    """:func:`eigvals_hermitian` of a validated Hermitian stack."""
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -57,7 +64,11 @@ def eigvals_hermitian(m) -> np.ndarray:
 def eigvals_general(m) -> np.ndarray:
     """Complex spectrum of a general square matrix, sorted by (real, imag);
     a row per matrix of a stack."""
-    m = _as_square_stack(m)
+    return _eigvals_general(_as_square_stack(m))
+
+
+def _eigvals_general(m: np.ndarray) -> np.ndarray:
+    """:func:`eigvals_general` of a validated stack."""
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

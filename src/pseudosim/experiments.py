@@ -29,6 +29,16 @@ and the acceptance tests share one path.  So does
 time, at tolerances WITNESS_TIGHTEN times the run's, and stops at the first
 violation.
 
+The configuration is validated once, before any trial: :class:`EnsembleSpec`,
+:class:`Tolerances` and :func:`_require_fits`.  The checks then call the
+private bodies of the library's functions, which skip every guard whose input
+holds by construction (P = (P+P^H)/2, V and Q from a Haar QR, finite
+Gaussians, sorted spectra, validated gates), and keep every verdict gate: H's
+full column rank, route agreement, realness, the zero split, interlacing, the
+Penrose residuals and the oracles.  The oblique check keeps the public
+:func:`~pseudosim.transforms.oblique_transform`, whose block need not be
+finite; numpy's eigensolver refuses a non-finite one, so its trial fails.
+
 Seed discipline: each suite gets ``derive_seed(master, suite_position)``
 where the position is fixed by the canonical SUITES order, and each trial
 gets ``derive_seed(suite_seed, trial_index)``.  A trial is therefore fully
@@ -63,13 +73,13 @@ from .ensembles import (
     draw_spectrum,
     draw_unitary,
 )
-from .eigen import eigvals_general, eigvals_hermitian, match_distance, relative_imag
+from .eigen import _eigvals_general, _eigvals_hermitian, match_distance, relative_imag
 from .errors import ContractViolation, RealnessViolation, require_number
-from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, check_interlacing, classify_real, extract_nonzero
-from .linalg import _adjoint, penrose_residuals, spectral_scale, svd
-from .oracles import characteristic_polynomial, polynomial_roots
+from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, _check_interlacing, _classify_real, _extract_nonzero
+from .linalg import _adjoint, _penrose_residuals, _svd, spectral_scale
+from .oracles import _characteristic_polynomial, polynomial_roots
 from .rng import SplitMix64, derive_seed
-from .transforms import inflate_transform, oblique_transform, pseudo_similarity, unitary_compression
+from .transforms import _inflate_transform, _pseudo_similarity, _unitary_compression, oblique_transform
 
 #: an unpinned n's range; interlace-rank-deficient and -inflated cap it at 12
 DEFAULT_N_RANGE = (2, 16)
@@ -257,15 +267,15 @@ def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     l = trial.dims[2]
     lam, p, h, v = trial.drawn
     if v is not None:
-        result = inflate_transform(p, h, v, tols.rank)
+        result = _inflate_transform(p, h, v, tols.rank)
     else:
-        result = pseudo_similarity(p, h, tols.rank)
+        result = _pseudo_similarity(p, h, tols.rank)
 
-    spectrum = eigvals_general(result.transformed)
+    spectrum = _eigvals_general(result.transformed)
     rel_imag = relative_imag(spectrum)
-    real_values = classify_real(spectrum, tols.realness)
-    eta, zero_count = extract_nonzero(real_values, result.input_rank, tols.zero)
-    report = check_interlacing(lam, eta, tols.interlace * spectral_scale(lam))
+    real_values = _classify_real(spectrum, tols.realness)
+    eta, zero_count = _extract_nonzero(real_values, result.input_rank, tols.zero)
+    report = _check_interlacing(lam, eta, tols.interlace * spectral_scale(lam))
 
     lo, hi = report.min_margins()
     route_dev = result.route_deviation or 0.0
@@ -293,8 +303,8 @@ def _subsumption_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dim
 def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     p, q = trial.drawn
 
-    classical = unitary_compression(p, q)
-    general = pseudo_similarity(p, q, tols.rank)
+    classical = _unitary_compression(p, q)
+    general = _pseudo_similarity(p, q, tols.rank)
     pinv_dev = float(np.abs(general.factors.pseudo_inverse() - _adjoint(q)).max())
     route_dev = float(np.abs(classical - general.transformed).max())
 
@@ -347,19 +357,19 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     record passes either way: a breach is what the search looks for."""
     lam, p, x, sel = trial.drawn
     t = oblique_transform(p, x, sel)
-    spectrum, scale = eigvals_general(t), spectral_scale(lam)
+    spectrum, scale = _eigvals_general(t), spectral_scale(lam)
     try:
-        eta = classify_real(spectrum, tols.realness)
+        eta = _classify_real(spectrum, tols.realness)
     except RealnessViolation:
         magnitude = relative_imag(spectrum)
         lo, hi, note = -magnitude, 0.0, f"complex spectrum (max rel imag {magnitude:.3e})"
     else:
-        report = check_interlacing(lam, eta, tols.interlace * scale)
+        report = _check_interlacing(lam, eta, tols.interlace * scale)
         lo, hi = report.min_margins()
         magnitude = 0.0 if report.passed else float(np.maximum(-lo, -hi)) / scale
         note = "" if report.passed else f"interlacing violated (worst margin {min(lo, hi):.3e})"
     if magnitude > 0.0 and t.shape[0] <= 6:
-        oracle_dev = match_distance(spectrum, polynomial_roots(characteristic_polynomial(t)))
+        oracle_dev = match_distance(spectrum, polynomial_roots(_characteristic_polynomial(t)))
         if not oracle_dev <= tols.oracle * scale:
             magnitude, note = 0.0, f"{note}; charpoly roots deviate by {oracle_dev:.3e}"
     return trial.record(passed=True, min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
@@ -405,8 +415,8 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     if m.shape != (rows, cols):
         m = _adjoint(m)
 
-    factors = svd(m, tols.rank)
-    residuals = penrose_residuals(m, factors.pseudo_inverse())
+    factors = _svd(m, tols.rank)
+    residuals = _penrose_residuals(m, factors.pseudo_inverse())
     worst = float(np.max(residuals))  # a NaN residual stays NaN
     notes = []
     if factors.rank != rank_target:
@@ -457,9 +467,9 @@ def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
     """Per matrix of the stack g, a row: how far LAPACK's spectra of it and
     of its Hermitian part lie from their characteristic-polynomial roots, per
     the roots' spectral scale."""
-    general = eigvals_general(g), polynomial_roots(characteristic_polynomial(g))
+    general = _eigvals_general(g), polynomial_roots(_characteristic_polynomial(g))
     hm = (g + _adjoint(g)) / 2.0
-    hermitian = eigvals_hermitian(hm), polynomial_roots(characteristic_polynomial(hm))
+    hermitian = _eigvals_hermitian(hm), polynomial_roots(_characteristic_polynomial(hm))
     return np.stack([match_distance(w, roots) / spectral_scale(roots, axis=1)
                      for w, roots in (general, hermitian)], axis=1)
 
@@ -469,7 +479,7 @@ def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
     eigenvalues lie from its trace and its determinant.  Scaled by scalar
     moduli, not :func:`spectral_scale`: numpy's vectorised complex modulus
     differs from the scalar one in the last bit on some values."""
-    w = eigvals_general(g6)
+    w = _eigvals_general(g6)
     traces, dets = np.trace(g6, axis1=1, axis2=2), np.linalg.det(g6)
     return [(abs(total - trace) / max(1.0, abs(trace)), abs(prod - det) / max(1.0, abs(det)))
             for total, trace, prod, det in zip(w.sum(axis=1), traces, w.prod(axis=1), dets)]

@@ -8,7 +8,11 @@ the margins of those inequalities as two arrays, ``eta - lam[:L]`` and
 ``lam[N - L:] - eta``; a margin below minus the tolerance is a violation.
 Each function takes one spectrum, a plain 1-D array as the
 :mod:`pseudosim.eigen` solvers return it for one matrix; a stack of spectra
-is refused.  Rank-deficient transforms carry additional forced zeros in their
+is refused.  Each validates its arguments and calls its private body
+(:func:`_check_interlacing`, :func:`_classify_real`,
+:func:`_extract_nonzero`), which the runner calls directly on spectra it
+sorted itself and with tolerances it validated; a NaN still fails every gate
+of a body.  Rank-deficient transforms carry additional forced zeros in their
 spectra; :func:`extract_nonzero` separates those from the genuinely
 interlaced values by count, not by threshold alone, and refuses to guess
 when the separation is ambiguous.
@@ -80,7 +84,13 @@ def check_interlacing(lam, eta, tol: float | None = None) -> InterlacingReport:
     if l > n:
         raise ContractViolation(f"compressed spectrum longer than reference: {l} > {n}")
     tol = INTERLACE_REL_TOL * spectral_scale(lam) if tol is None else require_number(tol, "tol", 0.0)
+    return _check_interlacing(lam, eta, tol)
 
+
+def _check_interlacing(lam: np.ndarray, eta: np.ndarray, tol: float) -> InterlacingReport:
+    """:func:`check_interlacing` of sorted float spectra, ``eta`` no longer
+    than ``lam``, at a tolerance >= 0."""
+    n, l = lam.size, eta.size
     lower, upper = eta - lam[:l], lam[n - l:] - eta
     passed = bool((lower >= -tol).all() and (upper >= -tol).all())  # a NaN margin fails
     return InterlacingReport(lower_margins=lower, upper_margins=upper, passed=passed,
@@ -95,7 +105,11 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     ``realness_tol * max(1, max |value|)``.
     """
     require_number(realness_tol, "realness_tol", 0.0)
-    values = _one_spectrum(spectrum, "spectrum", np.complex128)
+    return _classify_real(_one_spectrum(spectrum, "spectrum", np.complex128), realness_tol)
+
+
+def _classify_real(values: np.ndarray, realness_tol: float) -> np.ndarray:
+    """:func:`classify_real` of one complex spectrum at a tolerance >= 0."""
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
     tol = realness_tol * spectral_scale(values)
@@ -123,10 +137,15 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
         raise ContractViolation("extract_nonzero takes real values; pass the spectrum through classify_real")
     require_number(zero_tol, "zero_tol", 0.0)
     values = _one_spectrum(spectrum, "spectrum")
-    k = values.size
-    if not 0 <= require_number(expected_l, "expected_l", integer=True) <= k:
-        raise ContractViolation(f"expected rank {expected_l} outside [0, {k}]")
-    n_zero = k - expected_l
+    if not 0 <= require_number(expected_l, "expected_l", integer=True) <= values.size:
+        raise ContractViolation(f"expected rank {expected_l} outside [0, {values.size}]")
+    return _extract_nonzero(values, expected_l, zero_tol)
+
+
+def _extract_nonzero(values: np.ndarray, expected_l: int, zero_tol: float):
+    """:func:`extract_nonzero` of one real spectrum, an int ``expected_l``
+    in [0, its length] and a tolerance >= 0."""
+    n_zero = values.size - expected_l
     order = np.argsort(np.abs(values), kind="stable")
     zeros = values[order[:n_zero]]
     nonzero = values[order[n_zero:]]

@@ -8,8 +8,10 @@ number is :func:`pseudosim.errors.require_number`'s to decide.
 
 Matrices are plain two-dimensional complex128 ``numpy`` arrays.  Every public
 routine validates its input through :func:`as_matrix`, which rejects NaN/Inf
-entries, so downstream code can assume finite dense data.  All functions are
-pure; nothing is modified in place.
+entries, and then calls its private body (:func:`_svd`,
+:func:`_penrose_residuals`), which takes validated arguments; the runner
+calls the bodies directly.  All functions are pure; nothing is modified in
+place.
 """
 from __future__ import annotations
 
@@ -111,9 +113,18 @@ class SvdFactors:
         Equal to :func:`svd` of the same matrix at ``rank_tol`` when these
         factors are untruncated, as at full rank.
         """
-        rank_tol = require_number(rank_tol, "rank_tol", 0.0, above=True)
+        return self._truncated(_require_rank_tol(rank_tol))
+
+    def _truncated(self, rank_tol: float) -> "SvdFactors":
+        """:meth:`truncated` at a validated ``rank_tol``."""
         rank = _detected_rank(self.sigma, rank_tol)
         return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
+
+
+def _require_rank_tol(rank_tol: float | None) -> float | None:
+    """``rank_tol``, once it is None or a finite number > 0: a NaN or
+    infinite threshold would read every matrix as rank 0."""
+    return rank_tol if rank_tol is None else require_number(rank_tol, "rank_tol", 0.0, above=True)
 
 
 def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
@@ -124,10 +135,13 @@ def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
 
 def svd(m, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD with rank detection (singular values above rank_tol * sigma_max)."""
-    m = as_matrix(m)
-    # a NaN or infinite threshold would read every matrix as rank 0
-    rank_tol = (default_rank_tol(m.shape) if rank_tol is None
-                else require_number(rank_tol, "rank_tol", 0.0, above=True))
+    return _svd(as_matrix(m), _require_rank_tol(rank_tol))
+
+
+def _svd(m: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
+    """:func:`svd` of a validated matrix at a validated ``rank_tol``."""
+    if rank_tol is None:
+        rank_tol = default_rank_tol(m.shape)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -157,6 +171,12 @@ def penrose_residuals(m, pinv) -> tuple[float, float, float, float]:
     p = as_matrix(pinv, "pseudo-inverse")
     if p.shape != (m.shape[1], m.shape[0]):
         raise ContractViolation(f"pseudo-inverse shape {p.shape} does not match {m.shape}")
+    return _penrose_residuals(m, p)
+
+
+def _penrose_residuals(m: np.ndarray, p: np.ndarray) -> tuple[float, float, float, float]:
+    """:func:`penrose_residuals` of a validated matrix and pseudo-inverse of
+    the transposed shape."""
     mp = m @ p
     pm = p @ m
 

@@ -9,10 +9,11 @@ loses accuracy quickly beyond that.
 
 Both functions take one input or a stack of them along the leading axes
 (same-size matrices, or polynomials of one degree), validate it once, and
-return plain arrays under the stack's leading axes.  The Weierstrass
-iteration corrects every polynomial of the stack together and freezes each
-one as its correction settles, so each polynomial gets the roots it gets
-alone, bit for bit.  That needs one rule: the products over ``j != i`` run
+return plain arrays under the stack's leading axes; the runner calls
+:func:`_characteristic_polynomial`, the body that takes a validated stack.
+The Weierstrass iteration corrects every polynomial of the stack together
+and freezes each one as its correction settles, so each polynomial gets the
+roots it gets alone, bit for bit.  That needs one rule: the products over ``j != i`` run
 on a C-contiguous array.  Masking the stacked differences gives an array
 whose factors lie a whole stack apart; numpy then multiplies them with its
 vectorised complex multiply across the stack, which rounds differently from
@@ -34,7 +35,11 @@ def characteristic_polynomial(m) -> np.ndarray:
     Faddeev-LeVerrier: with N_0 = I, repeatedly M_k = m N_{k-1},
     c_k = -trace(M_k)/k, N_k = M_k + c_k I.
     """
-    m = _as_square_stack(m)
+    return _characteristic_polynomial(_as_square_stack(m))
+
+
+def _characteristic_polynomial(m: np.ndarray) -> np.ndarray:
+    """:func:`characteristic_polynomial` of a validated stack."""
     n = m.shape[-1]
     coeffs = np.zeros(m.shape[:-2] + (n + 1,), dtype=np.complex128)
     coeffs[..., 0] = 1.0

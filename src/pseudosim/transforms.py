@@ -23,9 +23,10 @@ from .linalg import (
     SvdFactors,
     _adjoint,
     _hermitian_each,
+    _require_rank_tol,
+    _svd,
     as_matrix,
     spectral_scale,
-    svd,
 )
 
 #: relative factor for route cross-checks (times max(1, entry scale))
@@ -50,8 +51,9 @@ class TransformResult:
         return bool(_hermitian_each(self.transformed))
 
 
-# The public transforms validate their arguments once; the private bodies
-# below take arrays that are already validated.
+# The public transforms validate their arguments once and call their private
+# bodies (_pseudo_similarity, _unitary_compression, _inflate_transform), which
+# take arrays that are already validated.  The runner calls the bodies.
 
 def _require_hermitian(p, name="p"):
     p = as_matrix(p, name)
@@ -82,21 +84,28 @@ def _require_map(p, h):
     return h
 
 
-def _require_embedding(h, v) -> tuple[np.ndarray, np.ndarray, SvdFactors]:
-    """Validated h and v for ``h @ v^H``, with the SVD of h that shows its
-    full column rank at the default threshold."""
+def _require_embedding(h, v) -> tuple[np.ndarray, np.ndarray]:
+    """Validated h and v for ``h @ v^H``; the full column rank of h is
+    :func:`_full_column_rank`'s to check."""
     h = as_matrix(h, "h")
     v = _require_orthonormal_columns(v, "v")
     if v.shape[1] != h.shape[1]:
         raise ContractViolation(f"v has {v.shape[1]} columns, expected {h.shape[1]}")
-    factors = svd(h)
+    return h, v
+
+
+def _full_column_rank(h: np.ndarray) -> SvdFactors:
+    """The SVD of a validated h, once it shows h's full column rank at the
+    default threshold."""
+    factors = _svd(h)
     if factors.rank != h.shape[1]:
         raise ContractViolation("h must have full column rank")
-    return h, v, factors
+    return factors
 
 
-def _similarity(p, h, factors: SvdFactors) -> TransformResult:
-    """:func:`pseudo_similarity` of validated p and h, given the SVD of h."""
+def _pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
+    """:func:`pseudo_similarity` of validated arguments."""
+    factors = _svd(h, rank_tol)
     return TransformResult(factors.pseudo_inverse() @ p @ h, factors)
 
 
@@ -110,8 +119,7 @@ def pseudo_similarity(p, h, rank_tol: float | None = None) -> TransformResult:
     and the rank.
     """
     p = _require_hermitian(p)
-    h = _require_map(p, as_matrix(h, "h"))
-    return _similarity(p, h, svd(h, rank_tol))
+    return _pseudo_similarity(p, _require_map(p, as_matrix(h, "h")), _require_rank_tol(rank_tol))
 
 
 def unitary_compression(p, q) -> np.ndarray:
@@ -125,6 +133,11 @@ def unitary_compression(p, q) -> np.ndarray:
     q = _require_orthonormal_columns(q, "q")
     if q.shape[0] != p.shape[0]:
         raise ContractViolation(f"q has {q.shape[0]} rows, p is {p.shape[0]} x {p.shape[0]}")
+    return _unitary_compression(p, q)
+
+
+def _unitary_compression(p, q) -> np.ndarray:
+    """:func:`unitary_compression` of validated arguments."""
     return q.conj().T @ p @ q
 
 
@@ -135,7 +148,8 @@ def build_rank_deficient(h, v) -> np.ndarray:
     result has numerical rank exactly L while gaining K - L dependent
     columns.  K > N turns later transforms into dimensional inflation.
     """
-    h, v, _ = _require_embedding(h, v)
+    h, v = _require_embedding(h, v)
+    _full_column_rank(h)
     return h @ v.conj().T
 
 
@@ -153,10 +167,19 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
     at ``rank_tol``.
     """
     p = _require_hermitian(p)
-    h, v, h_factors = _require_embedding(h, v)
-    hv = _require_map(p, h) @ v.conj().T  # h v^H has h's rows and at least as many columns
-    route_a = _similarity(p, hv, svd(hv, rank_tol))
-    core_factors = h_factors if rank_tol is None else h_factors.truncated(rank_tol)
+    h, v = _require_embedding(h, v)
+    # h v^H has h's rows and at least as many columns
+    return _inflate_transform(p, _require_map(p, h), v, _require_rank_tol(rank_tol))
+
+
+def _inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult:
+    """:func:`inflate_transform` of validated arguments.  The full column
+    rank of h, and the agreement of the routes, are still checked: on drawn
+    arrays they are verdicts, not preconditions."""
+    h_factors = _full_column_rank(h)
+    hv = h @ v.conj().T
+    route_a = _pseudo_similarity(p, hv, rank_tol)
+    core_factors = h_factors if rank_tol is None else h_factors._truncated(rank_tol)
     core = core_factors.pseudo_inverse() @ p @ h
     route_b = v @ core @ _adjoint(v)
     dev = float(np.abs(route_a.transformed - route_b).max())

@@ -1,9 +1,15 @@
 import dataclasses
+import gc
+import hashlib
+import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import pseudosim.cli as cli
 import pseudosim.experiments as experiments
 from pseudosim.cli import build_config, load_config_file, main, make_parser
 from pseudosim.errors import ContractViolation, NumericalError
@@ -188,7 +194,7 @@ def test_oblique_search_skips_a_trial_that_raises(tmp_path, capsys, monkeypatch)
             raise NumericalError("root iteration did not settle for degree 3")
         return characteristic_polynomial(t)
 
-    monkeypatch.setattr(experiments, "characteristic_polynomial", raises_first)
+    monkeypatch.setattr(experiments, "_characteristic_polynomial", raises_first)
     path = tmp_path / "unsettled.ini"
     path.write_text("[ensemble]\nseed = 298\nn = 4\ncondition_cap = 2.5\n", encoding="utf-8")
     code = main(["--config", str(path), "--suite", "oblique-counterexample", "--format", "csv"])
@@ -206,6 +212,43 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "solver-oracle: 2/2 passed" in proc.stdout
+
+
+def test_entry_freezes_the_collector_once_main_returns(monkeypatch):
+    # the process ends right after: the interpreter's last collection then
+    # skips every object the run left, import-time ones included
+    frozen = []
+    monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 1)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert exit_info.value.code == 1
+    assert frozen == [0]
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # tests and library callers go on running after main()
+    before = gc.get_freeze_count()
+    assert main(["--trials", "2", "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_default_run_writes_the_reference_csv():
+    # the run users type, in a process of its own that freezes the collector
+    # on its way out; under -X dev -W error a file or pipe the run leaves open
+    # prints a ResourceWarning, which leaves the exit status at 0
+    reference = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["full"]["cli-default"]["md5"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "pseudosim.cli", "--format", "csv"],
+        capture_output=True, timeout=300, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.md5(proc.stdout).hexdigest() == expected
 
 
 def test_byte_identical_csv(tmp_path):

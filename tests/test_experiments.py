@@ -2,12 +2,18 @@ import dataclasses
 import hashlib
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import pseudosim.eigen as eigen
 import pseudosim.ensembles as ensembles
 import pseudosim.experiments as experiments
+import pseudosim.interlace as interlace
+import pseudosim.linalg as linalg
+import pseudosim.oracles as oracles
+import pseudosim.transforms as transforms
 from pseudosim.cli import main
 from pseudosim.eigen import eigvals_general, match_distance, spectral_scale
 from pseudosim.ensembles import Draw, EnsembleSpec
@@ -240,6 +246,96 @@ def test_subsumption_trial_factors_q_once(svd_calls):
         assert svd_calls == [(outcome.n, outcome.l)]
 
 
+#: each private body the checks call, with the public function that guards it
+GUARDED_BODIES = {
+    "_inflate_transform": transforms.inflate_transform,
+    "_pseudo_similarity": transforms.pseudo_similarity,
+    "_unitary_compression": transforms.unitary_compression,
+    "_svd": linalg.svd,
+    "_penrose_residuals": linalg.penrose_residuals,
+    "_eigvals_general": eigen.eigvals_general,
+    "_eigvals_hermitian": eigen.eigvals_hermitian,
+    "_characteristic_polynomial": oracles.characteristic_polynomial,
+    "_classify_real": interlace.classify_real,
+    "_extract_nonzero": interlace.extract_nonzero,
+    "_check_interlacing": interlace.check_interlacing,
+}
+
+
+def _bits(value):
+    """``value`` as the dtype, shape and bytes of every array it holds and
+    the repr of every other field, so equal bits compare equal and a NaN
+    equals a NaN."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return repr(value)
+
+
+def _run_recorded(monkeypatch, spec, suite, trials, tolerances, public):
+    """The records of a suite's first trials on the runner's chunked path,
+    and each call the checks made to a body, with the bits it returned; with
+    ``public`` every body is replaced by its public function."""
+    calls = []
+    for body, guarded in GUARDED_BODIES.items():
+        def recorded(*args, body=body, run=guarded if public else getattr(experiments, body)):
+            out = run(*args)
+            calls.append((body, _bits(out)))
+            return out
+        monkeypatch.setattr(experiments, body, recorded)
+    records = list(experiments._run_trials(spec, suite, range(trials), tolerances))
+    return calls, [_bits(record) for record in records]
+
+
+def test_the_checks_bodies_match_the_public_functions(monkeypatch):
+    # the runner skips the guards, not the work: T, the spectra, eta, the
+    # margins and every record field come out bit for bit as they do through
+    # the public functions, at the default dimensions, at n=64, k=128, l=48
+    # and at a rank threshold that truncates the core's SVD
+    cases = [(EnsembleSpec(seed=42), suite, 25, Tolerances()) for suite in sorted(THEOREM_SUITES)]
+    cases += [(EnsembleSpec(seed=42, n=64, k=128, l=48), "interlace-inflated", 2, Tolerances()),
+              (EnsembleSpec(seed=42), "interlace-inflated", 10, Tolerances(rank=1e-10))]
+    called = set()
+    for spec, suite, trials, tolerances in cases:
+        runs = []
+        for public in (False, True):
+            with monkeypatch.context() as patched:
+                runs.append(_run_recorded(patched, spec, suite, trials, tolerances, public))
+        assert runs[0] == runs[1], suite
+        assert len(runs[0][1]) == trials
+        called |= {body for body, _ in runs[0][0]}
+    assert called == set(GUARDED_BODIES)
+
+
+def test_the_runner_validates_once(monkeypatch):
+    # EnsembleSpec, Tolerances and _require_fits validate a run before its
+    # first trial; no check of a theorem trial re-validates what the runner
+    # built.  Each guard is counted where it is looked up
+    counted = Counter()
+    for module, name in [(linalg, "as_matrix"), (transforms, "as_matrix"), (linalg, "_check_finite"),
+                         (transforms, "_require_hermitian"),
+                         (transforms, "_require_orthonormal_columns"), (interlace, "_require_sorted")]:
+        def counting(*args, key=f"{module.__name__}.{name}", run=getattr(module, name)):
+            counted[key] += 1
+            return run(*args)
+        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    records = run_suite(_config(suites=tuple(sorted(THEOREM_SUITES)), trials=6))
+    assert len(records) == 36 and failed_theorem_records(records) == []
+    assert counted == {}
+    # the public functions still pass every guard counted above
+    transforms.inflate_transform(np.eye(2), np.eye(2, 1), np.eye(2, 1))
+    linalg.svd(np.eye(2))
+    interlace.check_interlacing([1.0, 2.0], [1.5])
+    assert set(counted) == {"pseudosim.linalg.as_matrix", "pseudosim.transforms.as_matrix",
+                            "pseudosim.linalg._check_finite", "pseudosim.transforms._require_hermitian",
+                            "pseudosim.transforms._require_orthonormal_columns",
+                            "pseudosim.interlace._require_sorted"}
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Chunks of a few trials each, all checked in this process; returns the
@@ -415,7 +511,7 @@ def test_unsettled_root_fails_only_its_trial(monkeypatch):
     default = _oracle_records()
     target = _oracle_g(10)
     assert target.shape == (3, 3)
-    charpoly = experiments.characteristic_polynomial
+    charpoly = experiments._characteristic_polynomial
 
     def triple_root_for_target(m):
         coeffs = charpoly(m)
@@ -423,7 +519,7 @@ def test_unsettled_root_fails_only_its_trial(monkeypatch):
             coeffs[[np.array_equal(x, target) for x in m]] = [1.0, -3.0, 3.0, -1.0]
         return coeffs
 
-    monkeypatch.setattr(experiments, "characteristic_polynomial", triple_root_for_target)
+    monkeypatch.setattr(experiments, "_characteristic_polynomial", triple_root_for_target)
     _only_trial_failed(_oracle_records(), default, {10},
                        "NumericalError: root iteration did not settle for degree 3")
 
@@ -567,7 +663,7 @@ def test_nan_root_fails_a_solver_oracle_trial(monkeypatch):
 
 def test_nan_residual_fails_an_mp_axioms_trial(monkeypatch):
     # a NaN Penrose residual is the trial's worst, not one that max dropped
-    monkeypatch.setattr(experiments, "penrose_residuals",
+    monkeypatch.setattr(experiments, "_penrose_residuals",
                         lambda m, pinv: (1e-16, np.nan, 1e-16, 1e-16))
     records = run_suite(_config(suites=("mp-axioms",), trials=3))
     assert [r.passed for r in records] == [False] * 3
