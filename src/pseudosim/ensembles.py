@@ -8,21 +8,23 @@ every draw.
 
 A generator that needs Haar-like unitaries runs in two steps.  Its
 ``draw_*`` function takes every random number from the stream, in a fixed
-order, and returns a :class:`Draw` that holds the complex Gaussians it drew.
-:func:`build_draws`, the one code that builds draws, runs the Gaussians of
-any list of draws through each draw's stage, :func:`haar_columns` unless it
-names another, on one stack per (stage, shape), and keeps each draw's error
-to that draw.  :meth:`Draw.built` and the runner both call it.
+order, and returns a :class:`Draw` that records where each of its complex
+Gaussians starts in the stream and its shape, not the Gaussian itself.
+:func:`build_draws`, the one code that builds draws, makes the Gaussians of
+any list of draws one stack per (stage, shape), runs each stack through its
+draws' stage, :func:`haar_columns` unless they name another, and keeps each
+draw's error to that draw.  :meth:`Draw.built` and the runner both call it.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericalError, require_number
-from .rng import SplitMix64
+from .rng import SplitMix64, complex_normal_stack
 
 #: defaults of the EnsembleSpec fields of the same names
 DEFAULT_CONDITION_CAP = 1e3
@@ -117,21 +119,22 @@ def draw_spectrum(rng: SplitMix64, spec: EnsembleSpec, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Draw:
     """An ensemble member whose random numbers are drawn but which is not
-    built yet; :func:`build_draws` builds it.
+    built yet; :func:`build_draws` builds it.  It holds no Gaussian array.
 
-    ``stage`` takes a stack of ``gaussians`` to one value per matrix,
-    :func:`haar_columns` when None; ``build`` makes the member from the
-    staged values, in order, and by default takes a lone one as it is.
+    ``gaussians`` holds a (start state, shape) pair per complex Gaussian, in
+    draw order.  ``stage`` takes a stack of Gaussians to one value per
+    matrix, :func:`haar_columns` when None; ``build`` makes the member from
+    the staged values, in order, and by default takes a lone one as it is.
     """
 
-    gaussians: tuple[np.ndarray, ...]
+    gaussians: tuple[tuple[int, tuple[int, ...]], ...]
     build: Callable[..., object] = lambda staged: staged
     stage: Callable[[np.ndarray], object] | None = None
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the draw's Gaussians."""
-        return sum(g.nbytes for g in self.gaussians)
+        """Bytes of the draw's Gaussians, once made."""
+        return sum(16 * math.prod(shape) for _, shape in self.gaussians)
 
     def built(self):
         """The member, or the error its stage or build raised, raised."""
@@ -144,18 +147,17 @@ class Draw:
 def build_draws(draws) -> list:
     """Each draw's member, in order, or the error its stage or build raised.
 
-    Each Gaussian goes through its draw's stage, :func:`haar_columns` when
-    None (looked up per call), on one stack per stage and shape, or on a view
-    of itself where it is alone; a stack that raises is redone a Gaussian at
-    a time."""
-    items = [(d.stage or haar_columns, g) for d in draws for g in d.gaussians]
+    The Gaussians of one stage and shape are made as one stack by
+    :func:`~pseudosim.rng.complex_normal_stack` and go through that stage,
+    :func:`haar_columns` when None (looked up per call); a stack that raises
+    is redone a Gaussian at a time."""
+    items = [(d.stage or haar_columns, start, shape) for d in draws for start, shape in d.gaussians]
     values: list = [None] * len(items)
     groups: dict[tuple, list[int]] = {}
-    for i, (stage, g) in enumerate(items):
-        groups.setdefault((stage, g.shape), []).append(i)
-    for (stage, _), indices in groups.items():
-        stack = (np.stack([items[i][1] for i in indices]) if len(indices) > 1
-                 else items[indices[0]][1][np.newaxis])
+    for i, (stage, _, shape) in enumerate(items):
+        groups.setdefault((stage, shape), []).append(i)
+    for (stage, shape), indices in groups.items():
+        stack = complex_normal_stack([items[i][1] for i in indices], shape)
         try:
             staged = stage(stack)
         except TRIAL_ERRORS:
@@ -186,9 +188,9 @@ def _require_dims(**dims: int) -> None:
         require_number(value, name, integer=True)
 
 
-def _gaussians(rng: SplitMix64, *shapes) -> tuple[np.ndarray, ...]:
-    """Complex Gaussians of ``shapes``, drawn in order."""
-    return tuple(rng.complex_normals(shape) for shape in shapes)
+def _gaussians(rng: SplitMix64, *shapes) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(start state, shape) of complex Gaussians of ``shapes``, drawn in order."""
+    return tuple((rng._gaussian_start(shape), shape) for shape in shapes)
 
 
 def haar_columns(a: np.ndarray) -> np.ndarray:

@@ -12,9 +12,9 @@ ends of its draw ranges, so a config error is raised before any trial is
 drawn.  Trials run in chunks: each trial of a chunk is drawn from its own
 stream and names its dimensions, then :func:`_check_chunk` hands every
 :class:`~pseudosim.ensembles.Draw` of the chunk to
-:func:`~pseudosim.ensembles.build_draws`, which stacks their Gaussians and
-builds them (this module never reads a draw's Gaussians, stage or build),
-and the suite's check takes the built trials one at a time.
+:func:`~pseudosim.ensembles.build_draws`, which makes their Gaussians in
+stacks and builds them (this module never reads a draw's Gaussians, stage or
+build), and the suite's check takes the built trials one at a time.
 :func:`_check_chunk` is the one loop that turns a trial's error, from its
 draw, build or check, into a failed record.
 :func:`run_suite` runs a suite's trials in chunks that close once their
@@ -65,6 +65,7 @@ from .ensembles import (
     TRIAL_ERRORS,
     Draw,
     EnsembleSpec,
+    _gaussians,
     build_draws,
     draw_full_column_rank,
     draw_hermitian,
@@ -440,10 +441,10 @@ def _oracle_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims):
     """An n x n Gaussian for the charpoly oracle and a k x k one for the
     trace/determinant identities, each built into its deviations."""
     n = dims[0]
-    g = rng.complex_normals((n, n))
+    g = _gaussians(rng, (n, n))
     n_td = rng.randint(2, 6)
-    return (n, n_td, n), (Draw((g,), stage=_charpoly_deviations),
-                          Draw((rng.complex_normals((n_td, n_td)),), stage=_trace_det_deviations))
+    return (n, n_td, n), (Draw(g, stage=_charpoly_deviations),
+                          Draw(_gaussians(rng, (n_td, n_td)), stage=_trace_det_deviations))
 
 
 def _oracle_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
@@ -546,16 +547,16 @@ class _DrawnTrial(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the trial drew, its draws' Gaussians included."""
+        """Bytes of the arrays the trial drew, its draws' Gaussians as made."""
         return sum(getattr(v, "nbytes", 0) for v in self.drawn)
 
 
-def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, draw=None) -> _DrawnTrial:
-    """One trial's dimensions and draws, from its own stream, by the suite's
-    draw or by ``draw`` in its place.  The dimensions are the draw's, or the
-    dimension rule's where the draw raised."""
+def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, seed: int,
+                draw=None) -> _DrawnTrial:
+    """One trial's dimensions and draws, from the stream of its seed, by the
+    suite's draw or by ``draw`` in its place.  The dimensions are the draw's,
+    or the dimension rule's where the draw raised."""
     draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
-    seed = trial_seed(spec.seed, suite, trial_index)
     rng = SplitMix64(seed)
     dims = draw_dims(rng, spec, trial_index, suite)
     try:
@@ -569,7 +570,7 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -
     """Records of drawn trials, in order: the suite's check of each trial,
     its draws built together by :func:`build_draws`, or a failed record for
     a trial whose draw, build or check raised; a trial that fails, fails
-    alone.  Empties ``chunk`` before the first check, freeing its Gaussians."""
+    alone.  Empties ``chunk`` before the first check, freeing its draws."""
     check = _SUITE_TABLE[suite][2]
     members = iter(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
     built = [trial._replace(drawn=tuple(next(members) if isinstance(v, Draw) else v
@@ -590,11 +591,13 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):
     """Records of the given trials of a suite, in order, checked in chunks
     that close once their draws reach CHUNK_BYTES; ``draw``, if given,
-    replaces the suite's draw."""
+    replaces the suite's draw.  Trial seeds are :func:`trial_seed`'s, the
+    suite's seed derived once."""
+    suite_seed = derive_seed(spec.seed, SUITES.index(suite))
     chunk: list[_DrawnTrial] = []
     size = 0
     for trial_index in trial_indices:
-        trial = _draw_trial(spec, suite, trial_index, draw)
+        trial = _draw_trial(spec, suite, trial_index, derive_seed(suite_seed, trial_index), draw)
         size += trial.nbytes
         chunk.append(trial)
         del trial  # the chunk holds the only reference, which checking it drops

@@ -29,13 +29,12 @@ Derived values
     * distinct index draws: partial Fisher-Yates over ``range(n)``, one
       integer draw per selected index.
 
-Look-ahead block
-    A stream computes its words ahead, a block at a time, from its logical
-    state with the vectorized recurrence, and serves each draw from that
-    block.  This leaves the stream unchanged: every word is the one the
-    recurrence gives at its position, and ``state`` is always the state after
-    the last word handed out.  A draw that does not fit in what is left of
-    the block starts a new block, of its own words plus ``BLOCK_WORDS`` more.
+Counter access
+    Word ``j`` after state ``s`` is ``mix(s + j * GOLDEN)``, so each draw
+    computes exactly its own words from the state it starts at.  A generator's
+    Gaussian draw records only that start state, stepping past its words in
+    O(1); :func:`complex_normal_stack` later makes the Gaussians of one shape
+    for a list of start states in one pass, bit for bit as one at a time.
 
 Stream splitting
     ``derive_seed(seed, index)`` equals the ``index``-th splitmix64 output
@@ -65,18 +64,12 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(shift) for shift in (11, 27, 30, 31))
 
-#: words a stream computes ahead of its draws; a trial of the default suites
-#: draws a few hundred to a few thousand words
-BLOCK_WORDS = 1024
-_NO_WORDS = np.empty(0, dtype=np.uint64)
 
-
-def _words(state: int, count: int) -> np.ndarray:
-    """The `count` splitmix64 outputs that follow `state` (vectorized scalar
-    recurrence)."""
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= _U_GOLDEN
-    z += np.uint64(state)
+def _words(states, count: int) -> np.ndarray:
+    """The `count` splitmix64 outputs that follow each of `states`, an int
+    or a list of ints, along a last axis (vectorized scalar recurrence)."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * _U_GOLDEN
+    z = z + np.asarray(states, dtype=np.uint64)[..., np.newaxis]
     z ^= z >> _U30
     z *= _U_MIX1
     z ^= z >> _U27
@@ -86,10 +79,10 @@ def _words(state: int, count: int) -> np.ndarray:
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
-    """One standard normal per consecutive word pair, ``u1`` first."""
+    """One standard normal per word pair along the last axis, ``u1`` first."""
     bits = words >> _U11
-    u1 = (bits[0::2].astype(np.float64) + 1.0) / _TWO53
-    u2 = bits[1::2].astype(np.float64) / _TWO53
+    u1 = (bits[..., 0::2].astype(np.float64) + 1.0) / _TWO53
+    u2 = bits[..., 1::2].astype(np.float64) / _TWO53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -108,36 +101,41 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN) & _MASK64)
 
 
+def complex_normal_stack(states, shape) -> np.ndarray:
+    """The complex Gaussians of the tuple ``shape`` that start at each of the
+    ``states``, in one pass: entry i is ``SplitMix64(states[i]).complex_normals(shape)``."""
+    count = math.prod(shape)
+    z = _box_muller(_words(states, 4 * count))
+    return (z[:, :count] + 1j * z[:, count:]).reshape(len(states), *shape)
+
+
 class SplitMix64:
     """splitmix64 stream with vectorized uniform/normal/complex draws."""
 
     def __init__(self, seed: int):
         # an int, taken modulo 2**64: a float or a string would stream another seed's words
         self._state = require_number(seed, "seed", integer=True) & _MASK64
-        self._block = _NO_WORDS   # the words after self._state, from self._pos on
-        self._pos = 0
 
     @property
     def state(self) -> int:
         return self._state
 
-    def _take(self, count: int) -> np.ndarray:
-        """The next `count` words, as a view of the look-ahead block."""
-        if count > self._block.size - self._pos:
-            self._block = _words(self._state, count + BLOCK_WORDS)
-            self._pos = 0
-        start = self._pos
-        self._pos += count
-        self._state = (self._state + count * GOLDEN) & _MASK64
-        return self._block[start:self._pos]
+    def _skip(self, count: int) -> int:
+        """Step past the next `count` words; the state they start from."""
+        start = self._state
+        self._state = (start + count * GOLDEN) & _MASK64
+        return start
+
+    def _gaussian_start(self, shape) -> int:
+        """:meth:`_skip` the words of a complex Gaussian of a checked ``shape``."""
+        return self._skip(4 * math.prod(shape))
 
     def next_uint64(self) -> int:
-        return self._take(1).item()
+        return mix64(self._skip(1) + GOLDEN)
 
     def uint64s(self, count: int) -> np.ndarray:
-        """Next `count` outputs as a uint64 array (a view of the look-ahead
-        block; writing to it changes no later draw)."""
-        return self._take(require_number(count, "count", 0, integer=True))
+        """Next `count` outputs as a uint64 array."""
+        return _words(self._skip(require_number(count, "count", 0, integer=True)), count)
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform on [0, 1)."""
@@ -149,15 +147,11 @@ class SplitMix64:
 
     def complex_normals(self, shape) -> np.ndarray:
         """Complex array of the tuple ``shape``, with independent standard
-        normal real and imaginary parts.
-
-        One pass over the next ``4 * count`` words: the same words, in the same
-        order, as ``count`` real-part normals followed by ``count``
-        imaginary-part normals.
-        """
-        count = math.prod(require_number(d, "shape entry", 0, integer=True) for d in shape)
-        z = _box_muller(self.uint64s(4 * count))
-        return (z[:count] + 1j * z[count:]).reshape(shape)
+        normal real and imaginary parts: :func:`complex_normal_stack` on the
+        stream's state, which then steps past the ``4 * count`` words used."""
+        for d in shape:
+            require_number(d, "shape entry", 0, integer=True)
+        return complex_normal_stack([self._gaussian_start(shape)], shape)[0]
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer uniform on the inclusive range [lo, hi] (modulo method)."""

@@ -285,8 +285,8 @@ def test_haar_factors_keep_draw_order_across_shapes():
     gaussians = [g for d in draws for g in d.gaussians]
     factors = build_draws([Draw((g,)) for g in gaussians])
     assert len(factors) == len(gaussians) == 8
-    for g, q in zip(gaussians, factors):
-        assert np.array_equal(q, _haar_reference(g))
+    for (start, shape), q in zip(gaussians, factors):
+        assert np.array_equal(q, _haar_reference(SplitMix64(start).complex_normals(shape)))
 
 
 def test_generators_are_their_draws_assembled():
@@ -303,18 +303,17 @@ def test_generators_are_their_draws_assembled():
         assert np.array_equal(a, b)
 
 
-def test_single_draw_group_is_a_view_of_its_words():
-    # a shape that only one draw of the batch has is factored from that
-    # draw's own Gaussian, not from a second copy of it
+def test_lone_gaussian_stack_is_its_complex_normals():
+    # a shape that only one draw of the batch has is made as a stack of one:
+    # the Gaussian that complex_normals draws from the same start state
     seen = []
 
     def recorded(stack):
         seen.append(stack)
         return haar_columns(stack)
 
-    rng = SplitMix64(3)
-    alone, first, second = draw_unitary(rng, 5, 2), draw_unitary(rng, 4, 3), draw_unitary(rng, 4, 3)
-    build_draws([Draw(d.gaussians, stage=recorded) for d in (alone, first, second)])
-    assert len(seen) == 2
-    assert np.shares_memory(seen[0], alone.gaussians[0])
-    assert not any(np.shares_memory(seen[1], d.gaussians[0]) for d in (first, second))
+    alone = draw_unitary(SplitMix64(3), 5, 2)
+    (start, shape), = alone.gaussians
+    build_draws([Draw(alone.gaussians, stage=recorded)])
+    assert len(seen) == 1 and seen[0].shape == (1, 5, 2)
+    assert np.array_equal(seen[0][0], SplitMix64(start).complex_normals(shape))

@@ -31,13 +31,27 @@ from pseudosim.experiments import (
     run_trial,
 )
 from pseudosim.oracles import characteristic_polynomial, polynomial_roots
-from pseudosim.rng import derive_seed
+from pseudosim.rng import SplitMix64, derive_seed
 from pseudosim.transforms import oblique_transform
 
 #: the documented oblique search: seed, condition cap of X and trial budget
 OBLIQUE_DEFAULT_SEED = 7
 OBLIQUE_DEFAULT_CAP = 100.0
 OBLIQUE_DEFAULT_BUDGET = 1000
+
+
+def _drawn(spec, suite, trial_index):
+    """Trial ``trial_index`` of a suite, drawn from its stream as the runner
+    draws it, not built."""
+    return experiments._draw_trial(spec, suite, trial_index,
+                                   experiments.trial_seed(spec.seed, suite, trial_index))
+
+
+def _gaussian(draw, index=0):
+    """The complex Gaussian a draw records at ``index``, made from its start
+    state."""
+    start, shape = draw.gaussians[index]
+    return SplitMix64(start).complex_normals(shape)
 
 
 def _config(**kwargs):
@@ -366,7 +380,7 @@ def test_default_chunk_bound(monkeypatch):
     # one trial's draws at n = 64, k = 128, l = 48 reach the bound alone, so
     # every such trial is a chunk of its own, checked before the next draw
     spec, suite = EnsembleSpec(seed=1, n=64, k=128, l=48), "interlace-inflated"
-    drawn = experiments._draw_trial(spec, suite, 0)
+    drawn = _drawn(spec, suite, 0)
     assert drawn.nbytes == 16 * (64 * 64 + 64 * 48 + 48 * 48 + 128 * 48) + 8 * 64
     assert drawn.nbytes >= experiments.CHUNK_BYTES
     events = []
@@ -432,7 +446,7 @@ def test_failed_haar_factor_stays_inside_its_trial(small_chunks, monkeypatch):
     # trials of its chunk keep their factors and their records
     suite = "interlace-rank-deficient"
     default = run_suite(_config(suites=(suite,), trials=30))
-    unlucky = experiments._draw_trial(EnsembleSpec(seed=42), suite, 7).drawn[2].gaussians[0]
+    unlucky = _gaussian(_drawn(EnsembleSpec(seed=42), suite, 7).drawn[2])
     haar_columns = ensembles.haar_columns
 
     def fails_on_one(stack):
@@ -450,23 +464,41 @@ def test_failed_haar_factor_stays_inside_its_trial(small_chunks, monkeypatch):
 
 
 def test_chunk_frees_words_before_its_check(monkeypatch):
-    # once a chunk's Haar factors are made, its draws' Gaussians are gone:
-    # the check runs without them
-    suite = "interlace-rank-deficient"
+    # a drawn chunk holds no Gaussian array, only where each Gaussian starts;
+    # once its members are built, the Gaussian stacks and the Haar factors
+    # made from them are gone: the check runs without them (every
+    # full-rank member is a product, none a factor)
+    suite = "interlace-full-rank"
     spec = EnsembleSpec(seed=42)
-    chunk = [experiments._draw_trial(spec, suite, i) for i in range(4)]
-    gaussians = [weakref.ref(g) for trial in chunk for d in trial.drawn if isinstance(d, Draw)
-                 for g in d.gaussians]
+    chunk = [_drawn(spec, suite, i) for i in range(4)]
+    recorded = [g for trial in chunk for d in trial.drawn if isinstance(d, Draw) for g in d.gaussians]
+    assert len(recorded) == 12
+    assert all(type(start) is int and all(type(side) is int for side in shape)
+               for start, shape in recorded)
+    assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "c"
+                   for trial in chunk for v in trial.drawn)
+    stacks, factors = [], []
+
+    def tracked(make, refs):
+        def tracking(*args):
+            out = make(*args)
+            refs.append(weakref.ref(out))
+            return out
+        return tracking
+
+    monkeypatch.setattr(ensembles, "complex_normal_stack",
+                        tracked(ensembles.complex_normal_stack, stacks))
+    monkeypatch.setattr(ensembles, "haar_columns", tracked(ensembles.haar_columns, factors))
     alive = []
     dims, draw, check = experiments._SUITE_TABLE[suite]
 
     def counted(trial, tolerances):
-        alive.append(sum(ref() is not None for ref in gaussians))
+        alive.append(sum(ref() is not None for ref in stacks + factors))
         return check(trial, tolerances)
 
     monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted))
     outcomes = experiments._check_chunk(suite, chunk, Tolerances())
-    assert len(gaussians) == 16 and alive == [0] * 4 and chunk == []
+    assert len(stacks) == len(factors) >= 3 and alive == [0] * 4 and chunk == []
     assert all(outcome.passed for outcome in outcomes)
 
 
@@ -490,7 +522,7 @@ def _oracle_records():
 
 
 def _oracle_g(trial_index):
-    return experiments._draw_trial(EnsembleSpec(seed=42), ORACLE, trial_index).drawn[0].gaussians[0]
+    return _gaussian(_drawn(EnsembleSpec(seed=42), ORACLE, trial_index).drawn[0])
 
 
 def _only_trial_failed(forced, default, trial_indices, notes):
@@ -617,7 +649,7 @@ def test_clustered_oblique_block_settles_loosely():
     # scale; its last correction is within 1e-10, so the roots come back, and
     # they match the eigensolver's spectrum within the oracle tolerance
     spec = EnsembleSpec(seed=298, n=4, condition_cap=2.5)
-    lam, p, x, sel = experiments._draw_trial(spec, "oblique-counterexample", 0).drawn
+    lam, p, x, sel = _drawn(spec, "oblique-counterexample", 0).drawn
     p, x = p.built(), x.built()
     t = oblique_transform(p, x, sel)
     assert t.shape == (3, 3)
@@ -677,9 +709,9 @@ def test_oblique_search_draws_each_trial_once(monkeypatch):
     drawn = []
     draw_trial = experiments._draw_trial
 
-    def logged_draw(spec, suite, trial_index, draw=None):
+    def logged_draw(spec, suite, trial_index, *rest):
         drawn.append(trial_index)
-        return draw_trial(spec, suite, trial_index, draw)
+        return draw_trial(spec, suite, trial_index, *rest)
 
     monkeypatch.setattr(experiments, "_draw_trial", logged_draw)
     witness = counterexample_search(ExperimentConfig(

@@ -216,6 +216,22 @@ def test_ensembles_alone_builds_draws():
                                   if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def test_rng_alone_makes_stream_words():
+    # no module but rng touches the stream's words; a draw records where each
+    # Gaussian starts, and only build_draws makes them, one stack per shape
+    touching = {path.stem for path in sorted(SOURCE.glob("*.py"))
+                for node in ast.walk(_tree(path.stem))
+                if isinstance(node, ast.Name) and node.id in ("_words", "_box_muller")
+                or isinstance(node, ast.Attribute) and node.attr in ("_words", "_box_muller")
+                or isinstance(node, ast.alias) and node.name in ("_words", "_box_muller")}
+    assert touching == {"rng"}
+    assert _call_sites(lambda call: _is_name(call.func, "complex_normal_stack")
+                       or _calls_method(call, "complex_normal_stack")) == {
+        ("rng", "SplitMix64.complex_normals"), ("ensembles", "build_draws")}
+    # so no draw_* function, suite draw or helper of theirs makes a Gaussian
+    assert _call_sites(lambda call: _calls_method(call, "complex_normals")) == set()
+
+
 def test_each_trial_is_checked_alone():
     # one pass stacks a chunk's Gaussians, for the Haar factors and for
     # solver-oracle's measurements alike

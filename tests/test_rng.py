@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pseudosim.errors import ContractViolation
-from pseudosim.rng import GOLDEN, SplitMix64, derive_seed, mix64
+from pseudosim.rng import GOLDEN, SplitMix64, complex_normal_stack, derive_seed, mix64
 
 
 # Reference outputs of the standard splitmix64 stream, cross-checked against
@@ -155,8 +157,7 @@ def test_mix64_is_the_stream_step():
 
 def test_interleaved_draws_follow_the_stream():
     # each draw, whatever its kind or size, takes the next words of the
-    # splitmix64 stream and leaves the state just past them; the 5000-word
-    # draw is larger than the look-ahead block
+    # splitmix64 stream and leaves the state just past them
     seed = 0x5EED
     consumed = 0
 
@@ -200,3 +201,62 @@ def _fisher_yates(words, count, n):
         j = i + w % (n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:count]
+
+
+def _plain_words(seed):
+    """The splitmix64 stream as the reference C loop writes it: add GOLDEN
+    to the state, output mix64 of it."""
+    state = seed & 0xFFFFFFFFFFFFFFFF
+    while True:
+        state = (state + GOLDEN) & 0xFFFFFFFFFFFFFFFF
+        yield mix64(state)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x5EED])
+def test_scalar_draws_follow_a_plain_loop_across_block_edges(seed):
+    # draws that end on, or straddle, the 1024th and 1025th word (where a
+    # look-ahead block of 1024 words once ended) take exactly the words of a
+    # plain mix64 loop
+    stream = _plain_words(seed)
+
+    def words(count):
+        return list(itertools.islice(stream, count))
+
+    g = SplitMix64(seed)
+    calls = [
+        lambda: g.uint64s(1023).tolist() == words(1023),
+        lambda: g.next_uint64() == words(1)[0],
+        lambda: g.randint(0, 9) == words(1)[0] % 10,
+        lambda: g.uniforms(1022).tolist() == [(w >> 11) / 2.0**53 for w in words(1022)],
+        lambda: g.uint64s(1025).tolist() == words(1025),
+        lambda: g.randint(-5, 5) == -5 + words(1)[0] % 11,
+        lambda: g.uniforms(1024).tolist() == [(w >> 11) / 2.0**53 for w in words(1024)],
+        lambda: g.next_uint64() == words(1)[0],
+        lambda: g.uint64s(1).tolist() == words(1),
+    ]
+    for i, call in enumerate(calls):
+        assert call(), i
+    assert g.next_uint64() == words(1)[0]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 2), (16, 16), (128, 48)])
+def test_stack_is_complex_normals_one_at_a_time(shape):
+    # start states at both ends of the state space and after scalar draws
+    # of odd length; each entry of the stack is, bit for bit, the Gaussian
+    # complex_normals draws from its start state, and the words of a plain
+    # mix64 loop through Box-Muller, real parts first
+    g = SplitMix64(0x5EED)
+    states = [0, 2**64 - 1]
+    for draw in (g.next_uint64, lambda: g.uint64s(3), lambda: g.uniforms(7), lambda: g.randint(1, 6)):
+        draw()
+        states.append(g.state)
+        g.complex_normals(shape)
+    stack = complex_normal_stack(states, shape)
+    assert stack.shape == (len(states), *shape) and stack.dtype == np.complex128
+    count = 4 * int(np.prod(shape))
+    for state, z in zip(states, stack):
+        alone = SplitMix64(state)
+        assert z.tobytes() == alone.complex_normals(shape).tobytes()
+        assert alone.state == (state + count * GOLDEN) & 0xFFFFFFFFFFFFFFFF
+        reference = _complex_reference(list(itertools.islice(_plain_words(state), count)), shape)
+        assert z.tobytes() == reference.tobytes()
