@@ -210,11 +210,12 @@ def haar_columns(a: np.ndarray) -> np.ndarray:
 
 def draw_unitary(rng: SplitMix64, n: int, l: int) -> Draw:
     """n x l with orthonormal columns, Haar-like: the rephased QR factor of
-    an i.i.d. complex standard normal matrix."""
+    an i.i.d. complex standard normal matrix, copied out of its stack so the
+    member owns its array."""
     _require_dims(n=n, l=l)
     if not 1 <= l <= n:
         raise ContractViolation(f"need 1 <= l <= n, got n={n} l={l}")
-    return Draw(_gaussians(rng, (n, l)))
+    return Draw(_gaussians(rng, (n, l)), np.copy)
 
 
 def draw_hermitian(rng: SplitMix64, lam) -> Draw:

@@ -17,9 +17,9 @@ stacks and builds them (this module never reads a draw's Gaussians, stage or
 build), and the suite's check takes the built trials one at a time.
 :func:`_check_chunk` is the one loop that turns a trial's error, from its
 draw, build or check, into a failed record.
-:func:`run_suite` runs a suite's trials in chunks that close once their
-draws reach ``CHUNK_BYTES``, each checked before the next draw, cut into one
-contiguous slice of trials per usable CPU: slice 0 runs in the calling
+:func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
+of draws, or of one trial that alone draws more, cut into one contiguous
+slice of trials per usable CPU: slice 0 runs in the calling
 process, each other slice in a forked child that sends its records back
 through a pipe;
 :func:`run_trial` runs one trial as a chunk of one and returns its
@@ -464,15 +464,15 @@ def _oracle_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
 
 
-def _charpoly_deviations(g: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack g, a row: how far LAPACK's spectra of it and
+def _charpoly_deviations(g: np.ndarray) -> list[tuple[float, float]]:
+    """Per matrix of the stack g, a pair: how far LAPACK's spectra of it and
     of its Hermitian part lie from their characteristic-polynomial roots, per
     the roots' spectral scale."""
     general = _eigvals_general(g), polynomial_roots(_characteristic_polynomial(g))
     hm = (g + _adjoint(g)) / 2.0
     hermitian = _eigvals_hermitian(hm), polynomial_roots(_characteristic_polynomial(hm))
-    return np.stack([match_distance(w, roots) / spectral_scale(roots, axis=1)
-                     for w, roots in (general, hermitian)], axis=1)
+    return list(zip(*[match_distance(w, roots) / spectral_scale(roots, axis=1)
+                      for w, roots in (general, hermitian)]))
 
 
 def _trace_det_deviations(g6: np.ndarray) -> list[tuple[float, float]]:
@@ -521,16 +521,10 @@ def _require_fits(spec: EnsembleSpec, suite: str) -> None:
 #: search, which reports not-found as a warning instead
 THEOREM_SUITES = frozenset(SUITES) - {"oblique-counterexample"}
 
-#: a chunk of trials closes, and is checked before the next trial is drawn,
-#: as soon as the arrays its trials drew reach this many bytes; a trial that
-#: draws this much runs as a chunk of its own
-CHUNK_BYTES = 128 * 1024
-
-
-def trial_seed(master_seed: int, suite: str, trial_index: int) -> int:
-    """Seed of one trial: split from the master by the suite's canonical
-    position, then by the trial index."""
-    return derive_seed(derive_seed(master_seed, SUITES.index(suite)), trial_index)
+#: a chunk of trials holds at most this many bytes of draws: it is checked
+#: before the trial that would take it past them joins; a trial that alone
+#: draws more runs as a chunk of its own
+CHUNK_BYTES = 256 * 1024
 
 
 class _DrawnTrial(NamedTuple):
@@ -547,7 +541,8 @@ class _DrawnTrial(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the trial drew, its draws' Gaussians as made."""
+        """Bytes the trial's draws make once built: its draws' Gaussians, and
+        the arrays it drew outright."""
         return sum(getattr(v, "nbytes", 0) for v in self.drawn)
 
 
@@ -570,12 +565,12 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -
     """Records of drawn trials, in order: the suite's check of each trial,
     its draws built together by :func:`build_draws`, or a failed record for
     a trial whose draw, build or check raised; a trial that fails, fails
-    alone.  Empties ``chunk`` before the first check, freeing its draws."""
+    alone.  The Gaussian stacks and Haar factors are freed before the first
+    check, since each member owns its array."""
     check = _SUITE_TABLE[suite][2]
     members = iter(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
     built = [trial._replace(drawn=tuple(next(members) if isinstance(v, Draw) else v
                                         for v in trial.drawn)) for trial in chunk]
-    chunk.clear()
     records = []
     for trial in built:
         try:
@@ -590,20 +585,20 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -
 
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):
     """Records of the given trials of a suite, in order, checked in chunks
-    that close once their draws reach CHUNK_BYTES; ``draw``, if given,
-    replaces the suite's draw.  Trial seeds are :func:`trial_seed`'s, the
+    of at most CHUNK_BYTES of draws or of one trial; ``draw``, if given,
+    replaces the suite's draw.  Trial ``i`` is seeded
+    ``derive_seed(derive_seed(spec.seed, SUITES.index(suite)), i)``, the
     suite's seed derived once."""
     suite_seed = derive_seed(spec.seed, SUITES.index(suite))
     chunk: list[_DrawnTrial] = []
     size = 0
     for trial_index in trial_indices:
         trial = _draw_trial(spec, suite, trial_index, derive_seed(suite_seed, trial_index), draw)
-        size += trial.nbytes
-        chunk.append(trial)
-        del trial  # the chunk holds the only reference, which checking it drops
-        if size >= CHUNK_BYTES:
+        if chunk and size + trial.nbytes > CHUNK_BYTES:
             yield from _check_chunk(suite, chunk, tolerances)
-            size = 0
+            chunk, size = [], 0
+        chunk.append(trial)
+        size += trial.nbytes
     if chunk:
         yield from _check_chunk(suite, chunk, tolerances)
 

@@ -42,9 +42,9 @@ OBLIQUE_DEFAULT_BUDGET = 1000
 
 def _drawn(spec, suite, trial_index):
     """Trial ``trial_index`` of a suite, drawn from its stream as the runner
-    draws it, not built."""
-    return experiments._draw_trial(spec, suite, trial_index,
-                                   experiments.trial_seed(spec.seed, suite, trial_index))
+    draws it, not built; its seed is the README's formula."""
+    seed = derive_seed(derive_seed(spec.seed, SUITES.index(suite)), trial_index)
+    return experiments._draw_trial(spec, suite, trial_index, seed)
 
 
 def _gaussian(draw, index=0):
@@ -377,28 +377,59 @@ def test_chunked_run_equals_single_trials(small_chunks, suite):
 
 
 def test_default_chunk_bound(monkeypatch):
-    # one trial's draws at n = 64, k = 128, l = 48 reach the bound alone, so
-    # every such trial is a chunk of its own, checked before the next draw
+    # one trial's draws at n = 64, k = 128, l = 48 stay below the bound but
+    # two pass it, so every such trial is a chunk of its own.  The next
+    # trial, which holds no array, is drawn before the chunk it would take
+    # past the bound is checked
     spec, suite = EnsembleSpec(seed=1, n=64, k=128, l=48), "interlace-inflated"
     drawn = _drawn(spec, suite, 0)
     assert drawn.nbytes == 16 * (64 * 64 + 64 * 48 + 48 * 48 + 128 * 48) + 8 * 64
-    assert drawn.nbytes >= experiments.CHUNK_BYTES
+    assert drawn.nbytes <= experiments.CHUNK_BYTES < 2 * drawn.nbytes
     events = []
     draw_trial, check_chunk = experiments._draw_trial, experiments._check_chunk
 
-    def logged_draw(*args):
-        events.append("draw")
-        return draw_trial(*args)
+    def logged_draw(spec, suite, trial_index, *rest):
+        events.append(("draw", trial_index))
+        return draw_trial(spec, suite, trial_index, *rest)
 
     def logged_check(suite, chunk, tolerances):
-        events.append("check")
+        events.append(("check", [trial.trial_index for trial in chunk]))
         return check_chunk(suite, chunk, tolerances)
 
     monkeypatch.setattr(experiments, "_draw_trial", logged_draw)
     monkeypatch.setattr(experiments, "_check_chunk", logged_check)
     outcomes = list(experiments._run_trials(spec, suite, range(3), Tolerances()))
     assert all(outcome.passed for outcome in outcomes)
-    assert events == ["draw", "check"] * 3
+    assert events == [("draw", 0), ("draw", 1), ("check", [0]), ("draw", 2), ("check", [1]),
+                      ("check", [2])]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_chunks_fill_to_their_bound(monkeypatch, seed):
+    # a checked chunk holds at most CHUNK_BYTES of draws, or is one trial
+    # that alone draws more, and each chunk but the last would pass the
+    # bound with the next trial's draws
+    chunks = []
+    check_chunk = experiments._check_chunk
+
+    def recorded(suite, chunk, tolerances):
+        chunks.append([(trial.trial_index, trial.nbytes) for trial in chunk])
+        return check_chunk(suite, chunk, tolerances)
+
+    monkeypatch.setattr(experiments, "_check_chunk", recorded)
+    bound, counts = experiments.CHUNK_BYTES, {}
+    for suite in sorted(THEOREM_SUITES):
+        chunks.clear()
+        records = list(experiments._run_trials(EnsembleSpec(seed=seed), suite, range(200), Tolerances()))
+        assert len(records) == 200
+        counts[suite] = len(chunks)
+        assert [i for chunk in chunks for i, _ in chunk] == list(range(200))
+        sizes = [sum(nbytes for _, nbytes in chunk) for chunk in chunks]
+        assert all(size <= bound or len(chunk) == 1 for size, chunk in zip(sizes, chunks)), suite
+        assert all(size + after[0][1] > bound for size, after in zip(sizes, chunks[1:])), suite
+    # so the bound is met from below on every suite whose 200 trials draw
+    # more than one chunk's worth: all but solver-oracle
+    assert [suite for suite, count in counts.items() if count == 1] == ["solver-oracle"], counts
 
 
 def test_failed_checks_stay_inside_their_trial(small_chunks):
@@ -466,17 +497,8 @@ def test_failed_haar_factor_stays_inside_its_trial(small_chunks, monkeypatch):
 def test_chunk_frees_words_before_its_check(monkeypatch):
     # a drawn chunk holds no Gaussian array, only where each Gaussian starts;
     # once its members are built, the Gaussian stacks and the Haar factors
-    # made from them are gone: the check runs without them (every
-    # full-rank member is a product, none a factor)
-    suite = "interlace-full-rank"
-    spec = EnsembleSpec(seed=42)
-    chunk = [_drawn(spec, suite, i) for i in range(4)]
-    recorded = [g for trial in chunk for d in trial.drawn if isinstance(d, Draw) for g in d.gaussians]
-    assert len(recorded) == 12
-    assert all(type(start) is int and all(type(side) is int for side in shape)
-               for start, shape in recorded)
-    assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "c"
-                   for trial in chunk for v in trial.drawn)
+    # made from them are gone: the check runs without them, since a member
+    # that is a factor, V or Q, owns its array
     stacks, factors = [], []
 
     def tracked(make, refs):
@@ -490,16 +512,30 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
                         tracked(ensembles.complex_normal_stack, stacks))
     monkeypatch.setattr(ensembles, "haar_columns", tracked(ensembles.haar_columns, factors))
     alive = []
-    dims, draw, check = experiments._SUITE_TABLE[suite]
 
-    def counted(trial, tolerances):
-        alive.append(sum(ref() is not None for ref in stacks + factors))
-        return check(trial, tolerances)
+    def counted(check):
+        def counting(trial, tolerances):
+            alive.append(sum(ref() is not None for ref in stacks + factors))
+            return check(trial, tolerances)
+        return counting
 
-    monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted))
-    outcomes = experiments._check_chunk(suite, chunk, Tolerances())
-    assert len(stacks) == len(factors) >= 3 and alive == [0] * 4 and chunk == []
-    assert all(outcome.passed for outcome in outcomes)
+    # Gaussians per trial: P's factor and H's two, then V's too; P's and Q
+    gaussians = {"interlace-full-rank": 3, "interlace-rank-deficient": 4, "interlace-inflated": 4,
+                 "subsumption": 2}
+    for suite, per_trial in gaussians.items():
+        chunk = [_drawn(EnsembleSpec(seed=42), suite, i) for i in range(4)]
+        recorded = [g for trial in chunk for d in trial.drawn if isinstance(d, Draw) for g in d.gaussians]
+        assert len(recorded) == 4 * per_trial, suite
+        assert all(type(start) is int and all(type(side) is int for side in shape)
+                   for start, shape in recorded)
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "c"
+                       for trial in chunk for v in trial.drawn)
+        dims, draw, check = experiments._SUITE_TABLE[suite]
+        monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted(check)))
+        del stacks[:], factors[:], alive[:]
+        outcomes = experiments._check_chunk(suite, chunk, Tolerances())
+        assert len(stacks) == len(factors) >= 3 and alive == [0] * 4, suite
+        assert all(outcome.passed for outcome in outcomes)
 
 
 def test_chunks_factor_their_gaussians_one_qr_per_shape(monkeypatch, qr_calls):
