@@ -150,29 +150,28 @@ def build_draws(draws) -> list:
     The Gaussians of one stage and shape are made as one stack by
     :func:`~pseudosim.rng.complex_normal_stack` and go through that stage,
     :func:`haar_columns` when None (looked up per call); a stack that raises
-    is redone a Gaussian at a time."""
-    items = [(d.stage or haar_columns, start, shape) for d in draws for start, shape in d.gaussians]
-    values: list = [None] * len(items)
+    is redone a Gaussian at a time.  Each draw takes its staged values, in
+    draw order, from one iterator per stack."""
     groups: dict[tuple, list[int]] = {}
-    for i, (stage, _, shape) in enumerate(items):
-        groups.setdefault((stage, shape), []).append(i)
-    for (stage, shape), indices in groups.items():
-        stack = complex_normal_stack([items[i][1] for i in indices], shape)
+    for d in draws:
+        for start, shape in d.gaussians:
+            groups.setdefault((d.stage or haar_columns, shape), []).append(start)
+    staged = {}
+    for (stage, shape), starts in groups.items():
+        stack = complex_normal_stack(starts, shape)
         try:
-            staged = stage(stack)
+            values = stage(stack)
         except TRIAL_ERRORS:
-            staged = []
-            for i in range(len(indices)):
+            values = []
+            for i in range(len(starts)):
                 try:
-                    staged.extend(stage(stack[i:i + 1]))
+                    values.extend(stage(stack[i:i + 1]))
                 except TRIAL_ERRORS as exc:
-                    staged.append(exc)
-        for i, value in zip(indices, staged):
-            values[i] = value
-    values = iter(values)
+                    values.append(exc)
+        staged[stage, shape] = iter(values)
     members = []
     for d in draws:
-        mine = [next(values) for _ in d.gaussians]
+        mine = [next(staged[d.stage or haar_columns, shape]) for _, shape in d.gaussians]
         member = next((v for v in mine if isinstance(v, Exception)), None)
         if member is None:
             try:

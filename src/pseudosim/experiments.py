@@ -14,9 +14,9 @@ stream and names its dimensions, then :func:`_check_chunk` hands every
 :class:`~pseudosim.ensembles.Draw` of the chunk to
 :func:`~pseudosim.ensembles.build_draws`, which makes their Gaussians in
 stacks and builds them (this module never reads a draw's Gaussians, stage or
-build), and the suite's check takes the built trials one at a time.
-:func:`_check_chunk` is the one loop that turns a trial's error, from its
-draw, build or check, into a failed record.
+build), and the suite's check takes the built trials one at a time, each
+freed before the next check.  :func:`_check_chunk` is the one loop that
+turns a trial's error, from its draw, build or check, into a failed record.
 :func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
 of draws, or of one trial that alone draws more, cut into one contiguous
 slice of trials per usable CPU: slice 0 runs in the calling
@@ -53,6 +53,7 @@ import os
 import pickle
 import signal
 import threading
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -561,44 +562,43 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, seed: int,
     return _DrawnTrial(suite, trial_index, seed, dims, drawn)
 
 
-def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances) -> list[TrialRecord]:
-    """Records of drawn trials, in order: the suite's check of each trial,
-    its draws built together by :func:`build_draws`, or a failed record for
-    a trial whose draw, build or check raised; a trial that fails, fails
-    alone.  The Gaussian stacks and Haar factors are freed before the first
-    check, since each member owns its array."""
+def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances):
+    """Records of drawn trials, in order, each yielded once checked: the
+    suite's check, or a failed record for a trial whose draw, build or check
+    raised; a trial that fails, fails alone.  :func:`build_draws` builds the
+    chunk's draws together, and each trial takes its members from that list
+    as its check starts, so they are freed before the next check."""
     check = _SUITE_TABLE[suite][2]
-    members = iter(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
-    built = [trial._replace(drawn=tuple(next(members) if isinstance(v, Draw) else v
-                                        for v in trial.drawn)) for trial in chunk]
-    records = []
-    for trial in built:
+    members = deque(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
+    for trial in chunk:
+        built = trial._replace(drawn=tuple(members.popleft() if isinstance(v, Draw) else v
+                                           for v in trial.drawn))
         try:
-            for value in trial.drawn:
+            for value in built.drawn:
                 if isinstance(value, Exception):
                     raise value
-            records.append(check(trial, tolerances))
+            record = check(built, tolerances)
         except TRIAL_ERRORS as exc:
-            records.append(trial.record(passed=False, notes=f"{type(exc).__name__}: {exc}"))
-    return records
+            record = built.record(passed=False, notes=f"{type(exc).__name__}: {exc}")
+        yield record
 
 
 def _run_trials(spec: EnsembleSpec, suite: str, trial_indices, tolerances: Tolerances, draw=None):
-    """Records of the given trials of a suite, in order, checked in chunks
-    of at most CHUNK_BYTES of draws or of one trial; ``draw``, if given,
-    replaces the suite's draw.  Trial ``i`` is seeded
+    """Records of the given trials of a suite, in order, each yielded once
+    checked, in chunks of at most CHUNK_BYTES of draws or of one trial;
+    ``draw``, if given, replaces the suite's draw.  Trial ``i`` is seeded
     ``derive_seed(derive_seed(spec.seed, SUITES.index(suite)), i)``, the
     suite's seed derived once."""
     suite_seed = derive_seed(spec.seed, SUITES.index(suite))
-    chunk: list[_DrawnTrial] = []
-    size = 0
+    chunk, size = [], 0
     for trial_index in trial_indices:
         trial = _draw_trial(spec, suite, trial_index, derive_seed(suite_seed, trial_index), draw)
-        if chunk and size + trial.nbytes > CHUNK_BYTES:
+        nbytes = trial.nbytes
+        if chunk and size + nbytes > CHUNK_BYTES:
             yield from _check_chunk(suite, chunk, tolerances)
             chunk, size = [], 0
         chunk.append(trial)
-        size += trial.nbytes
+        size += nbytes
     if chunk:
         yield from _check_chunk(suite, chunk, tolerances)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigen import sort_eigenvalues
-from .errors import ContractViolation, NumericalError, require_number
+from .errors import ContractViolation, NumericalError
 from .linalg import _as_square_stack, spectral_scale
 
 
@@ -72,7 +72,7 @@ def _quadratic_roots(b, c) -> np.ndarray:
     return roots
 
 
-def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
+def polynomial_roots(coeffs) -> np.ndarray:
     """All complex roots of a polynomial (coefficients highest first, leading
     one nonzero), sorted by (real, imag); a row per polynomial of a stack.
 
@@ -80,12 +80,11 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
     simultaneous-correction iteration from staggered starting points inside
     the Cauchy root bound, until a correction is within 1e-14 of the roots'
     scale.  Accuracy degrades near multiple roots (as for any polynomial
-    method): a polynomial whose last of ``max_iter`` corrections is still
-    within 1e-10 of that scale keeps its roots, any other one raises
+    method): a polynomial whose last of 500 corrections is still within
+    1e-10 of that scale keeps its roots, any other one raises
     :class:`NumericalError`.  Distinct-root inputs converge to near machine
     level.
     """
-    require_number(max_iter, "max_iter", 1, integer=True)
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim < 1 or c.shape[-1] < 2:
         raise ContractViolation("need a polynomial of degree >= 1")
@@ -107,7 +106,7 @@ def polynomial_roots(coeffs, max_iter: int = 500) -> np.ndarray:
     off = ~np.eye(n, dtype=bool)
     active = np.arange(len(c))  # rows still iterating
     close = np.zeros(len(c), dtype=bool)  # rows whose last correction is within 1e-10
-    for _ in range(max_iter):
+    for _ in range(500):
         za, ca = z[active], c[active]
         p = np.zeros_like(za)  # Horner's rule, as np.polyval(c, z) evaluates it
         for j in range(n + 1):

@@ -533,9 +533,35 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
         dims, draw, check = experiments._SUITE_TABLE[suite]
         monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted(check)))
         del stacks[:], factors[:], alive[:]
-        outcomes = experiments._check_chunk(suite, chunk, Tolerances())
+        outcomes = list(experiments._check_chunk(suite, chunk, Tolerances()))
         assert len(stacks) == len(factors) >= 3 and alive == [0] * 4, suite
         assert all(outcome.passed for outcome in outcomes)
+
+
+def test_checked_trials_release_their_members(monkeypatch):
+    # a trial takes its built members when its check starts and lets them
+    # go once it is checked: at no check of a chunk is a member of an
+    # earlier trial, P, H, V, Q or the Penrose matrix, still alive
+    refs, peaks = [], Counter()
+
+    def counted(check):
+        def counting(trial, tolerances):
+            peaks[trial.suite] = max(peaks[trial.suite], sum(ref() is not None for ref in refs))
+            refs.extend(weakref.ref(v) for v in trial.drawn
+                        if isinstance(v, np.ndarray) and v.dtype.kind == "c")
+            return check(trial, tolerances)
+        return counting
+
+    suites = ("interlace-full-rank", "interlace-rank-deficient", "interlace-inflated", "subsumption",
+              "mp-axioms")
+    for suite in suites:
+        dims, draw, check = experiments._SUITE_TABLE[suite]
+        monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted(check)))
+        refs.clear()
+        records = list(experiments._run_trials(EnsembleSpec(seed=42), suite, range(200), Tolerances()))
+        assert len(records) == 200 and all(record.passed for record in records), suite
+        assert len(refs) >= 200, suite
+    assert peaks == dict.fromkeys(suites, 0), peaks
 
 
 def test_chunks_factor_their_gaussians_one_qr_per_shape(monkeypatch, qr_calls):

@@ -53,7 +53,7 @@ def test_repeated_roots():
     # a triple root hits the rounding floor of the cluster and is surfaced
     # as non-convergence instead of being returned at reduced accuracy
     with pytest.raises(NumericalError):
-        polynomial_roots([1.0, -3.0, 3.0, -1.0], max_iter=2000)
+        polynomial_roots([1.0, -3.0, 3.0, -1.0])
 
 
 def test_invalid_polynomials():
@@ -61,10 +61,6 @@ def test_invalid_polynomials():
         polynomial_roots([0.0, 1.0, 2.0])  # zero leading coefficient
     with pytest.raises(ContractViolation):
         polynomial_roots([3.0])  # constant
-    # True would run one iteration, -3 none
-    for max_iter in (True, 2.5, -3, 0):
-        with pytest.raises(ContractViolation, match=f"max_iter must be an int >= 1, got {max_iter}"):
-            polynomial_roots([1.0, 2.0, 3.0, 4.0], max_iter=max_iter)
 
 
 def test_oracle_matches_lapack_small():

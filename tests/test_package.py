@@ -248,6 +248,12 @@ def test_each_trial_is_checked_alone():
         suite: ["trial", "tols"] for suite in _SUITE_TABLE}
 
 
+def test_polynomial_roots_takes_coefficients_only():
+    # the root iteration's budget of 500 corrections is part of the code:
+    # no caller in the package ever set another
+    assert list(inspect.signature(pseudosim.oracles.polynomial_roots).parameters) == ["coeffs"]
+
+
 def test_each_suite_and_setting_is_declared_once():
     # a suite-table entry is three module functions: the runner hands each
     # dimension rule the tag it serves, so no entry binds it in a partial
