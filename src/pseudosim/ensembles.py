@@ -14,6 +14,8 @@ Gaussians starts in the stream and its shape, not the Gaussian itself.
 any list of draws one stack per (stage, shape), runs each stack through its
 draws' stage, :func:`haar_columns` unless they name another, and keeps each
 draw's error to that draw.  :meth:`Draw.built` and the runner both call it.
+:func:`_kept` alone catches a trial's error, here and in the runner, and
+keeps it without its traceback, so it holds no frame and none of its chunk.
 """
 from __future__ import annotations
 
@@ -34,9 +36,17 @@ DEFAULT_NONUNITARITY_FLOOR = 2.0
 
 SPECTRUM_LAWS = ("prescribed", "uniform", "signed-uniform")
 
-#: exceptions a trial may raise without halting the suite; a draw's stage or
-#: build that raises one of them fails that draw alone
+#: exceptions a trial may raise without halting the suite: _kept catches them
 TRIAL_ERRORS = (ContractViolation, NumericalError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def _kept(call, *args):
+    """``call(*args)``, or the TRIAL_ERRORS error it raised, without the
+    traceback, whose frames would hold what they held: a chunk's members."""
+    try:
+        return call(*args)
+    except TRIAL_ERRORS as exc:
+        return exc.with_traceback(None)
 
 
 @dataclass
@@ -149,36 +159,25 @@ def build_draws(draws) -> list:
 
     The Gaussians of one stage and shape are made as one stack by
     :func:`~pseudosim.rng.complex_normal_stack` and go through that stage,
-    :func:`haar_columns` when None (looked up per call); a stack that raises
-    is redone a Gaussian at a time.  Each draw takes its staged values, in
-    draw order, from one iterator per stack."""
-    groups: dict[tuple, list[int]] = {}
+    :func:`haar_columns` when None (looked up per call), run by :func:`_kept`
+    like each build; a stack that raises is redone a Gaussian at a time once
+    its call has returned, so no error holds another as its ``__context__``.
+    Each draw takes its staged values, in draw order, from one iterator per stack."""
+    staged: dict[tuple, object] = {}  # (stage, shape) -> its start states, then its values
     for d in draws:
         for start, shape in d.gaussians:
-            groups.setdefault((d.stage or haar_columns, shape), []).append(start)
-    staged = {}
-    for (stage, shape), starts in groups.items():
+            staged.setdefault((d.stage or haar_columns, shape), []).append(start)
+    for (stage, shape), starts in staged.items():
         stack = complex_normal_stack(starts, shape)
-        try:
-            values = stage(stack)
-        except TRIAL_ERRORS:
-            values = []
-            for i in range(len(starts)):
-                try:
-                    values.extend(stage(stack[i:i + 1]))
-                except TRIAL_ERRORS as exc:
-                    values.append(exc)
+        values = _kept(stage, stack)
+        if isinstance(values, Exception):
+            values = [_kept(lambda g: stage(g[np.newaxis])[0], g) for g in stack]
         staged[stage, shape] = iter(values)
     members = []
     for d in draws:
         mine = [next(staged[d.stage or haar_columns, shape]) for _, shape in d.gaussians]
-        member = next((v for v in mine if isinstance(v, Exception)), None)
-        if member is None:
-            try:
-                member = d.build(*mine)
-            except TRIAL_ERRORS as exc:
-                member = exc
-        members.append(member)
+        error = next((v for v in mine if isinstance(v, Exception)), None)
+        members.append(_kept(d.build, *mine) if error is None else error)
     return members
 
 

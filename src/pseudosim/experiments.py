@@ -16,7 +16,9 @@ stream and names its dimensions, then :func:`_check_chunk` hands every
 stacks and builds them (this module never reads a draw's Gaussians, stage or
 build), and the suite's check takes the built trials one at a time, each
 freed before the next check.  :func:`_check_chunk` is the one loop that
-turns a trial's error, from its draw, build or check, into a failed record.
+turns a trial's error, from its draw, build or check, into a failed record
+with one-line notes; :func:`~pseudosim.ensembles._kept` keeps the error
+without its traceback, so a failed trial holds nothing of its chunk.
 :func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
 of draws, or of one trial that alone draws more, cut into one contiguous
 slice of trials per usable CPU: slice 0 runs in the calling
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import re
 import signal
 import threading
 from collections import deque
@@ -63,10 +66,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensembles import (
-    TRIAL_ERRORS,
     Draw,
     EnsembleSpec,
     _gaussians,
+    _kept,
     build_draws,
     draw_full_column_rank,
     draw_hermitian,
@@ -555,10 +558,8 @@ def _draw_trial(spec: EnsembleSpec, suite: str, trial_index: int, seed: int,
     draw_dims, suite_draw, _ = _SUITE_TABLE[suite]
     rng = SplitMix64(seed)
     dims = draw_dims(rng, spec, trial_index, suite)
-    try:
-        dims, drawn = (draw or suite_draw)(rng, spec, trial_index, dims)
-    except TRIAL_ERRORS as exc:
-        return _DrawnTrial(suite, trial_index, seed, dims, (exc,))
+    kept = _kept(draw or suite_draw, rng, spec, trial_index, dims)
+    dims, drawn = (dims, (kept,)) if isinstance(kept, Exception) else kept
     return _DrawnTrial(suite, trial_index, seed, dims, drawn)
 
 
@@ -567,19 +568,19 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances):
     suite's check, or a failed record for a trial whose draw, build or check
     raised; a trial that fails, fails alone.  :func:`build_draws` builds the
     chunk's draws together, and each trial takes its members from that list
-    as its check starts, so they are freed before the next check."""
+    as its check starts, so they are freed before the next check.  A failed
+    record notes the first error among its built values, or else its check's,
+    on one line: a line break and the indentation after it become a space."""
     check = _SUITE_TABLE[suite][2]
     members = deque(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
     for trial in chunk:
         built = trial._replace(drawn=tuple(members.popleft() if isinstance(v, Draw) else v
                                            for v in trial.drawn))
-        try:
-            for value in built.drawn:
-                if isinstance(value, Exception):
-                    raise value
-            record = check(built, tolerances)
-        except TRIAL_ERRORS as exc:
-            record = built.record(passed=False, notes=f"{type(exc).__name__}: {exc}")
+        error = next((v for v in built.drawn if isinstance(v, Exception)), None)
+        record = _kept(check, built, tolerances) if error is None else error
+        if isinstance(record, Exception):
+            record = built.record(passed=False,  # one line, where numpy wraps an array
+                                  notes=re.sub(r"\n\s*", " ", f"{type(record).__name__}: {record}"))
         yield record
 
 

@@ -17,7 +17,7 @@ from pseudosim.ensembles import (
     draw_unitary,
     haar_columns,
 )
-from pseudosim.errors import ContractViolation
+from pseudosim.errors import ContractViolation, NumericalError
 from pseudosim.interlace import classify_real
 from pseudosim.linalg import penrose_residuals, pseudo_inverse, svd
 from pseudosim.rng import SplitMix64, derive_seed
@@ -301,6 +301,22 @@ def test_generators_are_their_draws_assembled():
     assert len(built) == len(direct) == 5
     for a, b in zip(built, direct):
         assert np.array_equal(a, b)
+
+
+def test_a_failed_build_is_its_draws_error_alone():
+    # a build that raises fails its own draw: build_draws keeps the error,
+    # without its traceback, beside the others' members, and built raises it
+    def fails(u, v):
+        raise NumericalError("no member")
+
+    rng = SplitMix64(65)
+    ok, broken = draw_full_column_rank(rng, 4, 2), draw_full_column_rank(rng, 4, 2)
+    broken = Draw(broken.gaussians, fails)
+    member, error = build_draws([ok, broken])
+    assert np.array_equal(member, ok.built())
+    assert isinstance(error, NumericalError) and error.__traceback__ is None
+    with pytest.raises(NumericalError, match="no member"):
+        broken.built()
 
 
 def test_lone_gaussian_stack_is_its_complex_normals():

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
+import re
 import weakref
 from collections import Counter
 
@@ -31,6 +33,7 @@ from pseudosim.experiments import (
     run_trial,
 )
 from pseudosim.oracles import characteristic_polynomial, polynomial_roots
+from pseudosim.reports import render
 from pseudosim.rng import SplitMix64, derive_seed
 from pseudosim.transforms import oblique_transform
 
@@ -139,16 +142,34 @@ def test_fixed_dimensions_respected():
     assert all((r.n, r.k, r.l) == (6, 9, 2) for r in records)
 
 
-def test_tolerance_override_can_fail_honestly():
-    # an absurdly tight interlacing tolerance turns rounding into failures,
-    # which must be recorded rather than raised
-    config = _config(suites=("interlace-full-rank",), trials=20,
-                     tolerances=Tolerances(interlace=1e-18))
-    records = run_suite(config)
-    failed = failed_theorem_records(records)
-    assert failed, "expected rounding-level failures at tol 1e-18"
-    assert all("interlacing violated" in r.notes for r in failed)
-    assert len(records) == 20  # failure isolation: the suite ran to completion
+@pytest.mark.parametrize(("suite", "overrides", "note"), [
+    pytest.param("interlace-full-rank", {"interlace": 1e-18}, "interlacing violated",
+                 id="interlace-full-rank-interlace"),
+    pytest.param("interlace-rank-deficient", {"rank": 1e-300},
+                 "^NumericalError: inflation routes disagree", id="interlace-rank-deficient-rank"),
+    pytest.param("subsumption", {"unitary_pinv": 1e-300}, r"pinv\(q\) deviates from adjoint",
+                 id="subsumption-unitary_pinv"),
+    pytest.param("subsumption", {"route": 1e-300}, "compression routes deviate",
+                 id="subsumption-route"),
+    pytest.param("mp-axioms", {"mp": 1e-300}, "Penrose residual", id="mp-axioms-mp"),
+    pytest.param("mp-axioms", {"rank": 1e-300}, r"rank \d+ != target \d+", id="mp-axioms-rank"),
+    pytest.param("solver-oracle", {"oracle": 1e-300},
+                 "trace identity off by .*; determinant identity off by", id="solver-oracle-oracle"),
+    pytest.param("oblique-counterexample", {"oracle": 1e-300}, "charpoly roots deviate",
+                 id="oblique-counterexample-oracle"),
+])
+def test_tolerance_override_can_fail_honestly(suite, overrides, note):
+    # an absurdly tight tolerance turns rounding into failures, which must be
+    # recorded rather than raised.  Each trial is read as the runner checks
+    # it: the oblique suite's run reduces its trials to one search record,
+    # and its records pass anyway, since a breach is what the search looks for
+    records = list(experiments._run_trials(EnsembleSpec(seed=42), suite, range(40),
+                                           Tolerances(**overrides)))
+    noted = [r for r in records if re.search(note, r.notes)]
+    assert noted, f"expected {note!r} at {overrides}"
+    assert failed_theorem_records(records) == (noted if suite in THEOREM_SUITES else [])
+    assert all(r.passed for r in records if r.suite not in THEOREM_SUITES)
+    assert len(records) == 40  # failure isolation: the suite ran to completion
 
 
 def test_failed_records_keep_drawn_dimensions():
@@ -538,10 +559,11 @@ def test_chunk_frees_words_before_its_check(monkeypatch):
         assert all(outcome.passed for outcome in outcomes)
 
 
-def test_checked_trials_release_their_members(monkeypatch):
-    # a trial takes its built members when its check starts and lets them
-    # go once it is checked: at no check of a chunk is a member of an
-    # earlier trial, P, H, V, Q or the Penrose matrix, still alive
+def _watched_members(monkeypatch, suites):
+    """Per suite, its first 200 records at seed 42, the members its checks
+    received and the most members of earlier trials alive at one check.  A
+    member is a complex ndarray a check receives: P, H, V, Q or the Penrose
+    matrix, of which each check takes a weakref."""
     refs, peaks = [], Counter()
 
     def counted(check):
@@ -552,16 +574,81 @@ def test_checked_trials_release_their_members(monkeypatch):
             return check(trial, tolerances)
         return counting
 
-    suites = ("interlace-full-rank", "interlace-rank-deficient", "interlace-inflated", "subsumption",
-              "mp-axioms")
+    watched = {}
     for suite in suites:
         dims, draw, check = experiments._SUITE_TABLE[suite]
         monkeypatch.setitem(experiments._SUITE_TABLE, suite, (dims, draw, counted(check)))
         refs.clear()
         records = list(experiments._run_trials(EnsembleSpec(seed=42), suite, range(200), Tolerances()))
+        watched[suite] = records, len(refs), peaks[suite]
+    return watched
+
+
+def test_checked_trials_release_their_members(monkeypatch):
+    # a trial takes its built members when its check starts and lets them
+    # go once it is checked: at no check of a chunk is a member of an
+    # earlier trial, P, H, V, Q or the Penrose matrix, still alive
+    suites = ("interlace-full-rank", "interlace-rank-deficient", "interlace-inflated", "subsumption",
+              "mp-axioms")
+    watched = _watched_members(monkeypatch, suites)
+    for suite, (records, members, _) in watched.items():
         assert len(records) == 200 and all(record.passed for record in records), suite
-        assert len(refs) >= 200, suite
+        assert members >= 200, suite
+    peaks = {suite: peak for suite, (_, _, peak) in watched.items()}
     assert peaks == dict.fromkeys(suites, 0), peaks
+
+
+def test_failed_trials_release_their_chunk(monkeypatch):
+    # an error is kept without its traceback, whose frames would hold the
+    # chunk's members in a reference cycle with the error: with the cyclic
+    # collector off, no member of an earlier trial is alive at a later check
+    # when a stacked QR raises, or P's build raises on odd n
+    unlucky = _gaussian(_drawn(EnsembleSpec(seed=42), "interlace-rank-deficient", 7).drawn[2])
+    haar_columns, draw_hermitian = ensembles.haar_columns, experiments.draw_hermitian
+
+    def fails_on_one(stack):
+        if any(np.array_equal(g, unlucky) for g in stack):
+            raise np.linalg.LinAlgError("no QR")
+        return haar_columns(stack)
+
+    def no_p_at_odd_n(rng, lam):
+        def fails(u):
+            raise NumericalError(f"no P at n = {lam.size}")
+        p = draw_hermitian(rng, lam)
+        return dataclasses.replace(p, build=fails) if lam.size % 2 else p
+
+    gc.disable()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(ensembles, "haar_columns", fails_on_one)
+            qr = _watched_members(patched, ("interlace-rank-deficient",))
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "draw_hermitian", no_p_at_odd_n)
+            build = _watched_members(patched, ("interlace-full-rank", "interlace-rank-deficient",
+                                               "subsumption"))
+    finally:
+        gc.enable()
+    records, _, peak = qr["interlace-rank-deficient"]
+    assert [r.trial_index for r in records if not r.passed] == [7] and peak == 0, peak
+    for suite, (records, _, peak) in build.items():
+        failed = [r for r in records if not r.passed]
+        assert failed == [r for r in records if r.n % 2] and failed, suite
+        assert all(r.notes == f"NumericalError: no P at n = {r.n}" for r in failed), suite
+        assert peak == 0, (suite, peak)
+
+
+def test_failed_notes_are_one_line():
+    # numpy wraps a long array in an error message, as RealnessViolation
+    # prints its offenders at a strong condition cap: a failed record's notes
+    # keep it on one line, so each record is one line of a table or CSV.
+    # Here 13 trials fail on realness, and numpy wraps 9 of their offenders
+    records = run_suite(_config(suites=("interlace-inflated",), trials=20,
+                                ensemble=EnsembleSpec(seed=42, condition_cap=1e8)))
+    assert sum(r.notes.startswith("RealnessViolation") for r in records) >= 9
+    assert not any("\n" in r.notes for r in records)
+    rows, _ = render(records, "table").split("\n\n")
+    assert len(rows.splitlines()) == 1 + len(records)
+    assert len(render(records, "csv").splitlines()) == 1 + len(records)
 
 
 def test_chunks_factor_their_gaussians_one_qr_per_shape(monkeypatch, qr_calls):

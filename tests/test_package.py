@@ -248,6 +248,18 @@ def test_each_trial_is_checked_alone():
         suite: ["trial", "tols"] for suite in _SUITE_TABLE}
 
 
+def test_trial_errors_are_caught_in_one_place():
+    # ensembles._kept alone catches a trial's error, and keeps it without its
+    # traceback, whose frames would hold the members of the error's chunk
+    handlers = [(path.stem, name) for path in sorted(SOURCE.glob("*.py"))
+                for name, top in _definitions(path.stem)
+                for node in ast.walk(top) if isinstance(node, ast.ExceptHandler) and node.type
+                for caught in ast.walk(node.type)
+                if _is_name(caught, "TRIAL_ERRORS")
+                or isinstance(caught, ast.Attribute) and caught.attr == "TRIAL_ERRORS"]
+    assert handlers == [("ensembles", "_kept")]
+
+
 def test_polynomial_roots_takes_coefficients_only():
     # the root iteration's budget of 500 corrections is part of the code:
     # no caller in the package ever set another
