@@ -49,7 +49,7 @@ def _kept(call, *args):
         return exc.with_traceback(None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleSpec:
     """Everything needed to regenerate an ensemble bit for bit.
 
@@ -81,7 +81,7 @@ class EnsembleSpec:
     nonunitarity_floor: float = DEFAULT_NONUNITARITY_FLOOR
 
     def __post_init__(self):
-        self.seed = require_number(self.seed, "seed", integer=True) & 0xFFFFFFFFFFFFFFFF
+        object.__setattr__(self, "seed", require_number(self.seed, "seed", integer=True) & 0xFFFFFFFFFFFFFFFF)
         for name in ("n", "k", "l"):
             value = getattr(self, name)
             if value is not None:
@@ -91,7 +91,7 @@ class EnsembleSpec:
                 f"unknown spectrum_law {self.spectrum_law!r}, expected one of {SPECTRUM_LAWS}"
             )
         if self.spectrum_values is not None:  # kept as a tuple, like ExperimentConfig.suites
-            self.spectrum_values = tuple(self.spectrum_values)
+            object.__setattr__(self, "spectrum_values", tuple(self.spectrum_values))
         if self.spectrum_law == "prescribed":
             if not self.spectrum_values:
                 raise ContractViolation("prescribed law requires spectrum_values")

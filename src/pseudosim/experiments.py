@@ -8,36 +8,35 @@ negative result) that oblique compressions do violate interlacing.
 
 A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
 check.  :class:`ExperimentConfig` runs each suite's dimension rule at the
-ends of its draw ranges, so a config error is raised before any trial is
-drawn.  Trials run in chunks: each trial of a chunk is drawn from its own
-stream and names its dimensions, then :func:`_check_chunk` hands every
-:class:`~pseudosim.ensembles.Draw` of the chunk to
-:func:`~pseudosim.ensembles.build_draws`, which makes their Gaussians in
-stacks and builds them (this module never reads a draw's Gaussians, stage or
-build), and the suite's check takes the built trials one at a time, each
-freed before the next check.  :func:`_check_chunk` is the one loop that
-turns a trial's error, from its draw, build or check, into a failed record
-with one-line notes; :func:`~pseudosim.ensembles._kept` keeps the error
-without its traceback, so a failed trial holds nothing of its chunk.
-:func:`run_suite` runs a suite's trials in chunks of at most ``CHUNK_BYTES``
-of draws, or of one trial that alone draws more, cut into one contiguous
-slice of trials per usable CPU: slice 0 runs in the calling
+ends of its draw ranges, and makes the oblique search's tolerances, so a
+config error is raised before any trial is drawn.  Trials run in chunks:
+each trial of a chunk is drawn from its own stream and names its dimensions,
+then :func:`_check_chunk` hands every :class:`~pseudosim.ensembles.Draw` of
+the chunk to :func:`~pseudosim.ensembles.build_draws`, which makes their
+Gaussians in stacks and builds them (this module never reads a draw's
+Gaussians, stage or build), and the suite's check takes the built trials one
+at a time, each freed before the next check.  :func:`_check_chunk` is the
+one loop that turns a trial's error, from its draw, build or check, into a
+failed record with one-line notes; :func:`~pseudosim.ensembles._kept` keeps
+the error without its traceback, so a failed trial holds nothing of its
+chunk.  :func:`run_suite` runs a suite's trials in chunks of at most
+``CHUNK_BYTES`` of draws, or of one trial that alone draws more, cut into
+one contiguous slice of trials per usable CPU: slice 0 runs in the calling
 process, each other slice in a forked child that sends its records back
-through a pipe;
-:func:`run_trial` runs one trial as a chunk of one and returns its
-:class:`TrialRecord`, the runner's row for that trial, so the runner, replay
-and the acceptance tests share one path.  So does
+through a pipe; :func:`run_trial` runs one trial as a chunk of one and
+returns its :class:`TrialRecord`, the runner's row for that trial, so the
+runner, replay and the acceptance tests share one path.  So does
 :func:`counterexample_search`: it runs the oblique suite's trials one at a
-time, at tolerances WITNESS_TIGHTEN times the run's, and stops at the first
-violation.
+time, at tolerances WITNESS_TIGHTEN times the run's
+(:func:`_witness_tolerances`), and stops at the first violation.
 
-The configuration is validated once, before any trial: :class:`EnsembleSpec`,
-:class:`Tolerances` and :func:`_require_fits`.  The checks then call the
-private bodies of the library's functions, which skip every guard whose input
-holds by construction (P = (P+P^H)/2, V and Q from a Haar QR, finite
-Gaussians, sorted spectra, validated gates), and keep every verdict gate: H's
-full column rank, route agreement, realness, the zero split, interlacing, the
-Penrose residuals and the oracles.  The oblique check keeps the public
+The configuration is validated once, by the frozen :class:`EnsembleSpec`,
+:class:`Tolerances` and :class:`ExperimentConfig`.  The checks call the private
+body of each function whose guard passes over an array, as its input holds by
+construction (P = (P+P^H)/2, V and Q from a Haar QR, finite Gaussians, sorted
+spectra), and keep every verdict gate: H's full column rank, route agreement,
+realness, the zero split, interlacing, the Penrose residuals and the oracles.
+The oblique check keeps the public
 :func:`~pseudosim.transforms.oblique_transform`, whose block need not be
 finite; numpy's eigensolver refuses a non-finite one, so its trial fails.
 
@@ -80,7 +79,7 @@ from .ensembles import (
 )
 from .eigen import _eigvals_general, _eigvals_hermitian, match_distance, relative_imag
 from .errors import ContractViolation, RealnessViolation, require_number
-from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, _check_interlacing, _classify_real, _extract_nonzero
+from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, _check_interlacing, classify_real, extract_nonzero
 from .linalg import _adjoint, _penrose_residuals, _svd, spectral_scale
 from .oracles import _characteristic_polynomial, polynomial_roots
 from .rng import SplitMix64, derive_seed
@@ -122,7 +121,7 @@ class Tolerances:
                 require_number(value, f"tolerance {f.name}", 0.0, above=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     suites: tuple[str, ...]
     ensemble: EnsembleSpec
@@ -134,7 +133,7 @@ class ExperimentConfig:
         if isinstance(self.suites, str):  # a str would read as one-letter tags
             raise ContractViolation(f"suites must be a sequence of suite tags, "
                                     f"not the str {self.suites!r}")
-        self.suites = tuple(self.suites)
+        object.__setattr__(self, "suites", tuple(self.suites))
         if not self.suites:
             raise ContractViolation("at least one suite must be selected")
         unknown = [s for s in self.suites if s not in SUITES]
@@ -148,6 +147,8 @@ class ExperimentConfig:
         _require_instance(self.tolerances, "tolerances", Tolerances)
         for suite in self.suites:
             _require_fits(self.ensemble, suite)
+        if "oblique-counterexample" in self.suites:
+            _witness_tolerances(self.tolerances)
 
 
 @dataclass(slots=True)
@@ -278,8 +279,8 @@ def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
 
     spectrum = _eigvals_general(result.transformed)
     rel_imag = relative_imag(spectrum)
-    real_values = _classify_real(spectrum, tols.realness)
-    eta, zero_count = _extract_nonzero(real_values, result.input_rank, tols.zero)
+    real_values = classify_real(spectrum, tols.realness)
+    eta, zero_count = extract_nonzero(real_values, result.input_rank, tols.zero)
     report = _check_interlacing(lam, eta, tols.interlace * spectral_scale(lam))
 
     lo, hi = report.min_margins()
@@ -364,7 +365,7 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     t = oblique_transform(p, x, sel)
     spectrum, scale = _eigvals_general(t), spectral_scale(lam)
     try:
-        eta = _classify_real(spectrum, tols.realness)
+        eta = classify_real(spectrum, tols.realness)
     except RealnessViolation:
         magnitude = relative_imag(spectrum)
         lo, hi, note = -magnitude, 0.0, f"complex spectrum (max rel imag {magnitude:.3e})"
@@ -628,6 +629,15 @@ def run_trial(spec: EnsembleSpec, suite: str, trial_index: int,
     return next(_run_trials(spec, suite, (trial_index,), tolerances))
 
 
+def _witness_tolerances(tols: Tolerances) -> Tolerances:
+    """The oblique search's tolerances: interlace and realness WITNESS_TIGHTEN times the run's."""
+    tightened = {name: WITNESS_TIGHTEN * getattr(tols, name) for name in ("interlace", "realness")}
+    for name, value in tightened.items():  # a factor that overflows is a config error
+        require_number(value, f"oblique-counterexample's tolerance {name}, "
+                              f"{WITNESS_TIGHTEN:g} times {getattr(tols, name)!r},")
+    return replace(tols, **tightened)
+
+
 def counterexample_search(config: ExperimentConfig, control: str | None = None) -> TrialRecord | None:
     """Hunt for an oblique compression that breaks interlacing.
 
@@ -642,12 +652,9 @@ def counterexample_search(config: ExperimentConfig, control: str | None = None) 
     _require_instance(config, "config", ExperimentConfig)
     if control not in (None, "unitary", "identity"):
         raise ContractViolation(f"unknown control arm {control!r}")
-    suite, spec, tols = "oblique-counterexample", config.ensemble, config.tolerances
-    tightened = replace(tols, interlace=WITNESS_TIGHTEN * tols.interlace,
-                        realness=WITNESS_TIGHTEN * tols.realness)
-    draw = partial(_oblique_draw, control=control)
+    tightened, draw = _witness_tolerances(config.tolerances), partial(_oblique_draw, control=control)
     for trial_index in range(config.trials):
-        record = next(_run_trials(spec, suite, (trial_index,), tightened, draw))
+        record = next(_run_trials(config.ensemble, "oblique-counterexample", (trial_index,), tightened, draw))
         if record.worst_residual > 0.0:
             return replace(record, notes=f"witness: {record.notes}")
     return None

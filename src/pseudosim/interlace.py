@@ -8,12 +8,13 @@ the margins of those inequalities as two arrays, ``eta - lam[:L]`` and
 ``lam[N - L:] - eta``; a margin below minus the tolerance is a violation.
 Each function takes one spectrum, a plain 1-D array as the
 :mod:`pseudosim.eigen` solvers return it for one matrix; a stack of spectra
-is refused.  Each validates its arguments and calls its private body
-(:func:`_check_interlacing`, :func:`_classify_real`,
-:func:`_extract_nonzero`), which the runner calls directly on spectra it
-sorted itself and with tolerances it validated; a NaN still fails every gate
-of a body.  Rank-deficient transforms carry additional forced zeros in their
-spectra; :func:`extract_nonzero` separates those from the genuinely
+is refused.  Each validates its arguments.  Only :func:`check_interlacing`'s
+guard passes over an array, to see both spectra are sorted, so it alone has
+a private body, :func:`_check_interlacing`, which the runner calls directly
+on spectra it sorted itself and with a tolerance it validated; the runner
+calls :func:`classify_real` and :func:`extract_nonzero` as they are.  A NaN
+fails every gate.  Rank-deficient transforms carry additional forced zeros
+in their spectra; :func:`extract_nonzero` separates those from the genuinely
 interlaced values by count, not by threshold alone, and refuses to guess
 when the separation is ambiguous.
 """
@@ -105,11 +106,7 @@ def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     ``realness_tol * max(1, max |value|)``.
     """
     require_number(realness_tol, "realness_tol", 0.0)
-    return _classify_real(_one_spectrum(spectrum, "spectrum", np.complex128), realness_tol)
-
-
-def _classify_real(values: np.ndarray, realness_tol: float) -> np.ndarray:
-    """:func:`classify_real` of one complex spectrum at a tolerance >= 0."""
+    values = _one_spectrum(spectrum, "spectrum", np.complex128)
     if values.size == 0:
         return np.zeros(0, dtype=np.float64)
     tol = realness_tol * spectral_scale(values)
@@ -139,12 +136,6 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     values = _one_spectrum(spectrum, "spectrum")
     if not 0 <= require_number(expected_l, "expected_l", integer=True) <= values.size:
         raise ContractViolation(f"expected rank {expected_l} outside [0, {values.size}]")
-    return _extract_nonzero(values, expected_l, zero_tol)
-
-
-def _extract_nonzero(values: np.ndarray, expected_l: int, zero_tol: float):
-    """:func:`extract_nonzero` of one real spectrum, an int ``expected_l``
-    in [0, its length] and a tolerance >= 0."""
     n_zero = values.size - expected_l
     order = np.argsort(np.abs(values), kind="stable")
     zeros = values[order[:n_zero]]

@@ -7,11 +7,11 @@ of relative tolerances and residuals; whether a tolerance itself is a usable
 number is :func:`pseudosim.errors.require_number`'s to decide.
 
 Matrices are plain two-dimensional complex128 ``numpy`` arrays.  Every public
-routine validates its input through :func:`as_matrix`, which rejects NaN/Inf
-entries, and then calls its private body (:func:`_svd`,
-:func:`_penrose_residuals`), which takes validated arguments; the runner
-calls the bodies directly.  All functions are pure; nothing is modified in
-place.
+routine validates its input through :func:`as_matrix`, whose NaN/Inf check
+passes over the matrix, and then calls its private body (:func:`_svd`,
+:func:`_penrose_residuals`), which the runner calls directly;
+:meth:`SvdFactors.truncated` checks a threshold alone and has no body.  All
+functions are pure; nothing is modified in place.
 """
 from __future__ import annotations
 
@@ -111,13 +111,10 @@ class SvdFactors:
         """The factors over the rank ``rank_tol`` detects in ``sigma``.
 
         Equal to :func:`svd` of the same matrix at ``rank_tol`` when these
-        factors are untruncated, as at full rank.
+        factors are untruncated, as at full rank.  Its guard, that ``rank_tol``
+        is a finite number > 0, passes over no array: it has no private body.
         """
-        return self._truncated(_require_rank_tol(rank_tol))
-
-    def _truncated(self, rank_tol: float) -> "SvdFactors":
-        """:meth:`truncated` at a validated ``rank_tol``."""
-        rank = _detected_rank(self.sigma, rank_tol)
+        rank = _detected_rank(self.sigma, require_number(rank_tol, "rank_tol", 0.0, above=True))
         return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
 
 

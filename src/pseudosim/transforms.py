@@ -179,7 +179,7 @@ def _inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResul
     h_factors = _full_column_rank(h)
     hv = h @ v.conj().T
     route_a = _pseudo_similarity(p, hv, rank_tol)
-    core_factors = h_factors if rank_tol is None else h_factors._truncated(rank_tol)
+    core_factors = h_factors if rank_tol is None else h_factors.truncated(rank_tol)
     core = core_factors.pseudo_inverse() @ p @ h
     route_b = v @ core @ _adjoint(v)
     dev = float(np.abs(route_a.transformed - route_b).max())

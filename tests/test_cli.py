@@ -302,6 +302,38 @@ def test_exit_two_on_unusable_tolerance_key(tmp_path, capsys, monkeypatch, line)
     assert capsys.readouterr().err.startswith(f"error: tolerance {field} must be finite and > 0")
 
 
+def _no_draws(*args):
+    raise AssertionError("a trial was drawn despite a config error")
+
+
+@pytest.mark.parametrize("flags, ini, field", [
+    (["--tol-interlace", "1e308"], None, "interlace"),
+    ([], "[tolerances]\nrealness = 1e308\n", "realness"),
+], ids=["interlace-flag", "realness-key"])
+def test_exit_two_on_a_tolerance_the_oblique_search_overflows(tmp_path, capsys, monkeypatch,
+                                                               flags, ini, field):
+    # the search multiplies the interlacing and realness factors by 10: one
+    # that overflows is a config error on one line, before any trial is
+    # drawn, not a traceback once the theorem suites have run; a run without
+    # the search keeps the value
+    monkeypatch.setattr(experiments, "_draw_trial", _no_draws)
+    if ini is not None:
+        (tmp_path / "tols.ini").write_text(ini, encoding="utf-8")
+        flags = ["--config", str(tmp_path / "tols.ini")]
+    existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+    existing.write_text("an earlier report\n", encoding="utf-8")
+    for out in (existing, new):
+        assert main(flags + ["--format", "csv", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: oblique-counterexample's tolerance {field}, "
+                                           "10 times 1e+308, must be finite, got inf\n")
+    assert existing.read_text(encoding="utf-8") == "an earlier report\n"
+    assert not new.exists()
+    monkeypatch.undo()
+    assert main(flags + ["--suite", "subsumption", "--trials", "3", "--format", "csv",
+                         "--out", str(new)]) == 0
+    assert len(new.read_text(encoding="utf-8").splitlines()) == 4  # a header and three trials
+
+
 @pytest.mark.parametrize("lines, fields", [
     ("condition_cap = nan", ["condition_cap"]),
     ("condition_cap = inf", ["condition_cap"]),

@@ -93,6 +93,40 @@ def test_trials_is_an_int(trials):
         _config(trials=trials)
 
 
+@pytest.mark.parametrize("config, invalid", [
+    (EnsembleSpec(seed=42), {"n": 0}),
+    (ExperimentConfig(suites=SUITES, ensemble=EnsembleSpec(seed=42)), {"trials": 0}),
+    (Tolerances(), {"mp": 0.0}),
+], ids=["EnsembleSpec", "ExperimentConfig", "Tolerances"])
+def test_configs_are_frozen(config, invalid):
+    # a config's checks hold for its whole life: no field can be assigned
+    # (an unknown suite, 0 trials or a pinned n = 1 would reach the trials
+    # unchecked), and dataclasses.replace makes a copy that is checked again
+    for field in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, None)
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(config, **invalid)
+
+
+@pytest.mark.parametrize("field", ["interlace", "realness"])
+def test_the_oblique_search_refuses_a_tolerance_it_would_overflow(field):
+    # the search multiplies the interlacing and realness factors by
+    # WITNESS_TIGHTEN; one that overflows to inf is refused with the config,
+    # by the search's own rule, and a run without the search keeps it
+    tolerances = Tolerances(**{field: 1e308})
+    message = rf"oblique-counterexample's tolerance {field}, 10 times 1e\+308, must be finite, got inf"
+    with pytest.raises(ContractViolation, match=message):
+        _config(tolerances=tolerances)
+    config = _config(suites=("subsumption",), tolerances=tolerances)
+    assert getattr(config.tolerances, field) == 1e308
+    with pytest.raises(ContractViolation, match=message):
+        counterexample_search(config)
+    # a factor just below the overflow is still one the search takes
+    edge = Tolerances(**{field: 1.7e307})
+    assert _config(tolerances=edge).tolerances == edge
+
+
 def test_all_suites_pass_smoke():
     records = run_suite(_config(trials=15))
     assert failed_theorem_records(records) == []
@@ -291,8 +325,6 @@ GUARDED_BODIES = {
     "_eigvals_general": eigen.eigvals_general,
     "_eigvals_hermitian": eigen.eigvals_hermitian,
     "_characteristic_polynomial": oracles.characteristic_polynomial,
-    "_classify_real": interlace.classify_real,
-    "_extract_nonzero": interlace.extract_nonzero,
     "_check_interlacing": interlace.check_interlacing,
 }
 
@@ -346,9 +378,9 @@ def test_the_checks_bodies_match_the_public_functions(monkeypatch):
 
 
 def test_the_runner_validates_once(monkeypatch):
-    # EnsembleSpec, Tolerances and _require_fits validate a run before its
-    # first trial; no check of a theorem trial re-validates what the runner
-    # built.  Each guard is counted where it is looked up
+    # EnsembleSpec, Tolerances and ExperimentConfig validate a run before
+    # its first trial; no check of a theorem trial passes a guard over an
+    # array the runner built.  Each guard is counted where it is looked up
     counted = Counter()
     for module, name in [(linalg, "as_matrix"), (transforms, "as_matrix"), (linalg, "_check_finite"),
                          (transforms, "_require_hermitian"),

@@ -152,3 +152,9 @@ def test_rank_tol_must_be_finite_and_positive(bad):
     with pytest.raises(ContractViolation, match="rank_tol must be finite and > 0"):
         svd(np.eye(3)).truncated(bad)
 
+
+def test_truncated_needs_a_threshold():
+    # None is svd's default threshold, but truncating needs a number to cut at
+    with pytest.raises(ContractViolation, match="rank_tol must be finite and > 0, got None"):
+        svd(np.eye(3)).truncated(None)
+

@@ -11,6 +11,7 @@ import pytest
 import pseudosim
 from pseudosim import cli
 from pseudosim.experiments import _SUITE_TABLE
+from test_experiments import GUARDED_BODIES
 
 
 def test_every_export_resolves_once():
@@ -87,15 +88,37 @@ def test_readme_entry_points_resolve():
 
 DELETED = ("DimensionError", "adjoint", "is_hermitian", "numerical_rank", "charpoly_eigenvalues",
            "random_unitary", "hermitian_with_spectrum", "random_full_column_rank", "random_rank_l",
-           "random_invertible_nonunitary", "trial_seed")
+           "random_invertible_nonunitary", "trial_seed", "_classify_real", "_extract_nonzero",
+           "SvdFactors._truncated")
+
+
+def _resolves(owner, dotted: str) -> bool:
+    """Whether ``owner.<dotted>`` names something, attribute by attribute."""
+    for name in dotted.split("."):
+        if not hasattr(owner, name):
+            return False
+        owner = getattr(owner, name)
+    return True
 
 
 def test_deleted_names_stay_deleted():
-    # shape errors are ContractViolations, each generator is its draw, and a
-    # trial's seed is the README's formula, which the runner derives itself;
-    # every import sits at module level, so no module defines or imports one
+    # shape errors are ContractViolations, each generator is its draw, a
+    # trial's seed is the README's formula, which the runner derives itself,
+    # and a guard that passes over no array has no private body; every
+    # import sits at module level, so no module defines or imports one
     assert [(module.__name__, name) for module in (pseudosim, *MODULES)
-            for name in DELETED if hasattr(module, name)] == []
+            for name in DELETED if _resolves(module, name)] == []
+
+
+def test_validation_boundary_is_documented():
+    # README "Validation boundary" names exactly the public functions that
+    # have a private body the runner calls, so a body added or folded back
+    # into its function without the README fails here
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "### Validation boundary\n", 1)[1].split("\n#", 1)[0]
+    named = {name for name in re.findall(r"`(\w+)`", section) if not name.startswith("_")
+             and any(inspect.isfunction(getattr(module, name, None)) for module in MODULES)}
+    assert named == {function.__name__ for function in GUARDED_BODIES.values()}
 
 
 def _tree(module: str) -> ast.Module:
