@@ -1,9 +1,10 @@
-"""Exception types shared across the library, and :func:`require_number`,
-the one rule that decides whether an argument is a usable number.  The scale
-a tolerance multiplies has one owner too, :func:`pseudosim.linalg.spectral_scale`.
+"""Exception types, :class:`Gate`, a verdict gate's row, and :func:`require_number`,
+the one rule that decides whether an argument is a usable number.  The scale a
+tolerance multiplies has one owner too, :func:`pseudosim.linalg.spectral_scale`.
 """
 import math
 import numbers
+from typing import NamedTuple
 
 
 class ContractViolation(ValueError):
@@ -30,6 +31,19 @@ class ClassificationError(NumericalError):
     signals either a wrong rank or an input whose genuine eigenvalues sit too
     close to zero; the caller decides, the library does not guess.
     """
+
+
+#: a verdict gate: its category, the value it measured against its bound, and its failure,
+#: None while it holds, else its note or the error its public function raises
+Gate = NamedTuple("Gate", [("category", str), ("measured", float), ("bound", float),
+                           ("failure", str | Exception | None)])
+
+
+def _held(value, gate: Gate):
+    """``value``, once ``gate`` holds; else the error it failed with, raised."""
+    if gate.failure is not None:
+        raise gate.failure
+    return value
 
 
 def require_number(value, name: str, low=None, *, above: bool = False, integer: bool = False):

@@ -7,25 +7,26 @@ eigensolver output against characteristic-polynomial oracles, or (the one
 negative result) that oblique compressions do violate interlacing.
 
 A suite is one entry of ``_SUITE_TABLE``: a dimension rule, a draw and a
-check.  :class:`ExperimentConfig` runs each suite's dimension rule at the
-ends of its draw ranges, and makes the oblique search's tolerances, so a
-config error is raised before any trial is drawn.  Trials run in chunks:
-each trial of a chunk is drawn from its own stream and names its dimensions,
-then :func:`_check_chunk` hands every :class:`~pseudosim.ensembles.Draw` of
-the chunk to :func:`~pseudosim.ensembles.build_draws`, which makes their
-Gaussians in stacks and builds them (this module never reads a draw's
-Gaussians, stage or build), and the suite's check takes the built trials one
-at a time, each freed before the next check.  :func:`_check_chunk` is the
-one loop that turns a trial's error, from its draw, build or check, into a
-failed record with one-line notes; :func:`~pseudosim.ensembles._kept` keeps
-the error without its traceback, so a failed trial holds nothing of its
-chunk.  :func:`run_suite` runs a suite's trials in chunks of at most
-``CHUNK_BYTES`` of draws, or of one trial that alone draws more, cut into
-one contiguous slice of trials per usable CPU: slice 0 runs in the calling
-process, each other slice in a forked child that sends its records back
-through a pipe; :func:`run_trial` runs one trial as a chunk of one and
-returns its :class:`TrialRecord`, the runner's row for that trial, so the
-runner, replay and the acceptance tests share one path.  So does
+check.  :class:`ExperimentConfig` runs each suite's dimension rule at the ends
+of its draw ranges, and makes the oblique search's tolerances, so a config
+error is raised before any trial is drawn.  Trials run in chunks: each trial of
+a chunk is drawn from its own stream and names its dimensions, then
+:func:`_check_chunk` hands every :class:`~pseudosim.ensembles.Draw` of the
+chunk to :func:`~pseudosim.ensembles.build_draws`, which makes their Gaussians
+in stacks and builds them (this module never reads a draw's Gaussians, stage
+or build), and the suite's check takes the built trials one at a time, each
+freed before the next check; it judges its verdict gates, rows of
+:class:`~pseudosim.errors.Gate`, by :meth:`_DrawnTrial.judged`.
+:func:`_check_chunk` alone turns a trial's error, from its draw, build or
+check, into a failed record, of category ``error``;
+:func:`~pseudosim.ensembles._kept` keeps the error without its traceback, so a
+failed trial holds nothing of its chunk.  :func:`run_suite` runs a suite's
+trials in chunks of at most ``CHUNK_BYTES`` of draws, or of one trial that
+alone draws more, cut into one contiguous slice of trials per usable CPU:
+slice 0 runs in the calling process, each other slice in a forked child that
+sends its records back through a pipe; :func:`run_trial` runs one trial as a
+chunk of one and returns its :class:`TrialRecord`, the runner's row for that
+trial, so the runner, replay and the acceptance tests share one path.  So does
 :func:`counterexample_search`: it runs the oblique suite's trials one at a
 time, at tolerances WITNESS_TIGHTEN times the run's
 (:func:`_witness_tolerances`), and stops at the first violation.
@@ -78,9 +79,9 @@ from .ensembles import (
     draw_unitary,
 )
 from .eigen import _eigvals_general, _eigvals_hermitian, match_distance, relative_imag
-from .errors import ContractViolation, RealnessViolation, require_number
-from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, _check_interlacing, classify_real, extract_nonzero
-from .linalg import _adjoint, _penrose_residuals, _svd, spectral_scale
+from .errors import ContractViolation, Gate, require_number
+from .interlace import INTERLACE_REL_TOL, ZERO_REL_TOL, _check_interlacing, _realness, _zero_split
+from .linalg import _adjoint, _penrose_residuals, _require_rank_tol, _svd, spectral_scale
 from .oracles import _characteristic_polynomial, polynomial_roots
 from .rng import SplitMix64, derive_seed
 from .transforms import _inflate_transform, _pseudo_similarity, _unitary_compression, oblique_transform
@@ -100,9 +101,10 @@ class Tolerances:
     residuals; ``unitary_pinv`` and ``route`` are absolute bounds on the
     largest entry of a deviation; ``rank`` replaces the rank-detection
     threshold factor directly, and None keeps the per-matrix default,
-    max(rows, cols) * eps.  Every value is a finite positive
-    number: a NaN or infinite gate would pass anything, a non-positive one
-    nothing, and a bool is no number here (True would read as a gate of 1).
+    max(rows, cols) * eps.  Every value is a finite positive number, and
+    ``rank`` one below 1: a NaN or infinite gate would pass anything, a
+    non-positive one, or a rank threshold of 1 or more, nothing, and a bool
+    is no number here (True would read as a gate of 1).
     """
 
     interlace: float = INTERLACE_REL_TOL
@@ -116,9 +118,9 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or f.name != "rank":
-                require_number(value, f"tolerance {f.name}", 0.0, above=True)
+            if f.name != "rank":
+                require_number(getattr(self, f.name), f"tolerance {f.name}", 0.0, above=True)
+        _require_rank_tol(self.rank, "tolerance rank")
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,10 @@ class TrialRecord:
 
     A record carries (suite, trial_index, seed, n, k, l), which is everything
     needed to regenerate the trial standalone.  The fields up to ``notes``
-    are its report columns, :data:`RECORD_FIELDS`.  The rest are interlacing
-    diagnostics, which no report writes and no comparison reads; suites that
-    do not measure them, and trials that raised, leave the defaults.
+    are its report columns, :data:`RECORD_FIELDS`.  No report writes the rest
+    and no comparison reads them: ``category``, and interlacing diagnostics,
+    which suites that do not measure them, trials that raised, and failed
+    route, realness and zero-split gates leave at their defaults.
     """
 
     suite: str
@@ -173,6 +176,7 @@ class TrialRecord:
     min_upper_margin: float = 0.0
     worst_residual: float = 0.0
     notes: str = ""
+    category: str = field(default="", compare=False)          # first failed gate's, "" on a pass
     rel_imag: float = field(default=math.nan, compare=False)  # max |imag| / scale of spec(T)
     route_dev: float = field(default=0.0, compare=False)      # gap between the inflation routes
     zeros: int = field(default=0, compare=False)              # structural zeros split off spec(T)
@@ -272,29 +276,25 @@ def _interlace_draw(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, dims)
 def _interlace_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     l = trial.dims[2]
     lam, p, h, v = trial.drawn
-    if v is not None:
-        result = _inflate_transform(p, h, v, tols.rank)
-    else:
-        result = _pseudo_similarity(p, h, tols.rank)
-
+    result = _pseudo_similarity(p, h, tols.rank) if v is None else _inflate_transform(p, h, v, tols.rank)
+    if result.route and result.route.failure:  # a failed route, realness or zero split ends the check
+        return trial.judged((result.route,))
     spectrum = _eigvals_general(result.transformed)
-    rel_imag = relative_imag(spectrum)
-    real_values = classify_real(spectrum, tols.realness)
-    eta, zero_count = extract_nonzero(real_values, result.input_rank, tols.zero)
+    real_values, realness = _realness(spectrum, tols.realness)
+    (eta, zero_count), split = _zero_split(real_values, result.input_rank, tols.zero)
+    if realness.failure or split.failure:  # a complex spectrum's zero split means nothing
+        return trial.judged((realness if realness.failure else split,))
     report = _check_interlacing(lam, eta, tols.interlace * spectral_scale(lam))
 
     lo, hi = report.min_margins()
-    route_dev = result.route_deviation or 0.0
-    notes = []
-    if result.input_rank != l:
-        notes.append(f"rank {result.input_rank} != target {l} ({zero_count} zeros)")
-    if not report.passed:
-        notes.append(f"interlacing violated (tol {report.tol_used:.3e})")
+    rank, rel_imag, route_dev = result.input_rank, relative_imag(spectrum), result.route_deviation or 0.0
     sigma = result.factors.sigma
-    return trial.record(passed=report.passed and not notes,
+    return trial.judged((_bounded("rank", abs(rank - l), 0, "rank {2} != target {3} ({4} zeros)",
+                                  rank, l, zero_count),
+                         Gate("interlace", -float(np.minimum(lo, hi)), report.tol_used, None if report.passed
+                              else f"interlacing violated (tol {report.tol_used:.3e})")),
                         min_lower_margin=_finite(lo), min_upper_margin=_finite(hi),
                         worst_residual=float(np.maximum(rel_imag, route_dev)),
-                        notes="; ".join(notes),
                         rel_imag=rel_imag, route_dev=route_dev, zeros=zero_count,
                         hermitian=result.hermitian,
                         cond_h=float(sigma[0] / sigma[-1]) if sigma.size else math.inf)
@@ -313,14 +313,15 @@ def _subsumption_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     general = _pseudo_similarity(p, q, tols.rank)
     pinv_dev = float(np.abs(general.factors.pseudo_inverse() - _adjoint(q)).max())
     route_dev = float(np.abs(classical - general.transformed).max())
+    return trial.judged((_bounded("unitary_pinv", pinv_dev, tols.unitary_pinv,
+                                  "pinv(q) deviates from adjoint by {:.3e}"),
+                         _bounded("route", route_dev, tols.route, "compression routes deviate by {:.3e}")),
+                        worst_residual=float(np.maximum(pinv_dev, route_dev)))
 
-    notes = []
-    if not pinv_dev <= tols.unitary_pinv:
-        notes.append(f"pinv(q) deviates from adjoint by {pinv_dev:.3e}")
-    if not route_dev <= tols.route:
-        notes.append(f"compression routes deviate by {route_dev:.3e}")
-    return trial.record(passed=not notes, worst_residual=float(np.maximum(pinv_dev, route_dev)),
-                        notes="; ".join(notes))
+
+def _bounded(category: str, measured: float, bound: float, note: str, *args) -> Gate:
+    """The gate ``measured <= bound``, failed by a NaN, noting ``note.format(measured, bound, *args)``."""
+    return Gate(category, measured, bound, None if measured <= bound else note.format(measured, bound, *args))
 
 
 def _oblique_dims(rng: SplitMix64 | None, spec: EnsembleSpec, trial_index: int, suite: str):
@@ -364,9 +365,8 @@ def _oblique_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     lam, p, x, sel = trial.drawn
     t = oblique_transform(p, x, sel)
     spectrum, scale = _eigvals_general(t), spectral_scale(lam)
-    try:
-        eta = classify_real(spectrum, tols.realness)
-    except RealnessViolation:
+    eta, realness = _realness(spectrum, tols.realness)
+    if realness.failure:
         magnitude = relative_imag(spectrum)
         lo, hi, note = -magnitude, 0.0, f"complex spectrum (max rel imag {magnitude:.3e})"
     else:
@@ -424,14 +424,12 @@ def _mp_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     factors = _svd(m, tols.rank)
     residuals = _penrose_residuals(m, factors.pseudo_inverse())
     worst = float(np.max(residuals))  # a NaN residual stays NaN
-    notes = []
-    if factors.rank != rank_target:
-        notes.append(f"rank {factors.rank} != target {rank_target}")
     labels = ("m p m = m", "p m p = p", "(m p)^H = m p", "(p m)^H = p m")
-    bad = [lab for lab, r in zip(labels, residuals) if not r <= tols.mp]
-    if bad:
-        notes.append(f"Penrose residual {worst:.3e} > {tols.mp:.1e} ({'; '.join(bad)})")
-    return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
+    bad = "; ".join(lab for lab, r in zip(labels, residuals) if not r <= tols.mp)
+    return trial.judged((_bounded("rank", abs(factors.rank - rank_target), 0, "rank {2} != target {3}",
+                                  factors.rank, rank_target),
+                         _bounded("mp", worst, tols.mp, "Penrose residual {0:.3e} > {1:.1e} ({2})", bad)),
+                        worst_residual=worst)
 
 
 def _oracle_dims(rng: SplitMix64, spec: EnsembleSpec, trial_index: int, suite: str):
@@ -457,16 +455,12 @@ def _oracle_check(trial: _DrawnTrial, tols: Tolerances) -> TrialRecord:
     (n <= 4) plus trace/determinant identities (n <= 6): the deviations the
     trial's stages measured, against ``tols.oracle``."""
     devs, (trace_dev, det_dev) = trial.drawn
-    notes = []
-    for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs):
-        if not dev <= tols.oracle:
-            notes.append(f"{solver} deviates from charpoly roots by {dev:.3e}")
-    if not trace_dev <= tols.oracle:
-        notes.append(f"trace identity off by {trace_dev:.3e}")
-    if not det_dev <= tols.oracle:
-        notes.append(f"determinant identity off by {det_dev:.3e}")
     worst = float(np.max([*devs, trace_dev, det_dev]))  # a NaN deviation stays NaN
-    return trial.record(passed=not notes, worst_residual=worst, notes="; ".join(notes))
+    roots = [_bounded("oracle", dev, tols.oracle, "{2} deviates from charpoly roots by {0:.3e}", solver)
+             for solver, dev in zip(("eigvals_general", "eigvals_hermitian"), devs)]
+    return trial.judged((*roots, _bounded("oracle", trace_dev, tols.oracle, "trace identity off by {:.3e}"),
+                         _bounded("oracle", det_dev, tols.oracle, "determinant identity off by {:.3e}")),
+                        worst_residual=worst)
 
 
 def _charpoly_deviations(g: np.ndarray) -> list[tuple[float, float]]:
@@ -544,6 +538,14 @@ class _DrawnTrial(NamedTuple):
         """The trial's record: its identity and dimensions, and ``verdict``."""
         return TrialRecord(self.suite, self.trial_index, self.seed, *self.dims, **verdict)
 
+    def judged(self, gates, **values) -> TrialRecord:
+        """The record over ``gates`` and ``values``: passed if no gate failed, else
+        noting the failed ones on one line, in the first one's category."""
+        failed = [g for g in gates if g.failure is not None]
+        text = "; ".join(f if isinstance(f := g.failure, str) else f"{type(f).__name__}: {f}" for g in failed)
+        return self.record(passed=not failed, notes=re.sub(r"\n\s*", " ", text),  # numpy wraps arrays
+                           category=failed[0].category if failed else "", **values)
+
     @property
     def nbytes(self) -> int:
         """Bytes the trial's draws make once built: its draws' Gaussians, and
@@ -569,9 +571,9 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances):
     suite's check, or a failed record for a trial whose draw, build or check
     raised; a trial that fails, fails alone.  :func:`build_draws` builds the
     chunk's draws together, and each trial takes its members from that list
-    as its check starts, so they are freed before the next check.  A failed
-    record notes the first error among its built values, or else its check's,
-    on one line: a line break and the indentation after it become a space."""
+    as its check starts, so they are freed before the next check.  A raised
+    error is no verdict: the record notes the first error among the built
+    values, or else the check's, in the category ``error``."""
     check = _SUITE_TABLE[suite][2]
     members = deque(build_draws([v for trial in chunk for v in trial.drawn if isinstance(v, Draw)]))
     for trial in chunk:
@@ -580,8 +582,7 @@ def _check_chunk(suite: str, chunk: list[_DrawnTrial], tolerances: Tolerances):
         error = next((v for v in built.drawn if isinstance(v, Exception)), None)
         record = _kept(check, built, tolerances) if error is None else error
         if isinstance(record, Exception):
-            record = built.record(passed=False,  # one line, where numpy wraps an array
-                                  notes=re.sub(r"\n\s*", " ", f"{type(record).__name__}: {record}"))
+            record = built.judged((Gate("error", math.nan, math.nan, record),))
         yield record
 
 

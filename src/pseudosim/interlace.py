@@ -11,12 +11,12 @@ Each function takes one spectrum, a plain 1-D array as the
 is refused.  Each validates its arguments.  Only :func:`check_interlacing`'s
 guard passes over an array, to see both spectra are sorted, so it alone has
 a private body, :func:`_check_interlacing`, which the runner calls directly
-on spectra it sorted itself and with a tolerance it validated; the runner
-calls :func:`classify_real` and :func:`extract_nonzero` as they are.  A NaN
-fails every gate.  Rank-deficient transforms carry additional forced zeros
-in their spectra; :func:`extract_nonzero` separates those from the genuinely
-interlaced values by count, not by threshold alone, and refuses to guess
-when the separation is ambiguous.
+on spectra it sorted itself and with a tolerance it validated; it keeps the
+gates of :func:`classify_real` and :func:`extract_nonzero`,
+:func:`_realness` and :func:`_zero_split`, as rows.  A NaN fails every gate.
+Rank-deficient transforms carry additional forced zeros in their spectra;
+:func:`extract_nonzero` separates those from the genuinely interlaced values
+by count, not by threshold alone, and refuses to guess when it is ambiguous.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import relative_imag
-from .errors import ClassificationError, ContractViolation, RealnessViolation, require_number
+from .errors import ClassificationError, ContractViolation, Gate, RealnessViolation, _held, require_number
 from .linalg import spectral_scale
 
 #: default relative tolerance for classifying a spectrum as real
@@ -101,23 +101,23 @@ def _check_interlacing(lam: np.ndarray, eta: np.ndarray, tol: float) -> Interlac
 def classify_real(spectrum, realness_tol: float = REALNESS_TOL) -> np.ndarray:
     """Real parts, sorted non-decreasing, of a spectrum that must be real.
 
-    The one place that decides realness.  Raises :class:`RealnessViolation`
-    listing the offending eigenvalues when any imaginary part exceeds
-    ``realness_tol * max(1, max |value|)``.
+    Raises :class:`RealnessViolation` listing the offending eigenvalues when
+    any imaginary part exceeds ``realness_tol * max(1, max |value|)``: the
+    failure of :func:`_realness`, the one place that decides realness.
     """
     require_number(realness_tol, "realness_tol", 0.0)
-    values = _one_spectrum(spectrum, "spectrum", np.complex128)
-    if values.size == 0:
-        return np.zeros(0, dtype=np.float64)
+    return _held(*_realness(_one_spectrum(spectrum, "spectrum", np.complex128), realness_tol))
+
+
+def _realness(values: np.ndarray, realness_tol: float) -> tuple[np.ndarray, Gate]:
+    """:func:`classify_real`'s sorted real parts, and its realness gate."""
     tol = realness_tol * spectral_scale(values)
-    bad = ~(np.abs(values.imag) <= tol)  # a NaN part is not real
-    if bad.any():
-        raise RealnessViolation(
-            f"{int(bad.sum())} eigenvalue(s) exceed realness tolerance {tol:.3e} "
-            f"(max |imag| / scale {relative_imag(values):.3e}): {values[bad]}",
-            offenders=values[bad],
-        )
-    return np.sort(values.real)
+    imag = np.abs(values.imag)
+    bad = ~(imag <= tol)  # a NaN part is not real
+    failure = RealnessViolation(f"{int(bad.sum())} eigenvalue(s) exceed realness tolerance {tol:.3e} "
+                                f"(max |imag| / scale {relative_imag(values):.3e}): {values[bad]}",
+                                offenders=values[bad]) if bad.any() else None
+    return np.sort(values.real), Gate("realness", float(imag.max(initial=0.0)), tol, failure)
 
 
 def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
@@ -136,13 +136,16 @@ def extract_nonzero(spectrum, expected_l: int, zero_tol: float = ZERO_REL_TOL):
     values = _one_spectrum(spectrum, "spectrum")
     if not 0 <= require_number(expected_l, "expected_l", integer=True) <= values.size:
         raise ContractViolation(f"expected rank {expected_l} outside [0, {values.size}]")
+    return _held(*_zero_split(values, expected_l, zero_tol))
+
+
+def _zero_split(values: np.ndarray, expected_l: int, zero_tol: float):
+    """:func:`extract_nonzero`'s split, and its zero-split gate."""
     n_zero = values.size - expected_l
     order = np.argsort(np.abs(values), kind="stable")
-    zeros = values[order[:n_zero]]
-    nonzero = values[order[n_zero:]]
+    zeros, nonzero = values[order[:n_zero]], values[order[n_zero:]]
     threshold = zero_tol * spectral_scale(values)
-    if zeros.size and not float(np.abs(zeros).max()) <= threshold:
-        raise ClassificationError(
-            f"counted structural zeros are not below {threshold:.3e}: {np.sort(zeros)}"
-        )
-    return np.sort(nonzero), int(n_zero)
+    largest = float(np.abs(zeros).max(initial=0.0))
+    failure = ClassificationError(f"counted structural zeros are not below {threshold:.3e}: "
+                                  f"{np.sort(zeros)}") if zeros.size and not largest <= threshold else None
+    return (np.sort(nonzero), int(n_zero)), Gate("zero", largest, threshold, failure)

@@ -67,12 +67,6 @@ def spectral_scale(values, axis=None):
     return float(scale) if axis is None else scale
 
 
-def default_rank_tol(shape) -> float:
-    """Relative rank threshold max(rows, cols) * eps; multiplied by the
-    largest singular value at the point of use."""
-    return max(shape) * EPS
-
-
 def _adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an array :func:`as_matrix` has already
     validated, or of each matrix of a stack of them."""
@@ -112,16 +106,19 @@ class SvdFactors:
 
         Equal to :func:`svd` of the same matrix at ``rank_tol`` when these
         factors are untruncated, as at full rank.  Its guard, that ``rank_tol``
-        is a finite number > 0, passes over no array: it has no private body.
+        is a number in (0, 1), passes over no array: it has no private body.
         """
-        rank = _detected_rank(self.sigma, require_number(rank_tol, "rank_tol", 0.0, above=True))
+        rank_tol = require_number(rank_tol, "rank_tol", 0.0, above=True)  # svd's None needs a shape
+        rank = _detected_rank(self.sigma, _require_rank_tol(rank_tol))
         return SvdFactors(u=self.u[:, :rank], sigma=self.sigma[:rank], v=self.v[:, :rank], rank=rank)
 
 
-def _require_rank_tol(rank_tol: float | None) -> float | None:
-    """``rank_tol``, once it is None or a finite number > 0: a NaN or
-    infinite threshold would read every matrix as rank 0."""
-    return rank_tol if rank_tol is None else require_number(rank_tol, "rank_tol", 0.0, above=True)
+def _require_rank_tol(rank_tol: float | None, name: str = "rank_tol") -> float | None:
+    """``rank_tol``, once it is None or a finite number in (0, 1): a NaN or
+    infinite threshold, or one of 1 or more, would read every matrix as rank 0."""
+    if rank_tol is not None and not require_number(rank_tol, name, 0.0, above=True) < 1.0:
+        raise ContractViolation(f"{name} must be < 1, got {rank_tol!r}")
+    return rank_tol
 
 
 def _detected_rank(s: np.ndarray, rank_tol: float) -> int:
@@ -137,8 +134,8 @@ def svd(m, rank_tol: float | None = None) -> SvdFactors:
 
 def _svd(m: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     """:func:`svd` of a validated matrix at a validated ``rank_tol``."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m.shape)
+    if rank_tol is None:  # the default factor of the largest singular value
+        rank_tol = max(m.shape) * EPS
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:

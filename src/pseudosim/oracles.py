@@ -72,6 +72,7 @@ def _quadratic_roots(b, c) -> np.ndarray:
     return roots
 
 
+@np.errstate(all="ignore")  # a root that overflows is refused, not warned of
 def polynomial_roots(coeffs) -> np.ndarray:
     """All complex roots of a polynomial (coefficients highest first, leading
     one nonzero), sorted by (real, imag); a row per polynomial of a stack.
@@ -82,8 +83,8 @@ def polynomial_roots(coeffs) -> np.ndarray:
     scale.  Accuracy degrades near multiple roots (as for any polynomial
     method): a polynomial whose last of 500 corrections is still within
     1e-10 of that scale keeps its roots, any other one raises
-    :class:`NumericalError`.  Distinct-root inputs converge to near machine
-    level.
+    :class:`NumericalError`, as does a polynomial whose roots are not all
+    finite.  Distinct-root inputs converge to near machine level.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim < 1 or c.shape[-1] < 2:
@@ -96,10 +97,11 @@ def polynomial_roots(coeffs) -> np.ndarray:
     if rescale.any():
         c = c.copy()
         c[rescale] /= c[rescale, :1]
-    if n == 1:
-        return -c[:, 1:].reshape(shape + (1,))
-    if n == 2:
-        return sort_eigenvalues(_quadratic_roots(c[:, 1], c[:, 2])).reshape(shape + (2,))
+    if n <= 2:
+        roots = -c[:, 1:] if n == 1 else sort_eigenvalues(_quadratic_roots(c[:, 1], c[:, 2]))
+        if not np.isfinite(roots).all():  # above degree 2 such a root never settles
+            raise NumericalError(f"a root of a degree-{n} polynomial is not finite")
+        return roots.reshape(shape + (n,))
 
     radius = 1.0 + np.abs(c[:, 1:]).max(axis=1)  # Cauchy bound on |root|
     z = radius[:, np.newaxis] * (0.4 + 0.9j) ** np.arange(1, n + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalError, require_number
+from .errors import ContractViolation, Gate, NumericalError, _held, require_number
 from .linalg import (
     ORTH_TOL,
     SvdFactors,
@@ -40,7 +40,11 @@ class TransformResult:
 
     transformed: np.ndarray
     factors: SvdFactors
-    route_deviation: float | None = None  # filled by inflate_transform
+    route: Gate | None = None  # inflate_transform's gate on the agreement of its routes
+
+    @property
+    def route_deviation(self) -> float | None:  # the gap between inflate_transform's routes
+        return None if self.route is None else self.route.measured
 
     @property
     def input_rank(self) -> int:
@@ -169,13 +173,14 @@ def inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult
     p = _require_hermitian(p)
     h, v = _require_embedding(h, v)
     # h v^H has h's rows and at least as many columns
-    return _inflate_transform(p, _require_map(p, h), v, _require_rank_tol(rank_tol))
+    result = _inflate_transform(p, _require_map(p, h), v, _require_rank_tol(rank_tol))
+    return _held(result, result.route)
 
 
 def _inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResult:
-    """:func:`inflate_transform` of validated arguments.  The full column
-    rank of h, and the agreement of the routes, are still checked: on drawn
-    arrays they are verdicts, not preconditions."""
+    """:func:`inflate_transform` of validated arguments, whose result's route
+    gate is failed by the error it raises.  The full column rank of h is
+    still checked: on drawn arrays it is a verdict, not a precondition."""
     h_factors = _full_column_rank(h)
     hv = h @ v.conj().T
     route_a = _pseudo_similarity(p, hv, rank_tol)
@@ -183,16 +188,12 @@ def _inflate_transform(p, h, v, rank_tol: float | None = None) -> TransformResul
     core = core_factors.pseudo_inverse() @ p @ h
     route_b = v @ core @ _adjoint(v)
     dev = float(np.abs(route_a.transformed - route_b).max())
-    scale = max(spectral_scale(route_a.transformed), spectral_scale(route_b))
-    if not dev <= CROSS_REL_TOL * scale:  # a NaN deviation fails too
-        err = NumericalError(
-            f"inflation routes disagree: max entry deviation {dev:.3e} "
-            f"exceeds {CROSS_REL_TOL * scale:.3e}"
-        )
-        err.route_a = route_a.transformed
-        err.route_b = route_b
-        raise err
-    return replace(route_a, route_deviation=dev)
+    bound = CROSS_REL_TOL * max(spectral_scale(route_a.transformed), spectral_scale(route_b))
+    failure = None if dev <= bound else NumericalError(  # a NaN deviation fails too
+        f"inflation routes disagree: max entry deviation {dev:.3e} exceeds {bound:.3e}")
+    if failure:
+        failure.route_a, failure.route_b = route_a.transformed, route_b
+    return replace(route_a, route=Gate("route", dev, bound, failure))
 
 
 def oblique_transform(p, x, selection) -> np.ndarray:

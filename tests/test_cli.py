@@ -302,6 +302,29 @@ def test_exit_two_on_unusable_tolerance_key(tmp_path, capsys, monkeypatch, line)
     assert capsys.readouterr().err.startswith(f"error: tolerance {field} must be finite and > 0")
 
 
+@pytest.mark.parametrize("flags, ini", [
+    (["--tol-rank", "1"], None),
+    (["--tol-rank", "2.5"], None),
+    ([], "[tolerances]\nrank = 1\n"),
+], ids=["flag-1", "flag-2.5", "key-1"])
+def test_exit_two_on_a_rank_threshold_of_one_or_more(tmp_path, capsys, monkeypatch, flags, ini):
+    # no singular value exceeds rank_tol times the largest one once rank_tol
+    # is 1 or more, so every map reads as rank 0 and every theorem trial
+    # would fail as if the theorem had: a config error, before any trial
+    monkeypatch.setattr("pseudosim.cli.run_suite", _no_trials)
+    if ini is not None:
+        (tmp_path / "tols.ini").write_text(ini, encoding="utf-8")
+        flags = ["--config", str(tmp_path / "tols.ini")]
+    existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+    existing.write_text("an earlier report\n", encoding="utf-8")
+    for out in (existing, new):
+        assert main(flags + ["--trials", "3", "--format", "csv", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance rank must be < 1, got ") and err.count("\n") == 1
+    assert existing.read_text(encoding="utf-8") == "an earlier report\n"
+    assert not new.exists()
+
+
 def _no_draws(*args):
     raise AssertionError("a trial was drawn despite a config error")
 

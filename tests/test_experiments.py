@@ -176,7 +176,9 @@ def test_fixed_dimensions_respected():
     assert all((r.n, r.k, r.l) == (6, 9, 2) for r in records)
 
 
-@pytest.mark.parametrize(("suite", "overrides", "note"), [
+#: (suite, tolerance overrides, the note they force), one per gate a
+#: tolerance guards
+OVERRIDE_CASES = [
     pytest.param("interlace-full-rank", {"interlace": 1e-18}, "interlacing violated",
                  id="interlace-full-rank-interlace"),
     pytest.param("interlace-rank-deficient", {"rank": 1e-300},
@@ -191,7 +193,10 @@ def test_fixed_dimensions_respected():
                  "trace identity off by .*; determinant identity off by", id="solver-oracle-oracle"),
     pytest.param("oblique-counterexample", {"oracle": 1e-300}, "charpoly roots deviate",
                  id="oblique-counterexample-oracle"),
-])
+]
+
+
+@pytest.mark.parametrize(("suite", "overrides", "note"), OVERRIDE_CASES)
 def test_tolerance_override_can_fail_honestly(suite, overrides, note):
     # an absurdly tight tolerance turns rounding into failures, which must be
     # recorded rather than raised.  Each trial is read as the runner checks
@@ -206,8 +211,43 @@ def test_tolerance_override_can_fail_honestly(suite, overrides, note):
     assert len(records) == 40  # failure isolation: the suite ran to completion
 
 
+#: the gate each failed record's notes name first, by how its notes start
+GATE_NOTES = {
+    "RealnessViolation: ": "realness",
+    "ClassificationError: ": "zero",
+    "NumericalError: inflation routes disagree": "route",
+    r"rank \d+ != target \d+": "rank",
+    "interlacing violated": "interlace",
+    r"pinv\(q\) deviates from adjoint": "unitary_pinv",
+    "compression routes deviate": "route",
+    "Penrose residual": "mp",
+    "eigvals_(general|hermitian) deviates from charpoly roots|trace identity|determinant identity": "oracle",
+}
+
+
+@pytest.mark.parametrize(("suite", "overrides"), [
+    *(pytest.param(*case.values[:2], id=case.id) for case in OVERRIDE_CASES),
+    pytest.param("interlace-rank-deficient", {"zero": 1e-300}, id="interlace-rank-deficient-zero"),
+    pytest.param("interlace-full-rank", {"realness": 1e-18}, id="interlace-full-rank-realness"),
+])
+def test_failed_records_name_their_gate(monkeypatch, suite, overrides):
+    # a failed record's category is the gate its notes name first, readable
+    # without parsing them, and a passed record has none.  No gate raises,
+    # the theorem path's realness, zero split and route agreement included:
+    # with no trial error caught, every failure is still a record
+    monkeypatch.setattr(ensembles, "TRIAL_ERRORS", ())
+    records = list(experiments._run_trials(EnsembleSpec(seed=42), suite, range(40),
+                                           Tolerances(**overrides)))
+    failed = [r for r in records if not r.passed]
+    assert failed or suite not in THEOREM_SUITES
+    for record in failed:
+        named = [gate for start, gate in GATE_NOTES.items() if re.match(start, record.notes)]
+        assert named == [record.category], record.notes
+    assert all(record.category == "" for record in records if record.passed)
+
+
 def test_failed_records_keep_drawn_dimensions():
-    # a realness tolerance below rounding makes trials raise RealnessViolation;
+    # a realness tolerance below rounding fails trials on their realness gate;
     # their records must still carry the dimensions the trial drew
     for suite in ("interlace-full-rank", "interlace-inflated"):
         default = run_suite(_config(suites=(suite,), trials=20))
@@ -543,7 +583,7 @@ def test_failed_haar_factor_stays_inside_its_trial(small_chunks, monkeypatch):
     forced = run_suite(_config(suites=(suite,), trials=30))
     assert any(7 in chunk and len(chunk) > 1 for chunk in small_chunks), small_chunks
     assert [record.trial_index for record in forced if not record.passed] == [7]
-    assert forced[7].notes == "LinAlgError: no QR"
+    assert forced[7].notes == "LinAlgError: no QR" and forced[7].category == "error"
     assert forced[:7] + forced[8:] == default[:7] + default[8:]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from pseudosim.linalg import (
     svd,
 )
 from pseudosim.rng import SplitMix64
+from pseudosim.transforms import inflate_transform, pseudo_similarity
 
 
 def test_adjoint_basic():
@@ -151,6 +154,20 @@ def test_rank_tol_must_be_finite_and_positive(bad):
         svd(np.eye(3), bad)
     with pytest.raises(ContractViolation, match="rank_tol must be finite and > 0"):
         svd(np.eye(3)).truncated(bad)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, 1e300])
+def test_rank_tol_must_be_below_one(bad):
+    # no singular value exceeds rank_tol times the largest one once rank_tol
+    # is 1 or more, so every matrix would read as rank 0: each function that
+    # takes a threshold refuses it by the one rule
+    eye, h = np.eye(3), np.eye(3)[:, :2]
+    calls = [lambda: svd(eye, bad), lambda: pseudo_inverse(eye, bad), lambda: svd(eye).truncated(bad),
+             lambda: pseudo_similarity(eye, h, bad), lambda: inflate_transform(eye, h, eye[:, :2], bad)]
+    for call in calls:
+        with pytest.raises(ContractViolation, match=re.escape(f"rank_tol must be < 1, got {bad!r}")):
+            call()
+    assert svd(eye, 0.999).rank == 3
 
 
 def test_truncated_needs_a_threshold():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -61,6 +63,22 @@ def test_invalid_polynomials():
         polynomial_roots([0.0, 1.0, 2.0])  # zero leading coefficient
     with pytest.raises(ContractViolation):
         polynomial_roots([3.0])  # constant
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 1e160, 1.0], [1.0, 1e300, 1e300, 1.0], [1e-300, 1e300]],
+                         ids=["quadratic", "cubic", "linear"])
+def test_roots_that_do_not_come_out_finite_raise(coeffs):
+    # b^2 overflows once |b| passes about 1.3e154, though np.roots finds the
+    # quadratic's roots, -1e160 and -1e-160; the cubic's Weierstrass products
+    # and the linear one's normalisation overflow too.  Each raises the
+    # documented NumericalError, with no NaN root returned and no numpy
+    # warning let out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            polynomial_roots(coeffs)
+        with pytest.raises(NumericalError):  # in a stack, as the runner calls it
+            polynomial_roots(np.stack([np.poly(np.arange(1.0, len(coeffs))), coeffs]))
 
 
 def test_oracle_matches_lapack_small():
